@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: install test lint verify-contracts certify-numerics sanitize check trace profile bench bench-smoke bench-compare bench-verbose examples report all clean
+.PHONY: install test lint verify-contracts certify-numerics sanitize check trace profile perf perf-quick bench bench-smoke bench-compare bench-verbose examples report all clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -90,6 +90,19 @@ bench-smoke:
 # cycles/sec drop (cross-host comparisons warn but never fail).
 bench-compare:
 	PYTHONPATH=src python -m repro bench-compare
+
+# The layered host-time benchmark (BENCHMARK.json + benchmarks/perf/):
+# set-up, one steady-state operation and peak memory on six named
+# workloads, each in a fresh interpreter; add `--trace 1` by hand for
+# the per-layer breakdown.  `perf-quick` shrinks every shape (~30 s) and
+# only smoke-tests the harness — its numbers mean nothing.  See
+# benchmarks/perf/README.md, including how to compare two commits.
+perf:
+	python3 benchmarks/perf/run.py
+
+perf-quick:
+	python3 benchmarks/perf/selftest.py
+	python3 benchmarks/perf/run.py --quick
 
 bench:
 	pytest benchmarks/ --benchmark-only -q

@@ -138,6 +138,11 @@ class RunOptions:
         """A copy with ``changes`` applied (re-validated)."""
         return dataclasses.replace(self, **changes)
 
+    def detached(self, **changes) -> "RunOptions":
+        """A copy for an unobserved inner run: no ``obs`` session, and so
+        no ``profile`` either (it requires one), plus ``changes``."""
+        return self.replace(obs=None, profile=False, **changes)
+
 
 def coerce_options(options: RunOptions | None = None, caller: str = "run",
                    **legacy) -> RunOptions:

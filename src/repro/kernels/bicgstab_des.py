@@ -251,7 +251,7 @@ class DESBiCGStab:
         else:
             u, cycles = run_spmv_des(
                 self.operator, v.astype(np.float16), self.config,
-                options=self.options.replace(obs=None, analyze=False),
+                options=self.options.detached(analyze=False),
             )
         self.report.spmv_cycles += cycles
         self.report.spmv_runs += 1
@@ -277,7 +277,7 @@ class DESBiCGStab:
                 if self._ar_eng is None:
                     self._ar_eng = AllReduceEngine(
                         nx, ny,
-                        options=self.options.replace(obs=None, analyze=False),
+                        options=self.options.detached(analyze=False),
                     )
                     if self.obs is not None:
                         self.obs.observe_fabric(
@@ -289,7 +289,7 @@ class DESBiCGStab:
             else:
                 total, cycles = simulate_allreduce(
                     partials.T,
-                    options=self.options.replace(obs=None, analyze=False),
+                    options=self.options.detached(analyze=False),
                 )  # (rows=y, cols=x)
             self.report.allreduce_cycles += cycles
             self.report.allreduce_runs += 1

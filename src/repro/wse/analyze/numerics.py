@@ -50,9 +50,13 @@ program on the live engine and measures the realized error.
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -143,12 +147,14 @@ def compose_error_bounds(bounds) -> float:
     return float(sum(bounds))
 
 
-def _mul_b(a: float, b: float) -> float:
-    """``a*b`` with the 0*inf indeterminate resolved to 0 (bounds only)."""
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    p = a * b
-    return p if p == p else _INF  # NaN from inf arithmetic: saturate
+@functools.lru_cache(maxsize=None)
+def _dtype_name(dtype) -> str:
+    return np.dtype(dtype).name
+
+
+@functools.lru_cache(maxsize=None)
+def _result_dtype(a: str, b: str) -> str:
+    return np.result_type(a, b).name
 
 
 @dataclass(frozen=True)
@@ -172,7 +178,7 @@ class Val:
         floor = max(abs(lo), abs(hi)) + err
         if mag is None or mag < floor:
             mag = floor
-        return Val(np.dtype(dtype).name, lo, hi, err, float(mag))
+        return Val(_dtype_name(dtype), lo, hi, err, float(mag))
 
     @staticmethod
     def from_array(arr: np.ndarray) -> "Val":
@@ -196,12 +202,6 @@ class Val:
     def sign_definite(self) -> bool:
         """Interval excludes zero (both endpoints the same nonzero sign)."""
         return self.lo > 0.0 or self.hi < 0.0
-
-
-def _iv_mul(a: Val, b: Val) -> tuple[float, float]:
-    cands = (_mul_b(a.lo, b.lo), _mul_b(a.lo, b.hi),
-             _mul_b(a.hi, b.lo), _mul_b(a.hi, b.hi))
-    return min(cands), max(cands)
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +278,17 @@ class _Deliveries:
         self._cache: dict = {}
 
     def _graph(self, channel):
+        """``(route map, forwarding graph, node -> topological rank)`` of
+        one channel, computed once; the rank is None for a cyclic graph."""
         got = self._graphs.get(channel)
         if got is None:
+            from .contracts import _topo_order
+
             route_map = self.chan_routes.get(channel, {})
             graph = forwarding_graph(self.fabric, route_map)
-            cyclic = bool(cyclic_sccs(graph))
-            got = self._graphs[channel] = (route_map, graph, cyclic)
+            rank = None if cyclic_sccs(graph) else \
+                {node: i for i, node in enumerate(_topo_order(graph))}
+            got = self._graphs[channel] = (route_map, graph, rank)
         return got
 
     def resolve(self, channel: int, srcpos) -> list | None:
@@ -295,22 +300,23 @@ class _Deliveries:
         got = self._cache.get(key)
         if got is not None:
             return got
-        route_map, graph, cyclic = self._graph(channel)
-        if cyclic:
+        route_map, graph, rank = self._graph(channel)
+        if rank is None:
             return None
         node0 = (srcpos, Port.CORE)
         if node0 not in route_map:
             self._cache[key] = []
             return []
-        from .contracts import _topo_order
-
-        counts = dict.fromkeys(graph, 0)
-        counts[node0] = 1
+        counts = {node0: 1}
+        stack = [node0]
+        while stack:    # the nodes the stream reaches
+            for s in graph[stack.pop()]:
+                if s not in counts:
+                    counts[s] = 0
+                    stack.append(s)
         out = []
-        for node in _topo_order(graph):
+        for node in sorted(counts, key=rank.__getitem__):
             c = counts[node]
-            if not c:
-                continue
             (x, y), _in = node
             if Port.CORE in route_map[node] and \
                     self.fabric.cores[y][x] is not None:
@@ -322,9 +328,103 @@ class _Deliveries:
 
 
 # ---------------------------------------------------------------------------
-# Abstract evaluation
+# Abstract evaluation: resolve the dataflow once, execute it per sweep
 # ---------------------------------------------------------------------------
+# Tape op kinds.  Every op writes one fresh value slot (SSA) from one or
+# two input slots:
+#   PROD   interval product a*b (+ the fp32 product rounding of an
+#          inexact mac), optionally checked for fp16 underflow
+#   SUM    interval sum a+b
+#   RND    one rounding into a dtype
+#   JOIN   hull of a non-accumulating store with the cell's old value
+#   ACC    read-modify-write: (cur + r) rounded in the compute dtype and
+#          again in the cell's dtype, both charged against the cell's
+#          final magnitude
+_PROD, _SUM, _RND, _JOIN, _ACC = range(5)
+# Ints per tape row, by kind: (slot, a, b) then PROD's (extra-rounding
+# dtype code, underflow check, site), or RND/ACC's dtype code per
+# rounding and (site, first element, element, location).
+_ROW = (6, 3, 8, 3, 9)
+_LO, _HI, _ERR, _MAG = range(4)
+_TOP = np.array([[-_INF], [_INF], [_INF], [_INF]])
+# Row pairs of the seven bound products one PROD needs: the four
+# interval corners, a.err*b.mag, a.mag*b.err, a.mag*b.mag.
+_PROD_A = (_LO, _LO, _HI, _HI, _ERR, _MAG, _MAG)
+_PROD_B = (_LO, _HI, _LO, _HI, _MAG, _ERR, _MAG)
+
+
+def _mul_b(a, b):
+    """``a*b`` on bound arrays: 0*inf resolves to 0, NaN saturates."""
+    p = a * b
+    p[(a == 0.0) | (b == 0.0)] = 0.0
+    p[p != p] = _INF
+    return p
+
+
+def _floor_mag(v) -> None:
+    """Enforce :class:`Val`'s invariant on value columns, in place."""
+    np.maximum(v[_MAG], np.abs(v[:_ERR]).max(axis=0) + v[_ERR], out=v[_MAG])
+
+
+def _round_cols(v, charge, unit, fmax):
+    """Round value columns ``v`` in place into the dtype with rounding
+    unit ``unit`` and finite range ``fmax``, charging at least
+    ``charge``; returns the overflow mask and the charged magnitude."""
+    mag = np.maximum(v[_MAG], charge)
+    over = mag > fmax
+    v[_ERR] += _mul_b(unit, mag)
+    v[_MAG] = mag
+    _floor_mag(v)
+    if over.any():
+        v[:, over] = _TOP
+    return over, mag
+
+
+def _execute(groups, V, charge, hits=None) -> None:
+    """One sweep: evaluate every op group in level order over the value
+    columns ``V`` (rows lo/hi/err/mag, one column per slot).  ``charge``
+    holds each location's read-modify-write charge, with a trailing
+    no-charge entry that location -1 indexes.  With ``hits`` (the emit
+    sweep), overflowing roundings and underflowing products are appended
+    as ``(slot, kind, tape row, dtype code, charged magnitude)``."""
+    for kind, table, c in groups:
+        if kind == _PROD:
+            a, b = V[:, c[1]], V[:, c[2]]
+            p = _mul_b(a[_PROD_A, :], b[_PROD_B, :])
+            out = np.empty_like(a)
+            out[_LO], out[_HI] = p[:4].min(axis=0), p[:4].max(axis=0)
+            out[_ERR] = p[4] + p[5] + _mul_b(c[3], p[6])
+            out[_MAG] = p[6]
+            if hits is not None and c[4].any():
+                m = np.abs(out[:_ERR]).max(axis=0)
+                under = (c[4] & (0.0 < m) & (m < _TINY["float16"])
+                         & ((a[_LO] > 0.0) | (a[_HI] < 0.0))
+                         & ((b[_LO] > 0.0) | (b[_HI] < 0.0)))
+                hits.extend((c[0][j], kind, table[j], None, None)
+                            for j in np.flatnonzero(under))
+            _floor_mag(out)
+        elif kind == _JOIN:
+            a, b = V[:, c[1]], V[:, c[2]]
+            out = np.maximum(a, b)
+            np.minimum(a[_LO], b[_LO], out=out[_LO])
+            _floor_mag(out)
+        else:
+            out = V[:, c[1]]
+            if kind != _RND:
+                out += V[:, c[2]]
+                _floor_mag(out)
+            if kind != _SUM:
+                for code, unit, fmax in c[-2]:
+                    over, mag = _round_cols(out, charge[c[-1]], unit, fmax)
+                    if hits is not None and over.any():
+                        hits.extend((c[0][j], kind, table[j], code[j], mag[j])
+                                    for j in np.flatnonzero(over))
+        V[:, c[0]] = out
+
+
 class _CoreState:
+    """One core's symbolic state: every value is a slot index."""
+
     __slots__ = ("pos", "core", "decl", "mem", "written", "scalar",
                  "scalar_written", "fifo_words", "fifo_taken", "tol")
 
@@ -332,51 +432,39 @@ class _CoreState:
         self.pos = pos
         self.core = core
         self.decl = decl
-        self.mem: dict[str, list[Val]] = {}
+        self.mem: dict[str, list[int]] = {}
         self.written: set[str] = set()
-        self.scalar: Val | None = None
+        self.scalar: int | None = None
         self.scalar_written = False
-        self.fifo_words: dict[str, list[Val]] = {}
+        self.fifo_words: dict[str, list[int]] = {}
         self.fifo_taken: dict[str, int] = {}
         self.tol = decl.tolerance
 
-    def array_vals(self, name: str) -> list[Val] | None:
-        got = self.mem.get(name)
-        if got is not None:
-            return got
+    def mem_dtype(self, name: str) -> str:
+        """Dtype a store into allocation ``name`` rounds in."""
         memory = getattr(self.core, "memory", None)
-        if memory is None or name not in memory:
-            return None
-        arr = memory.get(name)
-        declared = self.decl.ranges.get(name)
-        if declared is not None:
-            seed = Val.make(arr.dtype, declared[0], declared[1])
-        else:
-            seed = Val.from_array(arr)
-        got = self.mem[name] = [seed] * arr.size
-        return got
-
-    def scalar_val(self) -> Val:
-        if self.scalar is None:
-            declared = self.decl.ranges.get(SCALAR_NAME)
-            live = getattr(self.core, "acc", None)
-            if declared is not None:
-                dt = getattr(live, "dtype", np.dtype("float32"))
-                self.scalar = Val.make(dt, declared[0], declared[1])
-            elif live is not None:
-                v = float(live)
-                self.scalar = Val.make(
-                    getattr(live, "dtype", np.dtype("float32")), v, v)
-            else:
-                self.scalar = Val.make("float32", 0.0, 0.0)
-        return self.scalar
+        if memory is not None and name in memory:
+            return _dtype_name(memory.get(name).dtype)
+        return "float16"
 
 
 class _Eval:
-    """One whole-program evaluation (driven to a magnitude fixpoint)."""
+    """One whole-program evaluation, in two steps.
+
+    :meth:`resolve` interprets the declared dataflow *once*, symbolically:
+    work items run in dataflow-readiness order, every abstract value
+    becomes a slot, and every arithmetic step appends one op to an SSA
+    tape — which slots it reads, the dtype it rounds in, the memory
+    location whose final magnitude it is charged against, and the
+    declaration site a diagnostic would name.  None of that depends on
+    the values, so :meth:`run` evaluates the tape over flat
+    ``lo/hi/err/mag`` arrays once per sweep — to the magnitude fixpoint,
+    then once more collecting diagnostics — with the ops levelised and
+    grouped by kind, so a sweep is a few NumPy calls per group across
+    all tiles.
+    """
 
     def __init__(self, fabric, cores):
-        self.fabric = fabric
         self.deliveries = _Deliveries(fabric)
         self.states: list[_CoreState] = []
         for pos, core in cores:
@@ -390,202 +478,185 @@ class _Eval:
         for st in self.states:
             for tname, task in st.decl.tasks.items():
                 for instr in task.launches:
-                    idx = len(self.items)
+                    if isinstance(instr.dst, FifoRef):
+                        key = (id(st), instr.dst.fifo)
+                        self.pushers.setdefault(key, []).append(len(self.items))
                     self.items.append((st, tname, instr))
-                    dst = instr.dst
-                    if isinstance(dst, FifoRef):
-                        self.pushers.setdefault(
-                            (id(st), dst.fifo), []).append(idx)
                 for drain in task.drains:
                     self.items.append((st, tname, drain))
         self.notes: list[str] = []
         self.diags: list[Diagnostic] = []
         self._noted: set = set()
-        self.skipped = 0
-        # Populated per evaluation sweep:
         self.streams: dict = {}
-        self.done: list[bool] = []
-        self.final_mags: dict = {}
         self.last_writer: dict = {}
-        self.emit = False
+        # The tape.  Slots are numbered in evaluation order, so a slot
+        # index also orders the diagnostics its op can raise.
+        self.dtypes: list[str] = []         # per slot
+        self.levels: list[int] = []         # per slot: dataflow depth
+        self.seeds: list[tuple] = []        # (slot, lo, hi, err, mag) inputs
+        self.ops = tuple(array("q") for _ in _ROW)   # per kind: flat rows
+        self.codes: dict[str, int] = {"": 0}     # dtype name -> table row
+        self.sites: list[tuple] = []   # (st, task, instr, src slots, summary)
+        self.locs: dict = {}                # (id(st), name, index) -> location
+        self.writes = array("q")            # flat (location, slot written)
+        self.V = np.zeros((4, 0))
 
-    # -- one full evaluation ------------------------------------------------
-    def run(self) -> None:
-        """Evaluate to the magnitude fixpoint, then once more emitting
-        diagnostics with final-magnitude rounding charges."""
-        mags: dict = {}
-        for _ in range(4):
-            self._sweep(mags, emit=False)
-            grew = False
-            for key, m in self.final_mags.items():
-                if m > mags.get(key, -1.0):
-                    mags[key] = m
-                    grew = True
-            if not grew:
-                break
-        self._sweep(mags, emit=True)
-
-    def _sweep(self, charge_mags: dict, emit: bool) -> None:
-        self.emit = emit
-        self.streams = {}
-        self.final_mags = {}
-        self.last_writer = {}
-        self._charge = charge_mags
-        if emit:
-            self.diags = []
-            self.notes = []
-            self._noted = set()
-        for st in self.states:
-            st.mem.clear()
-            st.written.clear()
-            st.scalar = None
-            st.scalar_written = False
-            st.fifo_words.clear()
-            st.fifo_taken.clear()
-        self.done = [False] * len(self.items)
-        progress = True
-        while progress:
-            progress = False
-            for i, (st, tname, obj) in enumerate(self.items):
-                if self.done[i] or not self._ready(i, st, obj):
-                    continue
-                if isinstance(obj, (DrainDecl, str)):
-                    self._process_drain(st, tname, obj)
-                else:
-                    self._process_instr(st, tname, obj)
-                self.done[i] = True
-                progress = True
-        self.skipped = self.done.count(False)
-        if emit and self.skipped:
+    # -- step 1: symbolic resolution ----------------------------------------
+    def resolve(self) -> None:
+        """Process every work item once, in the order a repeated
+        in-order scan for ready items would: an item woken by item ``i``
+        runs later in the same round when it sits after ``i`` and in the
+        next round otherwise."""
+        done = [False] * len(self.items)
+        waiting: dict = {}
+        heap = [(0, i) for i in range(len(self.items))]
+        while heap:
+            rnd, i = heapq.heappop(heap)
+            st, tname, obj = self.items[i]
+            key = self._blocked_on(st, obj, done)
+            if key is not None:
+                waiting.setdefault(key, []).append(i)
+                continue
+            fired: set = set()
+            if isinstance(obj, (DrainDecl, str)):
+                self._process_drain(st, tname, obj)
+            else:
+                self._process_instr(st, tname, obj, fired)
+                if isinstance(obj.dst, FifoRef):
+                    fired.add((id(st), obj.dst.fifo))
+            done[i] = True
+            for key in fired:
+                for j in waiting.pop(key, ()):
+                    heapq.heappush(heap, (rnd + (j < i), j))
+        skipped = done.count(False)
+        if skipped:
             self.notes.append(
-                f"numerics: {self.skipped} declared instruction(s)/drain(s) "
+                f"numerics: {skipped} declared instruction(s)/drain(s) "
                 "never became dataflow-ready; their targets are not "
                 "certified (the flow pass reports the supply defect)"
             )
 
-    # -- readiness ----------------------------------------------------------
-    def _ready(self, idx: int, st: _CoreState, obj) -> bool:
+    def _blocked_on(self, st: _CoreState, obj, done):
+        """The supply ``obj`` still waits for — a stream ``(channel,
+        pos)`` or a FIFO ``(id(st), name)`` — or None when ready."""
         if isinstance(obj, (DrainDecl, str)):
-            fifo = drain_fifo_name(obj)
-            return all(self.done[i]
-                       for i in self.pushers.get((id(st), fifo), ()))
+            key = (id(st), drain_fifo_name(obj))
+            return None if all(done[i] for i in self.pushers.get(key, ())) \
+                else key
         for src in obj.srcs:
             if isinstance(src, FabricRef):
-                words = self.streams.get((src.channel, st.pos), ())
-                if len(words) < src.length:
-                    return False
+                key = (src.channel, st.pos)
+                if len(self.streams.get(key, ())) < src.length:
+                    return key
             elif isinstance(src, FifoRef):
                 avail = (len(st.fifo_words.get(src.fifo, ()))
                          - st.fifo_taken.get(src.fifo, 0))
                 if avail < src.length:
-                    return False
-        return True
+                    return (id(st), src.fifo)
+        return None
 
-    # -- helpers ------------------------------------------------------------
     def _note_once(self, key, text) -> None:
-        if self.emit and key not in self._noted:
+        if key not in self._noted:
             self._noted.add(key)
             self.notes.append(text)
 
-    def _round(self, st, name, val: Val, dtype, rmw_key=None,
-               ctx=None) -> Val:
-        """Round ``val`` into ``dtype``; charge against the final
-        magnitude for read-modify-write targets (``rmw_key``)."""
-        dt = np.dtype(dtype).name
-        u = _UNIT.get(dt, 0.0)
-        mag = val.mag
-        if rmw_key is not None:
-            mag = max(mag, self._charge.get(rmw_key, 0.0))
-        err = val.err + u * mag
-        if mag > _FMAX.get(dt, _INF):
-            if self.emit and ctx is not None:
-                self._overflow_diag(st, dt, mag, *ctx)
-            return Val(dt, -_INF, _INF, _INF, _INF)
-        return Val.make(dt, val.lo, val.hi, err, max(val.mag, mag))
+    # -- slots and ops ------------------------------------------------------
+    def _seed(self, val: Val) -> int:
+        """A constant input slot holding ``val``."""
+        self.dtypes.append(val.dtype)
+        self.levels.append(0)
+        slot = len(self.dtypes) - 1
+        self.seeds.append((slot, val.lo, val.hi, val.err, val.mag))
+        return slot
 
-    def _overflow_diag(self, st, dt, mag, tname, instr, src_specs) -> None:
-        key = (id(st), instr.name or instr.op, "overflow")
-        if key in self._noted:
-            return
-        self._noted.add(key)
-        x, y = st.pos
-        self.diags.append(Diagnostic(
-            Severity.ERROR, "numerics", "fp16-overflow",
-            f"instruction {instr.name or instr.op!r} can overflow "
-            f"{dt}: magnitude bound {mag:.6g} exceeds the finite "
-            f"range {_FMAX[dt]:.6g} given the declared input ranges",
-            where=(x, y),
-            hint="scale the operands (Jacobi/diagonal preconditioning "
-                 "bounds the dynamic range, paper section VI) or widen "
-                 "the accumulator to fp32",
-            data=self._witness(st, tname, instr, src_specs, mag),
-        ))
+    def _op(self, kind: int, dtype: str, a: int, b: int, *cols) -> int:
+        """Append one tape op computing a fresh ``dtype`` slot from
+        slots ``a`` and ``b`` (unary ops pass their input twice)."""
+        levels = self.levels
+        self.dtypes.append(dtype)
+        levels.append(1 + max(levels[a], levels[b]))
+        self.ops[kind].extend((len(levels) - 1, a, b, *cols))
+        return len(levels) - 1
 
-    def _witness(self, st, tname, instr, src_specs, mag) -> tuple:
-        """Machine-readable witness: enough to cut a minimal feeder
-        program (:func:`synthesize_numerics_witness`)."""
-        x, y = st.pos
-        dst = instr.dst
-        if isinstance(dst, ScalarRef):
-            dst_kind, dst_dt, dst_len = "scalar", dst.dtype, 1
-        elif isinstance(dst, MemRef):
-            vals = st.array_vals(dst.array)
-            dt = "float16"
-            memory = getattr(st.core, "memory", None)
-            if memory is not None and dst.array in memory:
-                dt = memory.get(dst.array).dtype.name
-            dst_kind, dst_dt, dst_len = "mem", dt, dst.length
-            del vals
-        else:  # stream/fifo destination: feed a plain fp16 buffer
-            dst_kind, dst_dt, dst_len = "mem", "float16", instr.length
-        return (
-            "numerics", x, y, tname, instr.name or instr.op, instr.op,
-            dst_kind, dst_dt, int(dst_len), int(instr.length),
-            (None if getattr(instr, "scalar", None) is None
-             else float(instr.scalar)),
-            (None if st.tol is None else float(st.tol)),
-            _enc(mag),
-            tuple((s[0], _enc(s[1]), _enc(s[2])) for s in src_specs),
-        )
+    def _code(self, dtype: str) -> int:
+        return self.codes.setdefault(dtype, len(self.codes))
+
+    def _round(self, val: int, dtype: str, site: int, k0: int, k: int) -> int:
+        return self._op(_RND, dtype, val, val, self._code(dtype), site, k0, k,
+                        -1)
+
+    def _accumulate(self, st, name, idx, cur, r, ddt, site, k0, k) -> int:
+        """``cur + r`` stored back into location ``(name, idx)``."""
+        cdt = _result_dtype(self.dtypes[cur], self.dtypes[r])
+        loc = self.locs.setdefault((id(st), name, idx), len(self.locs))
+        new = self._op(_ACC, ddt, cur, r, self._code(cdt), self._code(ddt),
+                       site, k0, k, loc)
+        self.writes.extend((loc, new))
+        return new
 
     # -- source / destination access ----------------------------------------
-    def _read_src(self, st: _CoreState, src, k: int) -> Val | None:
-        if isinstance(src, MemRef):
-            vals = st.array_vals(src.array)
-            if vals is None:
-                return None
-            idx = src.offset + k * src.stride
-            if not (0 <= idx < len(vals)):
-                return None  # dsr pass owns out-of-range extents
-            return vals[idx]
-        if isinstance(src, FabricRef):
-            words = self.streams.get((src.channel, st.pos), ())
-            return words[k] if k < len(words) else None
-        if isinstance(src, FifoRef):
-            words = st.fifo_words.get(src.fifo, ())
-            i = st.fifo_taken.get(src.fifo, 0) + k
-            return words[i] if i < len(words) else None
-        if isinstance(src, ScalarRef):
-            return st.scalar_val()
-        return None
+    def _array(self, st: _CoreState, name: str) -> list[int] | None:
+        got = st.mem.get(name)
+        if got is not None:
+            return got
+        memory = getattr(st.core, "memory", None)
+        if memory is None or name not in memory:
+            return None
+        arr = memory.get(name)
+        declared = st.decl.ranges.get(name)
+        if declared is not None:
+            seed = Val.make(arr.dtype, declared[0], declared[1])
+        else:
+            seed = Val.from_array(arr)
+        got = st.mem[name] = [self._seed(seed)] * arr.size
+        return got
 
-    def _write_mem(self, st: _CoreState, ref: MemRef, k: int, val: Val,
-                   accumulate: bool) -> None:
-        vals = st.array_vals(ref.array)
-        if vals is None:
-            return
-        idx = ref.offset + k * ref.stride
+    def _scalar(self, st: _CoreState) -> int:
+        if st.scalar is None:
+            declared = st.decl.ranges.get(SCALAR_NAME)
+            live = getattr(st.core, "acc", None)
+            dt = getattr(live, "dtype", np.dtype("float32"))
+            if declared is not None:
+                seed = Val.make(dt, declared[0], declared[1])
+            elif live is not None:
+                seed = Val.make(dt, float(live), float(live))
+            else:
+                seed = Val.make("float32", 0.0, 0.0)
+            st.scalar = self._seed(seed)
+        return st.scalar
+
+    def _reader(self, st: _CoreState, src):
+        """``(slots, base, stride)``: element ``k`` of ``src`` is
+        ``slots[base + k*stride]``, unresolved when that is out of range
+        (the dsr pass owns out-of-range extents).  None for the scalar
+        register, whose slot moves as an instruction accumulates into it."""
+        if isinstance(src, MemRef):
+            return self._array(st, src.array) or (), src.offset, src.stride
+        if isinstance(src, FabricRef):
+            return self.streams.get((src.channel, st.pos), ()), 0, 1
+        if isinstance(src, FifoRef):
+            return (st.fifo_words.get(src.fifo, ()),
+                    st.fifo_taken.get(src.fifo, 0), 1)
+        return None if isinstance(src, ScalarRef) else ((), 0, 0)
+
+    def _store(self, st: _CoreState, name: str, vals, idx: int, new: int,
+               join: bool) -> None:
         if not (0 <= idx < len(vals)):
             return
-        vals[idx] = val if accumulate else vals[idx].join(val)
-        st.written.add(ref.array)
-        key = (id(st), ref.array, idx)
-        if val.mag > self.final_mags.get(key, -1.0):
-            self.final_mags[key] = val.mag
+        if join:    # a plain store may or may not have run: keep both
+            loc = self.locs.setdefault((id(st), name, idx), len(self.locs))
+            self.writes.extend((loc, new))
+            old = vals[idx]
+            new = self._op(_JOIN, _result_dtype(self.dtypes[old],
+                                                self.dtypes[new]), old, new)
+        vals[idx] = new
+        st.written.add(name)
 
-    def _emit_word(self, st: _CoreState, ref, val: Val) -> None:
+    def _emit_words(self, st: _CoreState, ref, words, fired: set) -> None:
+        if not words:
+            return
         if isinstance(ref, FifoRef):
-            st.fifo_words.setdefault(ref.fifo, []).append(val)
+            st.fifo_words.setdefault(ref.fifo, []).extend(words)
             return
         dests = self.deliveries.resolve(ref.channel, st.pos)
         if dests is None:
@@ -598,196 +669,136 @@ class _Eval:
         # duplication-insensitive (multiplicity only matters for the
         # runtime shadow's word alignment).
         for pos, _copies in dests:
-            self.streams.setdefault((ref.channel, pos), []).append(val)
+            self.streams.setdefault((ref.channel, pos), []).extend(words)
+            fired.add((ref.channel, pos))
 
     # -- op semantics --------------------------------------------------------
-    def _src_dtype(self, st: _CoreState, src) -> str:
-        v = self._read_src(st, src, 0)
-        return v.dtype if v is not None else "float32"
-
-    def _check_underflow(self, st, tname, instr, a: Val, b: Val,
-                         lo: float, hi: float, dt: str) -> None:
-        if dt != "float16" or not self.emit:
-            return
-        if not (a.sign_definite() and b.sign_definite()):
-            return
-        m = max(abs(lo), abs(hi))
-        if 0.0 < m < _TINY["float16"]:
-            key = (id(st), instr.name or instr.op, "underflow")
-            if key in self._noted:
-                return
-            self._noted.add(key)
-            x, y = st.pos
-            self.diags.append(Diagnostic(
-                Severity.WARNING, "numerics", "underflow-to-zero",
-                f"instruction {instr.name or instr.op!r}: every nonzero "
-                f"product lies below fp16's smallest subnormal "
-                f"({_TINY['float16']:.3g}) and flushes to zero",
-                where=(x, y),
-                hint="rescale the operands into fp16's normal range",
-            ))
-
-    def _process_instr(self, st: _CoreState, tname: str, instr) -> None:
-        op = instr.op
-        dst = instr.dst
-        srcs = instr.srcs
-        length = instr.length
-        src_summary = [None] * len(srcs)
-
-        def summarize(i, v: Val):
-            s = src_summary[i]
-            if s is None:
-                src_summary[i] = (v.dtype, v.lo, v.hi)
-            else:
-                src_summary[i] = (s[0], min(s[1], v.lo), max(s[2], v.hi))
-
-        # Scalar-accumulating forms: mac into a ScalarRef, and the
-        # collective's single-source "add"/"copy" on the scalar register
-        # (ReduceCore accumulates each arriving word at fp32).
-        scalar_dst = isinstance(dst, ScalarRef)
+    def _process_instr(self, st: _CoreState, tname: str, instr,
+                       fired: set) -> None:
+        op, dst, srcs = instr.op, instr.dst, instr.srcs
+        name = instr.name or op
         if not srcs:
             # Degenerate declaration (synthesized witness programs can
             # declare source-free ops): nothing to certify.
             self._note_once(
-                (id(st), instr.name or op, "no-srcs"),
-                f"numerics: {instr.name or op!r} at {st.pos} declares no "
+                (id(st), name, "no-srcs"),
+                f"numerics: {name!r} at {st.pos} declares no "
                 "sources; its result is not certified")
             return
-        out_words: list[Val] = []
-        for k in range(length):
+        dtypes = self.dtypes
+        readers = [self._reader(st, src) for src in srcs]
+        src_slots: list[list[int]] = [[] for _ in srcs]
+        site = len(self.sites)
+        self.sites.append((st, tname, instr, src_slots, None))
+        # Scalar-accumulating forms: mac into a ScalarRef, and the
+        # collective's single-source "add"/"copy" on the scalar register
+        # (ReduceCore accumulates each arriving word at fp32).
+        scalar_dst = isinstance(dst, ScalarRef)
+        mem_dst = isinstance(dst, MemRef)
+        if mem_dst:
+            ddt = st.mem_dtype(dst.array)
+            n_dst = max(dst.length, 1)
+            dvals = self._array(st, dst.array) or ()
+        out_words: list[int] = []
+        for k in range(instr.length):
             vals = []
-            missing = False
-            for i, src in enumerate(srcs):
-                v = self._read_src(st, src, k)
-                if v is None:
-                    missing = True
-                    break
-                summarize(i, v)
+            for reader, slots in zip(readers, src_slots):
+                if reader is None:
+                    v = self._scalar(st)
+                else:
+                    seq, base, stride = reader
+                    idx = base + k * stride
+                    if not (0 <= idx < len(seq)):
+                        self._note_once(
+                            (id(st), name, "unresolved"),
+                            f"numerics: {name!r} at {st.pos} reads an "
+                            "undeclared allocation or out-of-range element; "
+                            "its result is not certified")
+                        return
+                    v = seq[idx]
+                slots.append(v)
                 vals.append(v)
-            if missing:
-                self._note_once(
-                    (id(st), instr.name or op, "unresolved"),
-                    f"numerics: {instr.name or op!r} at {st.pos} reads an "
-                    "undeclared allocation or out-of-range element; its "
-                    "result is not certified")
-                return
-            ctx = (tname, instr, [s for s in src_summary if s is not None])
             if op == "copy":
                 r = vals[0]
             elif op == "mul":
                 a, b = vals
-                cdt = np.result_type(a.dtype, b.dtype).name
-                lo, hi = _iv_mul(a, b)
-                err = (_mul_b(a.err, b.mag) + _mul_b(b.err, a.mag))
-                self._check_underflow(st, tname, instr, a, b, lo, hi, cdt)
-                r = self._round(st, None, Val.make(
-                    cdt, lo, hi, err, _mul_b(a.mag, b.mag)), cdt, ctx=ctx)
+                cdt = _result_dtype(dtypes[a], dtypes[b])
+                r = self._round(
+                    self._op(_PROD, cdt, a, b, 0, cdt == "float16", site),
+                    cdt, site, 0, k)
             elif op == "add" and len(vals) == 2:
                 a, b = vals
-                cdt = np.result_type(a.dtype, b.dtype).name
-                r = self._round(st, None, Val.make(
-                    cdt, a.lo + b.lo, a.hi + b.hi, a.err + b.err,
-                    a.mag + b.mag), cdt, ctx=ctx)
-            elif op in ("add", "copy") and scalar_dst:
-                r = vals[0]
-            elif op == "addin":
+                cdt = _result_dtype(dtypes[a], dtypes[b])
+                r = self._round(self._op(_SUM, cdt, a, b), cdt, site, 0, k)
+            elif op == "addin" or (op == "add" and scalar_dst):
                 r = vals[0]  # folded into the destination below
             elif op == "mac":
                 a, b = vals
-                exact = a.dtype == "float16" and b.dtype == "float16"
-                lo, hi = _iv_mul(a, b)
-                perr = _mul_b(a.err, b.mag) + _mul_b(b.err, a.mag)
-                pmag = _mul_b(a.mag, b.mag)
-                if not exact:
-                    perr += _UNIT["float32"] * pmag
-                self._check_underflow(st, tname, instr, a, b, lo, hi,
-                                      "float16" if exact else "float32")
-                r = Val.make("float32", lo, hi, perr, pmag)
+                # fp16xfp16 products are exact in fp32 (the mixed dot);
+                # anything else rounds the product to fp32.
+                exact = dtypes[a] == "float16" and dtypes[b] == "float16"
+                r = self._op(_PROD, "float32", a, b,
+                             0 if exact else self._code("float32"), exact,
+                             site)
             elif op == "axpy":
                 y_v, x_v = vals
-                a = instr.scalar
-                if a is None:
-                    self._note_once(
-                        (id(st), instr.name or op, "scalar"),
-                        f"numerics: axpy {instr.name or op!r} declares no "
-                        "scalar; assuming |a| <= 1")
-                    a_lo, a_hi = -1.0, 1.0
-                else:
-                    a_lo = a_hi = float(a)
-                a_abs = max(abs(a_lo), abs(a_hi))
-                a_err = _UNIT.get(y_v.dtype, 0.0) * a_abs
-                a_val = Val.make(y_v.dtype, a_lo, a_hi, a_err,
-                                 a_abs + a_err)
-                cdt = np.result_type(y_v.dtype, x_v.dtype).name
-                t_lo, t_hi = _iv_mul(a_val, x_v)
-                t = self._round(st, None, Val.make(
-                    cdt, t_lo, t_hi,
-                    _mul_b(a_val.err, x_v.mag) + _mul_b(x_v.err, a_val.mag),
-                    _mul_b(a_val.mag, x_v.mag)), cdt, ctx=ctx)
-                r = self._round(st, None, Val.make(
-                    cdt, y_v.lo + t.lo, y_v.hi + t.hi, y_v.err + t.err,
-                    y_v.mag + t.mag), cdt, ctx=ctx)
+                cdt = _result_dtype(dtypes[y_v], dtypes[x_v])
+                t = self._round(
+                    self._op(_PROD, cdt, self._axpy_scalar(st, instr, y_v),
+                             x_v, 0, False, site),
+                    cdt, site, 0, k)
+                r = self._round(self._op(_SUM, cdt, y_v, t), cdt, site, 0, k)
             else:
                 return  # unknown op: other passes own the defect
 
-            # Destination
             if scalar_dst:
-                cur = st.scalar_val()
-                key = (id(st), SCALAR_NAME, 0)
                 if op in ("mac", "add"):  # accumulate into the register
-                    acc_dt = dst.dtype
-                    cdt = np.result_type(cur.dtype, r.dtype).name
-                    summed = Val.make(cdt, cur.lo + r.lo, cur.hi + r.hi,
-                                      cur.err + r.err, cur.mag + r.mag)
-                    summed = self._round(st, None, summed, cdt,
-                                         rmw_key=key, ctx=ctx)
-                    st.scalar = self._round(st, None, summed, acc_dt,
-                                            rmw_key=key, ctx=ctx)
+                    st.scalar = self._accumulate(
+                        st, SCALAR_NAME, 0, self._scalar(st), r,
+                        _dtype_name(dst.dtype), site, 0, k)
                 else:  # copy: overwrite
-                    st.scalar = self._round(st, None, r, dst.dtype, ctx=ctx)
+                    st.scalar = self._round(r, _dtype_name(dst.dtype),
+                                            site, 0, k)
+                    self.writes.extend((self.locs.setdefault(
+                        (id(st), SCALAR_NAME, 0), len(self.locs)), st.scalar))
                 st.scalar_written = True
-                if st.scalar.mag > self.final_mags.get(key, -1.0):
-                    self.final_mags[key] = st.scalar.mag
-                self.last_writer[(id(st), SCALAR_NAME)] = (tname, instr,
-                                                           src_summary)
-            elif isinstance(dst, MemRef):
-                memory = getattr(st.core, "memory", None)
-                ddt = (memory.get(dst.array).dtype.name
-                       if memory is not None and dst.array in memory
-                       else "float16")
-                idx_key = (id(st), dst.array,
-                           dst.offset + (k % max(dst.length, 1)) * dst.stride)
+                self.last_writer[(id(st), SCALAR_NAME)] = site
+            elif mem_dst:
+                idx = dst.offset + (k % n_dst) * dst.stride
                 if op in ("addin", "mac"):
-                    cur = self._read_src(st, MemRef(
-                        dst.array, dst.offset, dst.length, dst.stride),
-                        k % max(dst.length, 1))
-                    if cur is None:
+                    if not (0 <= idx < len(dvals)):
                         return
-                    cdt = np.result_type(cur.dtype, r.dtype).name
-                    summed = Val.make(cdt, cur.lo + r.lo, cur.hi + r.hi,
-                                      cur.err + r.err, cur.mag + r.mag)
-                    summed = self._round(st, None, summed, cdt,
-                                         rmw_key=idx_key, ctx=ctx)
-                    stored = self._round(st, None, summed, ddt,
-                                         rmw_key=idx_key, ctx=ctx)
-                    self._write_mem(st, dst, k % max(dst.length, 1), stored,
-                                    accumulate=True)
+                    r = self._accumulate(st, dst.array, idx, dvals[idx], r,
+                                         ddt, site, 0, k)
+                    self._store(st, dst.array, dvals, idx, r, join=False)
                 else:
-                    stored = self._round(st, None, r, ddt, ctx=ctx)
-                    self._write_mem(st, dst, k % max(dst.length, 1), stored,
-                                    accumulate=False)
-                self.last_writer[(id(st), dst.array)] = (tname, instr,
-                                                         src_summary)
+                    self._store(st, dst.array, dvals, idx,
+                                self._round(r, ddt, site, 0, k), join=True)
+                self.last_writer[(id(st), dst.array)] = site
             else:  # FabricRef / FifoRef destination: the word as computed
                 out_words.append(r)
-        for r in out_words:
-            self._emit_word(st, dst, r)
+        self._emit_words(st, dst, out_words, fired)
+
+    def _axpy_scalar(self, st: _CoreState, instr, y_v: int) -> int:
+        """The axpy register operand as a constant of ``y``'s dtype."""
+        a = instr.scalar
+        if a is None:
+            self._note_once(
+                (id(st), instr.name or instr.op, "scalar"),
+                f"numerics: axpy {instr.name or instr.op!r} declares no "
+                "scalar; assuming |a| <= 1")
+            a_lo, a_hi = -1.0, 1.0
+        else:
+            a_lo = a_hi = float(a)
+        dt = self.dtypes[y_v]
+        a_abs = max(abs(a_lo), abs(a_hi))
+        a_err = _UNIT.get(dt, 0.0) * a_abs
+        return self._seed(Val.make(dt, a_lo, a_hi, a_err, a_abs + a_err))
 
     def _process_drain(self, st: _CoreState, tname: str, drain) -> None:
         fifo = drain_fifo_name(drain)
         words = st.fifo_words.get(fifo, [])
-        taken = st.fifo_taken.get(fifo, 0)
-        pending = words[taken:]
+        pending = words[st.fifo_taken.get(fifo, 0):]
         st.fifo_taken[fifo] = len(words)
         if not pending:
             return
@@ -799,28 +810,149 @@ class _Eval:
                 "without a declared destination (DrainDecl); the drained "
                 "words' accumulation is not certified")
             return
-        memory = getattr(st.core, "memory", None)
-        ddt = (memory.get(dst.array).dtype.name
-               if memory is not None and dst.array in memory else "float16")
+        ddt = st.mem_dtype(dst.array)
+        dvals = self._array(st, dst.array) or ()
         n = max(dst.length, 1)
-        fake = _DrainInstr(fifo, dst)
+        site = len(self.sites)
+        self.sites.append((st, tname, _DrainInstr(fifo, dst), [pending],
+                           [("float16", 0.0, 0.0)]))
         for k, w in enumerate(pending):
-            e = k % n
-            cur = self._read_src(st, dst, e)
-            if cur is None:
+            idx = dst.offset + (k % n) * dst.stride
+            if not (0 <= idx < len(dvals)):
                 return
-            idx_key = (id(st), dst.array, dst.offset + e * dst.stride)
-            cdt = np.result_type(cur.dtype, w.dtype).name
-            ctx = (tname, fake, [(w.dtype, w.lo, w.hi)])
-            summed = Val.make(cdt, cur.lo + w.lo, cur.hi + w.hi,
-                              cur.err + w.err, cur.mag + w.mag)
-            summed = self._round(st, None, summed, cdt, rmw_key=idx_key,
-                                 ctx=ctx)
-            stored = self._round(st, None, summed, ddt, rmw_key=idx_key,
-                                 ctx=ctx)
-            self._write_mem(st, dst, e, stored, accumulate=True)
-        self.last_writer[(id(st), dst.array)] = (
-            tname, fake, [( "float16", 0.0, 0.0)])
+            self._store(st, dst.array, dvals, idx, self._accumulate(
+                st, dst.array, idx, dvals[idx], w, ddt, site, k, k),
+                join=False)
+        self.last_writer[(id(st), dst.array)] = site
+
+    # -- step 2: batched execution ------------------------------------------
+    def _schedule(self) -> list:
+        """Group the tape by (level, kind): ``(kind, tape rows, columns)``
+        per group.  Columns are index arrays — output slot, two input
+        slots — then PROD's extra rounding unit and underflow-check
+        flag, or RND/ACC's ``(dtype code, unit, finite max)`` per
+        rounding and the charged location."""
+        unit = np.array([_UNIT.get(n, 0.0) for n in self.codes])
+        fmax = np.array([_FMAX.get(n, _INF) for n in self.codes])
+        levels = np.array(self.levels, dtype=np.intp)
+        groups = []
+        for kind, ops in enumerate(self.ops):
+            if not ops:
+                continue
+            table = np.frombuffer(ops, dtype=np.int64).reshape(-1, _ROW[kind])
+            lv = levels[table[:, 0]]
+            order = np.argsort(lv, kind="stable")
+            cuts = np.flatnonzero(np.diff(lv[order])) + 1
+            for rows in np.split(order, cuts):
+                t = table[rows].T
+                if kind == _PROD:
+                    cols = (*t[:3], unit[t[3]], t[4].astype(bool))
+                elif kind in (_RND, _ACC):
+                    cols = (*t[:3], tuple((code, unit[code], fmax[code])
+                                          for code in t[3:-4]), t[-1])
+                else:
+                    cols = tuple(t)
+                groups.append((lv[rows[0]], kind, t.T, cols))
+        groups.sort(key=itemgetter(0))
+        return [g[1:] for g in groups]
+
+    def run(self) -> None:
+        """Resolve, evaluate to the magnitude fixpoint, then once more
+        emitting diagnostics with final-magnitude rounding charges."""
+        self.resolve()
+        groups = self._schedule()
+        V = self.V = np.zeros((4, len(self.dtypes)))
+        if self.seeds:
+            seeds = np.array(self.seeds).T
+            V[:, seeds[0].astype(np.intp)] = seeds[1:]
+        wloc, wslot = np.frombuffer(self.writes, dtype=np.int64).reshape(-1, 2).T
+        mags = np.full(len(self.locs) + 1, -1.0)
+        hits: list = []
+        with np.errstate(invalid="ignore", over="ignore"):
+            for _ in range(4):
+                _execute(groups, V, mags)
+                final = np.full_like(mags, -1.0)
+                np.maximum.at(final, wloc, V[_MAG, wslot])
+                grew = final > mags
+                if not grew.any():
+                    break
+                mags[grew] = final[grew]
+            _execute(groups, V, mags, hits)
+        names = list(self.codes)
+        for _slot, kind, row, code, mag in sorted(hits, key=itemgetter(0)):
+            if kind == _PROD:
+                self._underflow_diag(row[-1])
+            else:
+                self._overflow_diag(*row[-4:-1], names[code], float(mag))
+
+    # -- diagnostics --------------------------------------------------------
+    def src_specs(self, site: int, k0: int = 0, k1: int | None = None) -> list:
+        """``(dtype, lo, hi)`` per source of a site: the hull of the
+        elements ``k0..k1`` it read (all of them when ``k1`` is None)."""
+        specs = []
+        for slots in self.sites[site][3]:
+            slots = slots[k0:None if k1 is None else k1 + 1]
+            if slots:
+                specs.append((self.dtypes[slots[0]],
+                              float(self.V[_LO, slots].min()),
+                              float(self.V[_HI, slots].max())))
+        return specs
+
+    def _overflow_diag(self, site: int, k0: int, k: int, dt: str,
+                       mag: float) -> None:
+        st, tname, instr = self.sites[site][:3]
+        key = (id(st), instr.name or instr.op, "overflow")
+        if key in self._noted:
+            return
+        self._noted.add(key)
+        self.diags.append(Diagnostic(
+            Severity.ERROR, "numerics", "fp16-overflow",
+            f"instruction {instr.name or instr.op!r} can overflow "
+            f"{dt}: magnitude bound {mag:.6g} exceeds the finite "
+            f"range {_FMAX[dt]:.6g} given the declared input ranges",
+            where=st.pos,
+            hint="scale the operands (Jacobi/diagonal preconditioning "
+                 "bounds the dynamic range, paper section VI) or widen "
+                 "the accumulator to fp32",
+            data=_witness(st, tname, instr, self.src_specs(site, k0, k), mag),
+        ))
+
+    def _underflow_diag(self, site: int) -> None:
+        st, _tname, instr = self.sites[site][:3]
+        key = (id(st), instr.name or instr.op, "underflow")
+        if key in self._noted:
+            return
+        self._noted.add(key)
+        self.diags.append(Diagnostic(
+            Severity.WARNING, "numerics", "underflow-to-zero",
+            f"instruction {instr.name or instr.op!r}: every nonzero "
+            f"product lies below fp16's smallest subnormal "
+            f"({_TINY['float16']:.3g}) and flushes to zero",
+            where=st.pos,
+            hint="rescale the operands into fp16's normal range",
+        ))
+
+
+def _witness(st: _CoreState, tname, instr, src_specs, mag) -> tuple:
+    """Machine-readable witness: enough to cut a minimal feeder
+    program (:func:`synthesize_numerics_witness`)."""
+    x, y = st.pos
+    dst = instr.dst
+    if isinstance(dst, ScalarRef):
+        dst_kind, dst_dt, dst_len = "scalar", dst.dtype, 1
+    elif isinstance(dst, MemRef):
+        dst_kind, dst_dt, dst_len = "mem", st.mem_dtype(dst.array), dst.length
+    else:  # stream/fifo destination: feed a plain fp16 buffer
+        dst_kind, dst_dt, dst_len = "mem", "float16", instr.length
+    return (
+        "numerics", x, y, tname, instr.name or instr.op, instr.op,
+        dst_kind, dst_dt, int(dst_len), int(instr.length),
+        (None if getattr(instr, "scalar", None) is None
+         else float(instr.scalar)),
+        (None if st.tol is None else float(st.tol)),
+        _enc(mag),
+        tuple((s[0], _enc(s[1]), _enc(s[2])) for s in src_specs),
+    )
 
 
 class _DrainInstr:
@@ -845,30 +977,25 @@ def numerics_pass(fabric, cores):
     """
     ev = _Eval(fabric, cores)
     ev.run()
-    diags = list(ev.diags)
-    notes = list(ev.notes)
+    diags, notes = ev.diags, ev.notes
     entries = []
     for st in ev.states:
         x, y = st.pos
         tol = st.tol
-        for name in sorted(st.written):
-            vals = st.mem.get(name)
-            if not vals:
-                continue
-            lo = min(v.lo for v in vals)
-            hi = max(v.hi for v in vals)
-            err = max(v.err for v in vals)
-            mag = max(v.mag for v in vals)
-            dt = vals[0].dtype
-            entries.append((x, y, "array", name, dt, lo, hi, err, mag, tol))
+        targets = [("array", name, st.mem[name])
+                   for name in sorted(st.written) if st.mem.get(name)]
+        if st.scalar_written and st.scalar is not None:
+            targets.append(("scalar", SCALAR_NAME, [st.scalar]))
+        for kind, name, slots in targets:
+            # Array entries summarize element-wise state: interval hull,
+            # worst element error, worst element magnitude.
+            v = ev.V[:, slots]
+            err = float(v[_ERR].max())
+            entries.append((x, y, kind, name, ev.dtypes[slots[0]],
+                            float(v[_LO].min()), float(v[_HI].max()), err,
+                            float(v[_MAG].max()), tol))
             if tol is not None and err > tol:
                 diags.append(_tolerance_diag(st, name, err, ev))
-        if st.scalar_written and st.scalar is not None:
-            v = st.scalar
-            entries.append((x, y, "scalar", SCALAR_NAME, v.dtype, v.lo,
-                            v.hi, v.err, v.mag, tol))
-            if tol is not None and v.err > tol:
-                diags.append(_tolerance_diag(st, SCALAR_NAME, v.err, ev))
     contract = NumericsContract(entries=tuple(entries))
     n_err = sum(1 for d in diags if d.severity is Severity.ERROR)
     worst = contract.worst()
@@ -882,19 +1009,18 @@ def numerics_pass(fabric, cores):
 
 def _tolerance_diag(st: _CoreState, name: str, err: float,
                     ev: _Eval) -> Diagnostic:
-    x, y = st.pos
-    writer = ev.last_writer.get((id(st), name))
+    site = ev.last_writer.get((id(st), name))
     data = ()
-    if writer is not None:
-        tname, instr, src_summary = writer
-        data = ev._witness(st, tname, instr,
-                           [s for s in src_summary if s is not None],
-                           _INF if err == _INF else err)
+    if site is not None:
+        _st, tname, instr, _slots, summary = ev.sites[site]
+        data = _witness(st, tname, instr,
+                        ev.src_specs(site) if summary is None else summary,
+                        err)
     return Diagnostic(
         Severity.ERROR, "numerics", "tolerance-exceeded",
         f"certified error bound {err:.6g} for {name!r} exceeds the "
         f"declared tolerance {st.tol:.6g}",
-        where=(x, y),
+        where=st.pos,
         hint="accumulate at fp32, shorten the reduction, or precondition "
              "to shrink the operands' dynamic range (paper section VI)",
         data=data,

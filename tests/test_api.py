@@ -71,6 +71,37 @@ class TestRunOptions:
         with pytest.raises(ValueError):
             opts.replace(engine="active")  # workers=4 now inconsistent
 
+    def test_detached_drops_obs_and_profile_together(self):
+        opts = RunOptions(engine="replay", obs=object(), profile=True,
+                          analyze=True)
+        assert opts.detached() == RunOptions(engine="replay", analyze=True)
+        assert opts.detached(analyze=False) == RunOptions(engine="replay")
+        assert opts.profile  # original untouched
+
+    def test_bicgstab_runs_with_profile_option(self):
+        """``RunOptions(obs=o, profile=True)`` used to raise from the
+        solver's unobserved inner runs (``replace(obs=None)`` kept
+        ``profile=True``); it must solve, bit-identically to the
+        ``ObsSession(profile=True)`` spelling."""
+        from repro.kernels.bicgstab_des import DESBiCGStab
+        from repro.obs import ObsSession
+        from repro.problems import momentum_system
+
+        system = momentum_system((3, 3, 4), reynolds=50.0, dt=0.02)
+        results = []
+        for options in (
+            RunOptions(obs=ObsSession(profile=True), profile=True),
+            RunOptions(obs=ObsSession(profile=True)),
+        ):
+            solver = DESBiCGStab(system.operator, options=options)
+            try:
+                res = solver.solve(system.b, rtol=5e-3, maxiter=25)
+            finally:
+                solver.close()
+            results.append((res.x.tobytes(), list(res.residuals),
+                            res.iterations, solver.report))
+        assert results[0] == results[1]
+
 
 class TestCoerceOptions:
     def test_no_arguments_yields_defaults(self):

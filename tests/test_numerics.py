@@ -8,6 +8,9 @@ Covers every layer of the certification loop:
 * witness synthesis + engine confirmation for rejected programs,
 * the fp64 shadow executor (:class:`ShadowNumerics`),
 * ``certify-numerics`` end to end (library + CLI),
+* a committed golden (``tests/data/numerics_golden.json``) that pins the
+  pass's full output — every contract entry, note and diagnostic — on
+  the shipped programs, so a rewrite of the evaluator cannot drift,
 * Hypothesis properties: on random small declared single-core programs
   the realized error never exceeds the certified static bound and the
   certified interval contains every realized output.
@@ -15,6 +18,7 @@ Covers every layer of the certification loop:
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.wse.analyze import analyze_program
 from repro.wse.analyze.certify import (
+    _build_and_run,
     build_fig9_program,
     certified_programs,
     certify_program,
@@ -363,3 +368,125 @@ class TestRandomProgramProperties:
         assert np.all(realized >= lo - err - 1e-12)
         assert np.all(realized <= hi + err + 1e-12)
         assert np.all(np.abs(realized) <= mag + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Golden: the pass's full output, pinned across evaluator rewrites
+# ---------------------------------------------------------------------------
+GOLDEN_PATH = Path(__file__).parent / "data" / "numerics_golden.json"
+_GOLDEN_SEED = 42
+
+
+def _spmv_fabric(shape, rng, block=None, **kwargs):
+    """The 3D SpMV program of a seeded operator, or with ``block`` the
+    2D block-mapped one (zero iterate, as ``benchmarks/perf`` builds)."""
+    if block is None:
+        from repro.kernels.spmv3d import build_spmv_fabric
+        from repro.problems.stencil7 import Stencil7
+
+        op = Stencil7.from_random(shape, rng=rng).jacobi_precondition()[0]
+        return build_spmv_fabric(op, np.zeros(op.shape), **kwargs)[0]
+    from repro.kernels.spmv2d_des import build_spmv2d_fabric
+    from repro.problems.stencil9 import Stencil9
+
+    op = Stencil9.from_random(shape, rng=rng).jacobi_precondition()[0]
+    return build_spmv2d_fabric(op, np.zeros(op.shape), block, **kwargs)[0]
+
+
+def _analyze_large_fabric(name):
+    """One of the two ``analyze-large`` programs; the benchmark draws
+    both operators from one generator, the 2D one first."""
+    rng = np.random.default_rng(_GOLDEN_SEED)
+    fabric2d = _spmv_fabric((48, 48), rng, block=(3, 3))
+    return fabric2d if name == "spmv2d-48x48-b3x3" \
+        else _spmv_fabric((32, 16, 2), rng)
+
+
+def _underflow_fabric(rng):
+    """One core multiplying two sign-definite fp16 arrays whose every
+    product lies below fp16's smallest subnormal."""
+    from repro.wse.analyze.spec import InstrDecl, MemRef
+    from repro.wse.config import CS1
+    from repro.wse.core import Core
+    from repro.wse.fabric import Fabric
+
+    fabric = Fabric(1, 1)
+    core = Core(0, 0, CS1)
+    fabric.attach_core(0, 0, core)
+    for name, scale in (("a", 1e-4), ("b", 1e-4)):
+        arr = core.memory.alloc(name, _M, np.float16)
+        arr[:] = rng.uniform(scale, 2 * scale, _M).astype(np.float16)
+    core.memory.alloc("out", _M, np.float16)
+    srcs = (MemRef("a", 0, _M), MemRef("b", 0, _M))
+    core.program_decl.launched(
+        InstrDecl("mul", MemRef("out", 0, _M), srcs, length=_M, name="tiny_mul"),
+        InstrDecl("mac", MemRef("out", 0, _M), srcs, length=_M, name="tiny_mac"),
+    )
+    return fabric
+
+
+def _golden_programs():
+    """``(name, build)`` for every pinned program: the nine certified
+    programs after their shadowed run (as ``certify-numerics`` analyzes
+    them), seeded rejects for the two diagnostics they never raise, and
+    the two ``analyze-large`` programs of ``benchmarks/perf``."""
+    for name, _reject in certified_programs():
+        yield name, lambda name=name: _build_and_run(name, "active")[0]
+    rng = lambda: np.random.default_rng(_GOLDEN_SEED)  # noqa: E731
+    yield "tolerance-spmv3d-3x3x4", lambda: _spmv_fabric(
+        (3, 3, 4), rng(), tolerance=1e-4)
+    yield "tolerance-spmv2d-6x6-b3x3", lambda: _spmv_fabric(
+        (6, 6), rng(), block=(3, 3), tolerance=1e-3)
+    yield "underflow-mul", lambda: _underflow_fabric(rng())
+    for name in ("spmv2d-48x48-b3x3", "spmv3d-32x16x2"):
+        yield name, lambda name=name: _analyze_large_fabric(name)
+
+
+def _snapshot(fabric) -> dict:
+    """Everything the numerics pass reports, JSON-shaped."""
+    report = analyze_program(fabric, passes=("numerics",))
+    return json.loads(json.dumps({
+        "entries": report.numerics.as_dict()["entries"],
+        "notes": report.notes,
+        "diagnostics": [
+            {"severity": str(d.severity), "code": d.kind, "where": d.where,
+             "message": d.message, "hint": d.hint, "data": d.data}
+            for d in report.diagnostics
+        ],
+    }))
+
+
+class TestGolden:
+    """``==`` on every field: floats compare by value, so only the sign
+    of a zero may differ from the file.  Regenerate (only when the
+    pass's *intended* output changes) with
+    ``PYTHONPATH=src python tests/test_numerics.py``."""
+
+    golden = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+
+    def test_golden_covers_every_program(self):
+        assert list(self.golden) == [name for name, _ in _golden_programs()]
+
+    @pytest.mark.parametrize("name,build", list(_golden_programs()),
+                             ids=[n for n, _ in _golden_programs()])
+    def test_pass_output_matches_golden(self, name, build):
+        got, want = _snapshot(build()), self.golden[name]
+        assert got["notes"] == want["notes"]
+        assert got["diagnostics"] == want["diagnostics"]
+        assert got["entries"] == want["entries"]
+
+    def test_golden_pins_every_diagnostic_kind(self):
+        kinds = {d["code"] for prog in self.golden.values()
+                 for d in prog["diagnostics"]}
+        assert kinds == {"fp16-overflow", "tolerance-exceeded",
+                         "underflow-to-zero"}
+        fig9 = self.golden["mfix-fig9-unscaled"]["diagnostics"][0]
+        assert fig9["code"] == "fp16-overflow" and fig9["data"][0] == "numerics"
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps(
+        {name: _snapshot(build()) for name, build in _golden_programs()},
+        indent=1) + "\n")
+    print(f"wrote {GOLDEN_PATH}")
