@@ -59,7 +59,14 @@ from ..wse.core import Core
 from ..wse.dsr import Action, Completion, FabricRx, FabricTx, FifoPush, Instruction, MemCursor
 from ..wse.fabric import Fabric, Port
 
-__all__ = ["SpmvEngine", "SpmvProgram", "build_spmv_fabric", "run_spmv_des", "spmv_functional"]
+__all__ = [
+    "SpmvEngine",
+    "SpmvProgram",
+    "SpmvPrograms",
+    "build_spmv_fabric",
+    "run_spmv_des",
+    "spmv_functional",
+]
 
 #: (leg, neighbour offset in fabric coords, arrival port at this tile)
 _NEIGHBOUR_LEGS = (
@@ -101,11 +108,61 @@ class SpmvProgram:
         return bool(self.core.flags.get("spmv_done"))
 
 
+class SpmvPrograms(list):
+    """The per-tile handles ``programs[j][i]`` plus the two fabric-level
+    planes every tile's ``v`` and ``u`` arrays are views of.
+
+    ``v_plane[j, i]`` *is* tile (i, j)'s ``v`` (Z + 1 cells, pad last)
+    and ``u_plane[j, i]`` its ``u`` (Z + 2 cells), so the host arms the
+    iterate and reads the result back as one plane assignment each, on
+    every engine, and a replayed SpMV gathers and scatters each plane
+    with a single indexed op.
+    """
+
+    def __init__(self, nx: int, ny: int, nz: int):
+        super().__init__([None] * nx for _ in range(ny))
+        self.v_plane = np.zeros((ny, nx, nz + 1), dtype=np.float16)
+        self.u_plane = np.zeros((ny, nx, nz + 2), dtype=np.float16)
+
+    def arm(self, v16: np.ndarray) -> None:
+        """Write the ``(nx, ny, nz)`` iterate into every tile's ``v``
+        (the ``v[Z] = 0`` pad is never written by anyone)."""
+        self.v_plane[:, :, :-1] = v16.transpose(1, 0, 2)
+
+    def rearm(self, v16: np.ndarray, executor=None) -> None:
+        """Arm ``v`` and re-activate every tile's ``spmv`` task for a
+        live run.  Under the sharded engine the authoritative copies
+        live in the forked workers, so the same writes travel as pokes
+        (the parent-side planes stay coherent for inspection)."""
+        self.arm(v16)
+        if executor is not None:
+            ops = []
+            for j, row in enumerate(self):
+                for i in range(len(row)):
+                    ops.append(("mem_set", i, j, "v", self.v_plane[j, i].copy()))
+                    ops.append(("flag", i, j, "spmv_done", False))
+                    ops.append(("activate", i, j, "spmv"))
+            executor.poke(ops)
+            return
+        for row in self:
+            for prog in row:
+                prog.core.flags["spmv_done"] = False
+                prog.core.scheduler.activate("spmv")
+
+    def result(self) -> np.ndarray:
+        """Every tile's local result as one ``(nx, ny, nz)`` float64
+        array (fp16 values widened exactly)."""
+        return self.u_plane[:, :, 1:-1].transpose(1, 0, 2).astype(np.float64)
+
+    def all_done(self) -> bool:
+        return all(prog.done for row in self for prog in row)
+
+
 def _build_tile_program(
     core: Core,
     fabric: Fabric,
     op: Stencil7,
-    v_local: np.ndarray,
+    programs: SpmvPrograms,
     i: int,
     j: int,
     fifo_capacity: int,
@@ -125,10 +182,8 @@ def _build_tile_program(
         )
 
     # --- Memory allocation (the float16 declarations) -------------------
-    v = mem.alloc("v", Z + 1, np.float16)
-    v[:Z] = v_local.astype(np.float16)
-    v[Z] = np.float16(0.0)
-    u = mem.alloc("u", Z + 2, np.float16)
+    v = mem.alloc("v", Z + 1, np.float16, backing=programs.v_plane[j, i])
+    u = mem.alloc("u", Z + 2, np.float16, backing=programs.u_plane[j, i])
     legs = {}
     for name in ("xp", "xm", "yp", "ym"):
         arr = mem.alloc(f"{name}_a", Z, np.float16)
@@ -419,12 +474,13 @@ def build_spmv_fabric(
     analyze: bool = False,
     value_range: tuple[float, float] = (-2.0, 2.0),
     tolerance: float = 0.25,
-) -> tuple[Fabric, list[list[SpmvProgram]]]:
+) -> tuple[Fabric, SpmvPrograms]:
     """Construct the full fabric running one SpMV over the mesh.
 
     The mesh's X and Y extents map to the fabric axes; Z stays local
     (Fig. 3).  Returns the fabric (ready to ``run``) and the per-tile
-    program handles indexed ``programs[j][i]``.  With ``analyze=True``
+    program handles indexed ``programs[j][i]`` (a :class:`SpmvPrograms`,
+    which also owns the ``v``/``u`` planes).  With ``analyze=True``
     the constructed program is statically verified
     (:func:`repro.wse.analyze.analyze_program`) before being returned;
     an :class:`~repro.wse.analyze.AnalysisError` lists any defects.
@@ -433,15 +489,16 @@ def build_spmv_fabric(
     op.validate()
     v = np.asarray(v, dtype=np.float16).reshape(op.shape)
     fabric = Fabric(nx, ny)
-    programs: list[list[SpmvProgram]] = [[None] * nx for _ in range(ny)]  # type: ignore[list-item]
+    programs = SpmvPrograms(nx, ny, nz)
     for j in range(ny):
         for i in range(nx):
             core = Core(i, j, config)
             fabric.attach_core(i, j, core)
             programs[j][i] = _build_tile_program(
-                core, fabric, op, v[i, j, :], i, j, fifo_capacity,
+                core, fabric, op, programs, i, j, fifo_capacity,
                 two_sum_tasks, value_range, tolerance,
             )
+    programs.arm(v)
     if analyze:
         analyze_program(fabric).raise_on_error()
     else:
@@ -451,6 +508,31 @@ def build_spmv_fabric(
         fabric.static_contract = compute_contract(fabric)
     fabric.prebind()
     return fabric, programs
+
+
+def _finished(programs: SpmvPrograms):
+    """``until`` predicate of an in-process run: fabric drained and
+    every tile's completion tree fired."""
+    def finished(f: Fabric) -> bool:
+        # quiescent() first: under the active-set engine it rejects in
+        # O(1) while work is in flight (same conjunction).
+        return f.quiescent() and programs.all_done()
+
+    return finished
+
+
+def _shard_until_factory(programs: SpmvPrograms):
+    """Per-shard ``until`` predicates for the sharded engine."""
+    def until_factory(rect):
+        tiles = [programs[j][i] for j in range(rect.y0, rect.y1)
+                 for i in range(rect.x0, rect.x1)]
+
+        def local_done(f, tiles=tiles):
+            return f.quiescent() and all(prog.done for prog in tiles)
+
+        return local_done
+
+    return until_factory
 
 
 class SpmvEngine:
@@ -518,23 +600,9 @@ class SpmvEngine:
         if self._executor is None:
             from ..wse.shard import ShardedExecutor
 
-            nx, ny, nz = self.op.shape
-            programs = self.programs
-
-            def until_factory(rect):
-                tiles = [(i, j) for j in range(rect.y0, rect.y1)
-                         for i in range(rect.x0, rect.x1)]
-
-                def local_done(f, tiles=tiles):
-                    return f.quiescent() and all(
-                        programs[j][i].done for (i, j) in tiles
-                    )
-
-                return local_done
-
             self._executor = ShardedExecutor(
                 self.fabric, workers=self.options.workers,
-                until_factory=until_factory,
+                until_factory=_shard_until_factory(self.programs),
             )
         return self._executor
 
@@ -544,111 +612,48 @@ class SpmvEngine:
             self._executor.close()
 
     def _configure_recording(self, rec) -> None:
-        """Register each tile's operand/coefficient arrays: ``v`` cells
-        become one flat extern vector (plus a baked zero pad), the
-        stencil coefficient arrays bake into constants."""
-        nx, ny, nz = self.op.shape
-        base = 0
-        for j in range(ny):
-            for i in range(nx):
-                prog = self.programs[j][i]
+        """The stencil coefficient arrays bake into constants; ``v`` and
+        ``u`` stay live leaves of their planes (armed before each run,
+        so a replay gathers the fresh iterate straight from memory)."""
+        for row in self.programs:
+            for prog in row:
                 mem = prog.core.memory
-                rec.register_extern(prog.v, "v", base, nz)
-                rec.register_static(prog.v)  # the v[Z] = 0 pad cell
                 for name in ("xp_a", "xm_a", "yp_a", "ym_a",
                              "zinit_a", "zloop_a"):
                     rec.register_static(mem.get(name))
-                base += nz
-
-    def _flat_v(self, v16: np.ndarray) -> np.ndarray:
-        """The extern vector matching :meth:`_configure_recording`'s
-        tile order (fp16 values widened exactly to float64)."""
-        nx, ny, nz = self.op.shape
-        flat = np.empty(nx * ny * nz, dtype=np.float64)
-        base = 0
-        for j in range(ny):
-            for i in range(nx):
-                flat[base:base + nz] = v16[i, j, :]
-                base += nz
-        return flat
 
     def _execute(self) -> int:
-        nx, ny, nz = self.op.shape
         start = self.fabric.cycle
         if self.engine == "sharded":
             ex = self._ensure_executor()
             ex.run(max_cycles=200_000 + start)
             ex.harvest()
             return self.fabric.cycle - start
-
-        def finished(f: Fabric) -> bool:
-            # quiescent() first: under the active-set engine it rejects
-            # in O(1) while work is in flight (same conjunction).
-            return f.quiescent() and all(
-                self.programs[j][i].done for j in range(ny) for i in range(nx)
-            )
-
-        self.fabric.run(max_cycles=200_000 + start, until=finished)
+        self.fabric.run(max_cycles=200_000 + start,
+                        until=_finished(self.programs))
         return self.fabric.cycle - start
 
     def run(self, v: np.ndarray) -> tuple[np.ndarray, int]:
         """One SpMV over the persistent program; returns ``(u, cycles)``."""
-        nx, ny, nz = self.op.shape
         v16 = np.asarray(v, dtype=np.float16).reshape(self.op.shape)
         session = self.replay
         if session is not None and session.valid():
-            cycles = session.replay({"v": self._flat_v(v16)})
-            self.runs += 1
-            if self.obs is not None:
-                self.obs.tracer.record(
-                    "spmv.run", self.fabric.cycle - cycles, cycles,
-                    track="kernel:spmv", cat="kernel",
-                    args={"run": self.runs},
-                )
-            u = np.empty(self.op.shape, dtype=np.float64)
-            for j in range(ny):
-                for i in range(nx):
-                    u[i, j, :] = self.programs[j][i].result().astype(np.float64)
-            return u, cycles
-        if self._executor is not None:
-            # Sharded re-arm: the authoritative copies live in the
-            # forked workers, so the direct writes below travel as
-            # pokes (the parent-side v update keeps this object's
-            # buffers coherent for inspection).
-            ops = []
-            for j in range(ny):
-                for i in range(nx):
-                    prog = self.programs[j][i]
-                    prog.v[:nz] = v16[i, j, :]
-                    prog.v[nz] = np.float16(0.0)
-                    ops.append(("mem_set", i, j, "v", prog.v.copy()))
-                    ops.append(("flag", i, j, "spmv_done", False))
-                    ops.append(("activate", i, j, "spmv"))
-            self._executor.poke(ops)
+            self.programs.arm(v16)
+            cycles = session.replay()
         else:
-            for j in range(ny):
-                for i in range(nx):
-                    prog = self.programs[j][i]
-                    prog.v[:nz] = v16[i, j, :]
-                    prog.v[nz] = np.float16(0.0)
-                    prog.core.flags["spmv_done"] = False
-                    prog.core.scheduler.activate("spmv")
-        if session is not None and session.enabled:
-            with session.record(configure=self._configure_recording):
+            self.programs.rearm(v16, self._executor)
+            if session is not None and session.enabled:
+                with session.record(configure=self._configure_recording):
+                    cycles = self._execute()
+            else:
                 cycles = self._execute()
-        else:
-            cycles = self._execute()
         self.runs += 1
         if self.obs is not None:
             self.obs.tracer.record(
                 "spmv.run", self.fabric.cycle - cycles, cycles,
                 track="kernel:spmv", cat="kernel", args={"run": self.runs},
             )
-        u = np.empty(self.op.shape, dtype=np.float64)
-        for j in range(ny):
-            for i in range(nx):
-                u[i, j, :] = self.programs[j][i].result().astype(np.float64)
-        return u, cycles
+        return self.programs.result(), cycles
 
 
 def run_spmv_des(
@@ -678,32 +683,16 @@ def run_spmv_des(
                                          two_sum_tasks, analyze=opts.analyze)
     replay = engine == "replay"
     fabric.engine = "active" if engine in ("replay", "sharded") else engine
-    nx, ny, nz = op.shape
     if opts.obs is not None:
         opts.obs.observe_fabric(
             opts.obs.unique_fabric_name("spmv"), fabric)
-
-    def finished(f: Fabric) -> bool:
-        return f.quiescent() and all(
-            programs[j][i].done for j in range(ny) for i in range(nx)
-        )
+    finished = _finished(programs)
 
     if engine == "sharded":
         from ..wse.shard import run_sharded
 
-        def until_factory(rect):
-            tiles = [(i, j) for j in range(rect.y0, rect.y1)
-                     for i in range(rect.x0, rect.x1)]
-
-            def local_done(f, tiles=tiles):
-                return f.quiescent() and all(
-                    programs[j][i].done for (i, j) in tiles
-                )
-
-            return local_done
-
-        cycles = run_sharded(fabric, until_factory, workers=opts.workers,
-                             max_cycles=max_cycles)
+        cycles = run_sharded(fabric, _shard_until_factory(programs),
+                             workers=opts.workers, max_cycles=max_cycles)
     elif replay:
         # One-shot runners record the single live execution and prove
         # the compiled schedule reproduces it bit-for-bit (the recorded
@@ -726,11 +715,7 @@ def run_spmv_des(
     else:
         cycles = fabric.run(max_cycles=max_cycles, until=finished,
                             sanitize=opts.sanitize)
-    u = np.empty(op.shape, dtype=np.float64)
-    for j in range(ny):
-        for i in range(nx):
-            u[i, j, :] = programs[j][i].result().astype(np.float64)
-    return u, cycles
+    return programs.result(), cycles
 
 
 def spmv_functional(op: Stencil7, v: np.ndarray, precision="mixed") -> np.ndarray:

@@ -606,16 +606,11 @@ class AllReduceEngine:
         session = self.replay
         if session is not None:
             if session.valid():
-                fabric = self.fabric
-                start = fabric.cycle
-                session.replay({"values": values.ravel()})
+                cycles = session.replay({"values": values.ravel()})
                 self.runs += 1
-                results = {float(c.result) for c in self.cores}
-                if len(results) != 1:
-                    raise AssertionError(
-                        f"AllReduce delivered differing results: {results}"
-                    )
-                return results.pop(), fabric.cycle - start
+                # Every core's ``result`` was just assigned from this one
+                # array, so agreement is a single vector comparison.
+                return _agreed(session.schedule.obj_written["result"]), cycles
             if session.enabled:
                 with session.record():
                     return self._reduce_live(values)
@@ -637,13 +632,8 @@ class AllReduceEngine:
             start = fabric.cycle
             ex.run(max_cycles=50 * (self.width + self.height) + 1000)
             ex.harvest()
-            results = {float(c.result) for c in cores}
-            if len(results) != 1:
-                raise AssertionError(
-                    f"AllReduce delivered differing results: {results}"
-                )
             self.runs += 1
-            return results.pop(), fabric.cycle - start
+            return _agreed([c.result for c in cores]), fabric.cycle - start
         k = 0
         for y in range(self.height):
             row = values[y]
@@ -658,13 +648,19 @@ class AllReduceEngine:
             until=lambda f: f.quiescent()
             and all(c.result is not None for c in cores),
         )
-        results = {float(c.result) for c in cores}
-        if len(results) != 1:
-            raise AssertionError(
-                f"AllReduce delivered differing results: {results}"
-            )
         self.runs += 1
-        return results.pop(), fabric.cycle - start
+        return _agreed([c.result for c in cores]), fabric.cycle - start
+
+
+def _agreed(results) -> float:
+    """The one value every core received (asserted; NaN never agrees)."""
+    results = np.asarray(results)
+    if (results != results[0]).any():
+        raise AssertionError(
+            "AllReduce delivered differing results: "
+            f"{set(results.tolist())}"
+        )
+    return float(results[0])
 
 
 def simulate_allreduce(

@@ -173,8 +173,8 @@ class Router:
 
     __slots__ = ("x", "y", "queue_capacity", "routes", "queues",
                  "words_moved", "_version", "_bindings", "_bindings_key",
-                 "_conflicts", "_core_in", "_touch", "_hot", "_hot_stale",
-                 "_binding_map")
+                 "_conflicts", "_core_in", "_touch", "_rewired", "_hot",
+                 "_hot_stale", "_binding_map")
 
     def __init__(self, x: int, y: int, queue_capacity: int = 8):
         self.x = x
@@ -210,6 +210,15 @@ class Router:
         #: a queue obtained via :meth:`queue_for` are never invisible
         #: to the active-set engine).
         self._touch = None
+        #: Set by the owning fabric: called on every ``_version`` bump,
+        #: so the fabric keeps one O(1) topology version for the replay
+        #: validity token and drops its quiescence proof.
+        self._rewired = None
+
+    def _bump_version(self) -> None:
+        self._version += 1
+        if self._rewired is not None:
+            self._rewired()
 
     def set_route(self, channel: int, in_port: str, out_ports) -> None:
         """Configure: words on ``channel`` arriving at ``in_port`` fan out
@@ -225,14 +234,14 @@ class Router:
                 f"already routed to {self.routes[key]}, cannot re-route to {outs}"
             )
         self.routes[key] = outs
-        self._version += 1
+        self._bump_version()
 
     def queue_for(self, channel: int, in_port: str) -> deque:
         key = (int(channel), in_port)
         q = self.queues.get(key)
         if q is None:
             q = self.queues[key] = deque()
-            self._version += 1
+            self._bump_version()
         if self._touch is not None:
             self._touch()
         return q
@@ -329,6 +338,19 @@ class Fabric:
         self._stalled_cores: set[tuple[int, int]] = set()
         self._tx_cores: set[tuple[int, int]] = set()
         self._core_version = 0
+        #: Sum of every router's ``_version`` (kept by ``_rewired``).
+        self._topology_version = 0
+        #: Memoised :meth:`quiescent` proof.  Quiescence only ends by an
+        #: event that can add work — a core wake (activation, launch,
+        #: injection, re-arm), a queue handle handed out, a core
+        #: attachment, a rewiring, a step — and each of those clears the
+        #: proof, so idle spans between replayed kernels skip in O(1)
+        #: instead of re-scanning the (never-pruned) active sets.
+        self._proven_quiescent = False
+        #: True from a queue handle escaping through ``queue_for`` until
+        #: the next step: its holder may append at any moment, so no
+        #: proof is kept while one is out (mirrors ``Router._hot_stale``).
+        self._loose_handles = False
         self._prebound = False
         #: coord -> cached capability flags:
         #: (has_step, has_tx, can_sleep, fast_tx) where ``fast_tx``
@@ -338,9 +360,12 @@ class Fabric:
         self._core_caps: dict[
             tuple[int, int], tuple[bool, bool, bool, bool]
         ] = {}
+        rewired = self._rewired
         for y in range(height):
             for x in range(width):
-                self.routers[y][x]._touch = self._router_toucher(x, y)
+                router = self.routers[y][x]
+                router._touch = self._router_toucher(x, y)
+                router._rewired = rewired
 
     def _router_toucher(self, x: int, y: int):
         coord = (y, x)
@@ -350,8 +375,14 @@ class Fabric:
         def touch() -> None:
             add(coord)
             router._hot_stale = True
+            self._proven_quiescent = False
+            self._loose_handles = True
 
         return touch
+
+    def _rewired(self) -> None:
+        self._topology_version += 1
+        self._proven_quiescent = False
 
     # ------------------------------------------------------------------
     # Topology
@@ -362,6 +393,7 @@ class Fabric:
     def attach_core(self, x: int, y: int, core) -> None:
         self.cores[y][x] = core
         self._core_version += 1
+        self._proven_quiescent = False
         coord = (y, x)
         self._core_caps[coord] = (
             hasattr(core, "step"),
@@ -387,6 +419,7 @@ class Fabric:
         def wake() -> None:
             awake.add(coord)
             stalled.discard(coord)
+            self._proven_quiescent = False
 
         return wake
 
@@ -558,7 +591,7 @@ class Fabric:
                         queues[key] = deque()
                         created = True
                 if created:
-                    r._version += 1
+                    r._bump_version()
         # Queue creation during binding only happens on the first pass;
         # the second pass rebinds routers it touched, and the third
         # verifies the fixed point.
@@ -815,6 +848,7 @@ class Fabric:
             return self.step_reference()
         if not self._prebound:
             self.prebind()
+        self._proven_quiescent = self._loose_handles = False
         stats = self.stats
         if not self._active_routers and not self._tx_cores \
                 and not self._awake_cores:
@@ -855,7 +889,9 @@ class Fabric:
             raise ValueError("cannot skip a negative number of cycles")
         if self._active_routers or self._tx_cores or self._awake_cores:
             # Awake-but-idle cores would only burn no-op sweep cycles;
-            # quiescent() proves that (and lazily prunes the sets).
+            # quiescent() proves that, and remembers the proof until an
+            # event that could add work (the sets themselves are never
+            # pruned here, so every activity statistic is unaffected).
             if not self.quiescent():
                 raise ValueError(
                     "skip_cycles on a fabric with pending work; "
@@ -877,6 +913,7 @@ class Fabric:
         equivalence oracle.  Maintains the same active-set bookkeeping
         so the two engines may be interleaved on one fabric.
         """
+        self._proven_quiescent = self._loose_handles = False
         words = self._step_network_reference()
         elements = 0
         stats = self.stats
@@ -1019,7 +1056,13 @@ class Fabric:
         iteration-order-dependent, which would make activity statistics
         differ between a monolithic fabric and its sharded partition;
         state-based pruning keeps every engine's stats bit-identical.
+
+        A True verdict is memoised (``_proven_quiescent``) until the
+        next event that can add work, so repeated calls on an idle
+        fabric — ``skip_cycles`` between replayed kernels — are O(1).
         """
+        if self._proven_quiescent:
+            return True
         for coord in self._active_routers:
             router = self.routers[coord[0]][coord[1]]
             for q in router.queues.values():
@@ -1039,6 +1082,7 @@ class Fabric:
                 return False
             if self._core_caps[coord][1] and core.tx_channels():
                 return False
+        self._proven_quiescent = not self._loose_handles
         return True
 
     def _cdg_note(self) -> str:

@@ -39,6 +39,14 @@ class TileMemory:
     The allocator is a simple bump/dict allocator: fragmentation is not
     modelled (the real programs allocate everything statically at
     compile time anyway).
+
+    An allocation may be *plane-backed*: the builder passes ``backing``,
+    one tile's row of a fabric-level ``(height, width, length)`` buffer,
+    and the named array is that view instead of a private buffer.  The
+    tile program sees an ordinary 1D array (same bytes charged against
+    the capacity); the host side can then arm or read every tile's copy
+    with one whole-plane assignment, and the replay compiler folds all
+    tiles' gathers/scatters of the array into one indexed op.
     """
 
     def __init__(self, capacity: int = 48 * 1024):
@@ -56,15 +64,21 @@ class TileMemory:
     def bytes_free(self) -> int:
         return self.capacity - self.bytes_used
 
-    def alloc(self, name: str, length: int, dtype=np.float16, fill=0.0) -> np.ndarray:
+    def alloc(self, name: str, length: int, dtype=np.float16, fill=0.0,
+              backing: np.ndarray | None = None) -> np.ndarray:
         """Allocate a named 1D array of ``length`` elements.
+
+        ``backing``, when given, is the 1D buffer (a view into a
+        fabric-level plane) that becomes the allocation; it must already
+        have the requested length and dtype.
 
         Raises
         ------
         TileMemoryError
             When the allocation would exceed capacity.
         ValueError
-            When the name is already allocated.
+            When the name is already allocated, or ``backing`` does not
+            match ``length``/``dtype``.
         """
         if name in self._allocs:
             raise ValueError(f"allocation {name!r} already exists")
@@ -75,7 +89,16 @@ class TileMemory:
                 f"allocating {name!r} ({nbytes} B) exceeds tile SRAM: "
                 f"{self.bytes_used}/{self.capacity} B in use"
             )
-        arr = np.full(int(length), fill, dtype=dt)
+        if backing is None:
+            arr = np.full(int(length), fill, dtype=dt)
+        else:
+            if backing.shape != (int(length),) or backing.dtype != dt:
+                raise ValueError(
+                    f"backing for {name!r} is {backing.dtype}{backing.shape}, "
+                    f"expected {dt}({int(length)},)"
+                )
+            arr = backing
+            arr[...] = fill
         self._allocs[name] = Allocation(name, arr)
         return arr
 

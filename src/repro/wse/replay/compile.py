@@ -9,6 +9,12 @@ batched NumPy operation over a single float64 value buffer:
     gather leaves -> for each level-group: vals[out] = op(vals[a], vals[b])
     -> scatter final cell values -> apply counters/flags/obs
 
+Memory traffic is indexed per *base buffer*, not per tile array: tile
+arrays that are views of one fabric-level plane (see
+:class:`repro.wse.memory.TileMemory`) resolve to flat indices into that
+plane, so a replay issues one gather and one scatter per plane however
+many tiles the program spans.
+
 float64 staging is exact: every recorded value is an exact fp16 or fp32
 value (both embed losslessly in float64), operands are cast back to
 their recorded dtypes before each op, so each vectorized op performs
@@ -41,6 +47,56 @@ from .record import (
 )
 
 __all__ = ["CompiledSchedule", "compile_tape"]
+
+
+def _flat_base(array: np.ndarray, flats: dict) -> tuple[np.ndarray, int, int]:
+    """``(flat, offset, stride)`` with ``array[k] is flat[offset + k*stride]``.
+
+    ``flat`` is the 1D view of the root buffer ``array`` is carved out of
+    — one object per root, memoised in ``flats`` — or the array itself
+    when it owns its data or the root cannot be flattened without a copy.
+    """
+    root = array
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    if root is array or root.dtype != array.dtype \
+            or not root.flags.c_contiguous:
+        return array, 0, 1
+    flat = flats.get(id(root))
+    if flat is None:
+        flat = flats[id(root)] = root.reshape(-1)
+    size = array.itemsize
+    offset = (array.__array_interface__["data"][0]
+              - root.__array_interface__["data"][0]) // size
+    return flat, offset, array.strides[0] // size
+
+
+def _by_base(arrays, rows):
+    """Group per-array ``(array index, cell, *rest)`` rows by base buffer:
+    ``[[flat, flat indices, *rest columns], ...]`` in first-seen order."""
+    flats: dict = {}
+    bases = [_flat_base(a, flats) for a in arrays]
+    groups: dict[int, list] = {}
+    for ai, cell, *rest in rows:
+        flat, offset, stride = bases[ai]
+        entry = groups.get(id(flat))
+        if entry is None:
+            entry = groups[id(flat)] = [flat, []] + [[] for _ in rest]
+        entry[1].append(offset + cell * stride)
+        for col, x in zip(entry[2:], rest):
+            col.append(x)
+    return list(groups.values())
+
+
+def _by_delta(rows):
+    """Group ``(obj, *delta)`` rows by their delta:
+    ``[(delta tuple, [objs...]), ...]``.  A static program repeats a
+    handful of distinct deltas across thousands of components, so the
+    accounting loops run one tight per-object statement per group."""
+    groups: dict[tuple, list] = {}
+    for obj, *delta in rows:
+        groups.setdefault(tuple(delta), []).append(obj)
+    return list(groups.items())
 
 
 def compile_tape(tape: RecordedTape, fabric) -> "CompiledSchedule":
@@ -94,20 +150,15 @@ def compile_tape(tape: RecordedTape, fabric) -> "CompiledSchedule":
     const_idx = np.asarray([i for i, _v in tape.const_vals], dtype=np.intp)
     const_val = np.asarray([v for _i, v in tape.const_vals], dtype=np.float64)
 
-    mem_gathers = []
-    by_arr: dict[int, tuple[list, list, list]] = {}
-    for nid, ai, cell, val in tape.mem_leaves:
-        entry = by_arr.setdefault(ai, ([], [], []))
-        entry[0].append(cell)
-        entry[1].append(nid)
-        entry[2].append(val)
-    for ai, (cells, nids, vals_) in by_arr.items():
-        mem_gathers.append((
-            tape.arrays[ai],
-            np.asarray(cells, dtype=np.intp),
-            np.asarray(nids, dtype=np.intp),
-            np.asarray(vals_, dtype=np.float64),
-        ))
+    mem_gathers = [
+        (flat,
+         np.asarray(idx, dtype=np.intp),
+         np.asarray(nids, dtype=np.intp),
+         np.asarray(vals_, dtype=np.float64))
+        for flat, idx, nids, vals_ in _by_base(
+            tape.arrays,
+            ((ai, cell, nid, val) for nid, ai, cell, val in tape.mem_leaves))
+    ]
 
     ext_gathers = []
     by_name: dict[str, tuple[list, list, list]] = {}
@@ -124,18 +175,24 @@ def compile_tape(tape: RecordedTape, fabric) -> "CompiledSchedule":
             np.asarray(vals_, dtype=np.float64),
         ))
 
-    scatters = []
-    by_arr = {}
-    for (ai, cell), nid in tape.last_writer.items():
-        entry = by_arr.setdefault(ai, ([], []))
-        entry[0].append(cell)
-        entry[1].append(nid)
-    for ai, (cells, nids) in by_arr.items():
-        scatters.append((
-            tape.arrays[ai],
-            np.asarray(cells, dtype=np.intp),
-            np.asarray(nids, dtype=np.intp),
-        ))
+    scatters = [
+        (flat, np.asarray(idx, dtype=np.intp), np.asarray(nids, dtype=np.intp))
+        for flat, idx, nids in _by_base(
+            tape.arrays,
+            ((ai, cell, nid) for (ai, cell), nid in tape.last_writer.items()))
+    ]
+
+    # Object write-back, one batch per (attribute, dtype): a single cast
+    # of the whole batch, then plain assignment.
+    by_attr: dict[tuple[str, int], tuple[list, list]] = {}
+    for obj, attr, nid, dt in tape.obj_finals:
+        objs, nids = by_attr.setdefault((attr, dt), ([], []))
+        objs.append(obj)
+        nids.append(nid)
+    obj_finals = [
+        (attr, DTYPES[dt], objs, np.asarray(nids, dtype=np.intp))
+        for (attr, dt), (objs, nids) in by_attr.items()
+    ]
 
     return CompiledSchedule(
         fabric=fabric,
@@ -147,7 +204,7 @@ def compile_tape(tape: RecordedTape, fabric) -> "CompiledSchedule":
         mem_gathers=mem_gathers,
         ext_gathers=ext_gathers,
         scatters=scatters,
-        obj_finals=tape.obj_finals,
+        obj_finals=obj_finals,
         obj_writes=tape.obj_writes,
         d_cycle=tape.d_cycle,
         d_total_words=tape.d_total_words,
@@ -159,10 +216,14 @@ def compile_tape(tape: RecordedTape, fabric) -> "CompiledSchedule":
         stats_deltas=tape.stats_deltas,
         peak_routers=tape.peak_routers,
         peak_cores=tape.peak_cores,
-        router_deltas=tape.router_deltas,
-        core_deltas=tape.core_deltas,
-        fifo_deltas=tape.fifo_deltas,
-        flag_finals=tape.flag_finals,
+        router_deltas=_by_delta(tape.router_deltas),
+        core_deltas=_by_delta(tape.core_deltas),
+        fifo_deltas=_by_delta(tape.fifo_deltas),
+        flag_finals=[
+            (dict(pairs), cores) for pairs, cores in _by_delta(
+                (core, *sorted(flags.items()))
+                for core, flags in tape.flag_finals)
+        ],
         extern_lengths=tape.extern_lengths,
         profile=getattr(tape, "profile", None),
     )
@@ -181,14 +242,19 @@ class CompiledSchedule:
 
     def __init__(self, **kw):
         self.__dict__.update(kw)
+        #: attribute name -> the array the last :meth:`execute` assigned
+        #: to that attribute's objects (in ``obj_finals`` order), so a
+        #: runner can read or cross-check results without a per-object
+        #: walk (:meth:`AllReduceEngine.reduce`'s agreement check).
+        self.obj_written: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     def _eval(self, externs=None, recorded_leaves: bool = False) -> np.ndarray:
         vals = np.empty(self.n_nodes, dtype=np.float64)
         if len(self.const_idx):
             vals[self.const_idx] = self.const_val
-        for array, cells, nids, rec_vals in self.mem_gathers:
-            vals[nids] = rec_vals if recorded_leaves else array[cells]
+        for flat, idx, nids, rec_vals in self.mem_gathers:
+            vals[nids] = rec_vals if recorded_leaves else flat[idx]
         for name, idxs, nids, rec_vals in self.ext_gathers:
             if recorded_leaves:
                 vals[nids] = rec_vals
@@ -218,10 +284,13 @@ class CompiledSchedule:
     def execute(self, externs=None) -> int:
         """Replay the schedule; returns the cycle delta applied."""
         vals = self._eval(externs)
-        for array, cells, nids in self.scatters:
-            array[cells] = vals[nids]
-        for obj, attr, nid, dt in self.obj_finals:
-            setattr(obj, attr, DTYPES[dt].type(vals[nid]))
+        for flat, idx, nids in self.scatters:
+            flat[idx] = vals[nids]
+        written = self.obj_written = {}
+        for attr, dtype, objs, nids in self.obj_finals:
+            written[attr] = cast = vals[nids].astype(dtype)
+            for obj, value in zip(objs, cast):
+                setattr(obj, attr, value)
         for acc, dwrites in self.obj_writes:
             acc.writes += dwrites
         self._apply_accounting()
@@ -239,17 +308,21 @@ class CompiledSchedule:
         if st.peak_active_cores < self.peak_cores:
             st.peak_active_cores = self.peak_cores
         fabric.total_words_moved += self.d_total_words
-        for router, d in self.router_deltas:
-            router.words_moved += d
-        for core, de, dc in self.core_deltas:
-            core.elements_processed += de
-            core.cycles_active += dc
-        for fifo, dp, hw in self.fifo_deltas:
-            fifo.total_pushed += dp
-            if fifo.high_water < hw:
-                fifo.high_water = hw
-        for core, flags in self.flag_finals:
-            core.flags.update(flags)
+        for (d,), routers in self.router_deltas:
+            for router in routers:
+                router.words_moved += d
+        for (de, dc), cores in self.core_deltas:
+            for core in cores:
+                core.elements_processed += de
+                core.cycles_active += dc
+        for (dp, hw), fifos in self.fifo_deltas:
+            for fifo in fifos:
+                fifo.total_pushed += dp
+                if fifo.high_water < hw:
+                    fifo.high_water = hw
+        for flags, cores in self.flag_finals:
+            for core in cores:
+                core.flags.update(flags)
         obs = fabric.obs
         if obs is not None:
             fn = getattr(obs, "on_replay", None)
@@ -282,18 +355,19 @@ class CompiledSchedule:
         """
         vals = self._eval(recorded_leaves=True)
         bad: list[str] = []
-        for array, cells, nids in self.scatters:
-            got = vals[nids].astype(array.dtype)
-            cur = array[cells]
+        for flat, idx, nids in self.scatters:
+            got = vals[nids].astype(flat.dtype)
+            cur = flat[idx]
             if not np.array_equal(got.view(np.uint8), cur.view(np.uint8)):
                 k = int(np.flatnonzero(got != cur)[0])
                 bad.append(
-                    f"cell {cells[k]} of a {array.dtype} array: "
+                    f"cell {idx[k]} of a {flat.dtype} buffer: "
                     f"replay={got[k]!r} live={cur[k]!r}"
                 )
-        for obj, attr, nid, dt in self.obj_finals:
-            got = DTYPES[dt].type(vals[nid])
-            cur = getattr(obj, attr)
-            if not (got == cur or (np.isnan(got) and np.isnan(cur))):
-                bad.append(f"{type(obj).__name__}.{attr}: replay={got!r} live={cur!r}")
+        for attr, dtype, objs, nids in self.obj_finals:
+            for obj, got in zip(objs, vals[nids].astype(dtype)):
+                cur = getattr(obj, attr)
+                if not (got == cur or (np.isnan(got) and np.isnan(cur))):
+                    bad.append(f"{type(obj).__name__}.{attr}: "
+                               f"replay={got!r} live={cur!r}")
         return bad

@@ -77,14 +77,10 @@ class ReplaySession:
         static schedule: core attachments, router topology versions,
         and the sanitizer epoch."""
         fabric = self.fabric
-        rv = 0
-        for row in fabric.routers:
-            for router in row:
-                rv += router._version
         return (
             fabric._core_version,
-            rv,
-            getattr(fabric, "_sanitize_epoch", 0),
+            fabric._topology_version,
+            fabric._sanitize_epoch,
         )
 
     def valid(self) -> bool:

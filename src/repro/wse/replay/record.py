@@ -39,6 +39,15 @@ from collections import deque
 
 import numpy as np
 
+from ..dsr import (
+    FabricRx,
+    FabricTx,
+    FifoPop,
+    FifoPush,
+    MemCursor,
+    ScalarAccumulator,
+)
+
 __all__ = ["TracedWord", "ScheduleRecorder", "RecordingError"]
 
 # Node opcodes.  ADD/MUL compute in the promoted operand dtype and round
@@ -138,7 +147,6 @@ class ScheduleRecorder:
     Lifecycle::
 
         rec = ScheduleRecorder(fabric)
-        rec.register_extern(prog.v, "v", base, nz)   # per-run operands
         rec.register_static(prog.zinit)              # fixed coefficients
         rec.attach()
         ... run the kernel on the live engine ...
@@ -169,7 +177,6 @@ class ScheduleRecorder:
         self.last_writer: dict[tuple[int, int], int] = {}
         self._leaf_memo: dict[tuple[int, int], int] = {}
         self._const_memo: dict[tuple[float, int], int] = {}
-        self._extern: dict[int, tuple[str, int, int]] = {}  # id(arr) -> (name, base, length)
         self._static: set[int] = set()                      # id(arr) assumed constant
         self._extern_counters: dict[str, int] = {}
         #: Pre-mutation copies, taken at each array's first recorded
@@ -206,13 +213,6 @@ class ScheduleRecorder:
     # ------------------------------------------------------------------
     # Registration (before attach)
     # ------------------------------------------------------------------
-    def register_extern(self, array, name: str, base: int, length: int) -> None:
-        """Map ``array[0:length]`` onto ``externs[name][base:base+length]``:
-        cells read before written become extern gathers, so per-run
-        operand values are supplied as one flat vector at replay."""
-        self._extern[id(array)] = (name, int(base), int(length))
-        self._keep(array)
-
     def register_static(self, array) -> None:
         """Declare ``array`` constant across runs (operator coefficients):
         reads before writes bake the recorded value as a CONST node
@@ -289,6 +289,7 @@ class ScheduleRecorder:
                       "active_router_cycles", "active_core_cycles")
         }
         self._total_words0 = fabric.total_words_moved
+        self._stale_routers0 = len(fabric._active_routers)
         for row in fabric.routers:
             for router in row:
                 if router.words_moved:
@@ -372,11 +373,7 @@ class ScheduleRecorder:
         if dt is None:
             self.fail(f"unsupported leaf dtype {array.dtype}")
             dt = DT_F64
-        ext = self._extern.get(id(array))
-        if ext is not None and cell < ext[2]:
-            node = self._new(OP_EXTERN, dt)
-            self.ext_leaves.append((node, ext[0], ext[1] + cell, self._pre_value(array, cell)))
-        elif id(array) in self._static:
+        if id(array) in self._static:
             node = self._const(self._pre_value(array, cell), dt)
         else:
             node = self._new(OP_LEAF, dt)
@@ -444,15 +441,6 @@ class ScheduleRecorder:
         key = id(instr)
         if key in self._plans:
             return
-        from ..dsr import (
-            FabricRx,
-            FabricTx,
-            FifoPop,
-            FifoPush,
-            MemCursor,
-            ScalarAccumulator,
-        )
-
         for d in list(instr.srcs) + [instr.dst]:
             if isinstance(d, (FabricRx, FabricTx)) and d._rec is not self:
                 d._rec = self
@@ -488,15 +476,6 @@ class ScheduleRecorder:
         live op performed — sources resolved to nodes, the op lowered to
         ADD/MUL/MULX(+CAST) nodes, the destination's store recorded.
         """
-        from ..dsr import (
-            FabricRx,
-            FabricTx,
-            FifoPop,
-            FifoPush,
-            MemCursor,
-            ScalarAccumulator,
-        )
-
         def src_reader(s):
             if isinstance(s, MemCursor):
                 def rd(k, pre=None):
@@ -722,9 +701,16 @@ class ScheduleRecorder:
             for (oid, attr), (obj, _a, dt) in self.obj_info.items()
         ]
         st = fabric.stats
-        stats_deltas = [
-            (f, getattr(st, f) - v0) for f, v0 in self._stats0.items()
-        ]
+        deltas = {f: getattr(st, f) - v0 for f, v0 in self._stats0.items()}
+        # Every router in the active set when a run starts is visited in
+        # its first stepped cycle, words or not (the sweep prunes the
+        # empty ones only then).  The recorded run started from the set
+        # its predecessor left — the build's, on a first run — whereas
+        # each replay stands for a run starting from the set *this* run
+        # leaves, so swap one for the other.
+        stale = len(fabric._active_routers)
+        deltas["active_router_cycles"] += stale - self._stale_routers0
+        stats_deltas = list(deltas.items())
         return RecordedTape(
             ops=self.ops,
             odt=self.odt,
@@ -745,7 +731,7 @@ class ScheduleRecorder:
             stall=self.stall,
             series=self.series,
             stats_deltas=stats_deltas,
-            peak_routers=st.peak_active_routers,
+            peak_routers=max(st.peak_active_routers, stale),
             peak_cores=st.peak_active_cores,
             router_deltas=router_deltas,
             core_deltas=core_deltas,

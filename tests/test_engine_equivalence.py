@@ -34,6 +34,7 @@ from repro.kernels import (
     run_spmv2d_des,
     run_spmv_des,
 )
+from repro.kernels.spmv3d import SpmvEngine
 from repro.problems import Stencil7, Stencil9
 from repro.wse import CS1, Core, Fabric, FabricDeadlockError, Port
 from repro.wse import dsr
@@ -80,6 +81,60 @@ class _Recorder:
 # Kernel equivalence: identical cycles, word totals, numerics
 # ----------------------------------------------------------------------
 class TestKernelEquivalence:
+    def test_persistent_spmv_tile_memory_four_way(self):
+        """Every engine arms and reads the SpMV through the same v/u
+        planes: after each of three runs on a 5x4 fabric (all nine
+        boundary classes) every tile's ``v``/``u`` bytes, flags, FIFO
+        marks and router words are identical four ways, and the planes
+        are the tiles' own memory (not a copy beside it)."""
+        shape = (5, 4, 3)
+        op = _op3d(shape, 31)
+        engines = {
+            name: SpmvEngine(op, options=RunOptions(engine=name))
+            for name in ("active", "reference", "replay")
+        }
+        engines["sharded"] = SpmvEngine(
+            op, options=RunOptions(engine="sharded", workers=2))
+
+        def tile_state(eng):
+            out = {}
+            for row in eng.programs:
+                for prog in row:
+                    core = prog.core
+                    mem = core.memory
+                    assert np.shares_memory(mem.get("v"), eng.programs.v_plane)
+                    assert np.shares_memory(mem.get("u"), eng.programs.u_plane)
+                    out[(core.x, core.y)] = (
+                        mem.get("v").tobytes(), mem.get("u").tobytes(),
+                        mem.bytes_used, dict(core.flags),
+                        {n: (f.total_pushed, f.high_water)
+                         for n, f in core.fifos.items()},
+                        eng.fabric.router(core.x, core.y).words_moved,
+                    )
+            return out
+
+        try:
+            rng = np.random.default_rng(32)
+            for _ in range(3):
+                v = (0.1 * rng.standard_normal(shape)).astype(np.float16)
+                runs = {name: eng.run(v) for name, eng in engines.items()}
+                u_act, c_act = runs["active"]
+                want = tile_state(engines["active"])
+                per_tile = np.stack([
+                    np.stack([engines["active"].programs[j][i].result()
+                              for j in range(shape[1])])
+                    for i in range(shape[0])
+                ])
+                assert u_act.tobytes() == per_tile.astype(np.float64).tobytes()
+                for name, (u, c) in runs.items():
+                    assert c == c_act, name
+                    assert u.tobytes() == u_act.tobytes(), name
+                    assert tile_state(engines[name]) == want, name
+            assert engines["replay"].replay.replays == 2
+        finally:
+            for eng in engines.values():
+                eng.close()
+
     @pytest.mark.parametrize("shape,seed", [
         ((2, 2, 4), 1), ((4, 4, 8), 2), ((3, 5, 6), 3), ((1, 4, 8), 4),
         ((6, 3, 5), 5),

@@ -1,6 +1,6 @@
 """Trace-compiled replay engine (:mod:`repro.wse.replay`).
 
-Four suites:
+Six suites:
 
 * bit-identity — every kernel runner's ``engine="replay"`` path agrees
   with a fresh live ``"active"`` run on results, cycle counts, and
@@ -13,22 +13,33 @@ Four suites:
   compiled schedule and forces a fresh recording;
 * engine-switch boundaries — ``skip_cycles``/``quiescent`` and the
   observer's ``on_skip``/``on_replay`` accounting stay consistent
-  across live -> replay -> live transitions on one fabric timeline.
+  across live -> replay -> live transitions on one fabric timeline;
+* live state — after every step of record -> replay -> invalidate ->
+  re-record, everything on the fabric (tile memory bytes, counters,
+  FIFO marks, flags, reduce registers) equals the active engine's;
+* bounded work — the memory ops one replay issues are counted per
+  base buffer, not per tile.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
+from repro.api import RunOptions
+from repro.kernels import spmv3d
 from repro.kernels.bicgstab_des import DESBiCGStab
 from repro.kernels.blas_des import run_axpy_des, run_dot_des
 from repro.kernels.spmv2d_des import run_spmv2d_des
-from repro.kernels.spmv3d import SpmvEngine, run_spmv_des
+from repro.kernels.spmv3d import SpmvEngine, build_spmv_fabric, run_spmv_des
 from repro.obs import ObsSession
 from repro.problems import Stencil7, Stencil9
 from repro.wse import Fabric, Port
 from repro.wse.allreduce import AllReduceEngine
+from repro.wse.analyze import analyze_program
 from repro.wse.replay import RecordingError, ReplaySession
 
 
@@ -358,3 +369,158 @@ class TestEngineSwitchBoundaries:
             assert observer.stepped_cycles + observer.skipped_cycles \
                 == fabric.cycle, name
             assert fabric.quiescent(), name
+
+
+# ----------------------------------------------------------------------
+# A replay leaves exactly the state a live run leaves, at O(1) host ops
+# ----------------------------------------------------------------------
+def _spmv_state(eng):
+    """Everything a live SpMV run leaves behind on the fabric."""
+    fabric = eng.fabric
+    tiles = {}
+    for row in eng.programs:
+        for prog in row:
+            core = prog.core
+            tiles[(core.x, core.y)] = (
+                prog.v.tobytes(), prog.u.tobytes(), dict(core.flags),
+                core.elements_processed, core.cycles_active,
+                {n: (f.total_pushed, f.high_water, len(f))
+                 for n, f in core.fifos.items()},
+                fabric.router(core.x, core.y).words_moved,
+            )
+    stats = dataclasses.asdict(fabric.stats)
+    return tiles, stats, fabric.cycle, fabric.total_words_moved
+
+
+def _reduce_state(eng):
+    fabric = eng.fabric
+    cores = {(c.x, c.y): (c.acc.tobytes(), c.result.tobytes())
+             for c in eng.cores}
+    stats = dataclasses.asdict(fabric.stats)
+    return (cores, _router_words(fabric), stats, fabric.cycle,
+            fabric.total_words_moved)
+
+
+class TestReplayLeavesLiveState:
+    """5 x 4 fabric: all nine boundary classes (corners, edges, interior)."""
+
+    SHAPE = (5, 4, 3)
+
+    @pytest.mark.parametrize("two_sum", [False, True])
+    def test_spmv_lifecycle(self, two_sum, monkeypatch):
+        if two_sum:
+            monkeypatch.setattr(
+                spmv3d, "build_spmv_fabric",
+                functools.partial(build_spmv_fabric, two_sum_tasks=True))
+        op = _op3d(self.SHAPE, 9)
+        eng_r = SpmvEngine(op, options=RunOptions(engine="replay"))
+        eng_a = SpmvEngine(op, options=RunOptions(engine="active"))
+        sess = eng_r.replay
+        rng = np.random.default_rng(10)
+        assert ("sumtask2" in eng_r.programs[0][0].core.scheduler) == two_sum
+
+        def step(expect):
+            v = (0.1 * rng.standard_normal(self.SHAPE)).astype(np.float16)
+            u_a, c_a = eng_a.run(v)
+            u_r, c_r = eng_r.run(v)
+            assert c_r == c_a
+            assert u_r.tobytes() == u_a.tobytes()
+            assert _spmv_state(eng_r) == _spmv_state(eng_a)
+            assert (sess.records, sess.replays, sess.invalidations,
+                    sess.fallbacks) == expect
+
+        step((1, 0, 0, 0))                      # record
+        assert sess.schedule.check() == []
+        for k in (1, 2, 3):
+            step((1, k, 0, 0))                  # replay x3
+        # An unused-channel route cannot change the schedule, but the
+        # token must not know that: next run is live and re-records.
+        for eng in (eng_r, eng_a):
+            eng.fabric.router(2, 1).set_route(15, Port.CORE, (Port.CORE,))
+        step((2, 3, 1, 0))                      # live + re-record
+        assert sess.schedule.check() == []
+        step((2, 4, 1, 0))                      # replay again
+
+    def test_allreduce_lifecycle(self):
+        nx, ny, _ = self.SHAPE
+        eng_r = AllReduceEngine(nx, ny, options=RunOptions(engine="replay"))
+        eng_a = AllReduceEngine(nx, ny, options=RunOptions(engine="active"))
+        sess = eng_r.replay
+        rng = np.random.default_rng(13)
+
+        def step(expect):
+            vals = rng.standard_normal((ny, nx)).astype(np.float32)
+            assert eng_r.reduce(vals) == eng_a.reduce(vals)
+            assert _reduce_state(eng_r) == _reduce_state(eng_a)
+            assert (sess.records, sess.replays, sess.invalidations,
+                    sess.fallbacks) == expect
+
+        step((1, 0, 0, 0))
+        assert sess.schedule.check() == []
+        for k in (1, 2, 3):
+            step((1, k, 0, 0))
+        for eng in (eng_r, eng_a):
+            eng.fabric.router(2, 1).set_route(15, Port.CORE, (Port.CORE,))
+        step((2, 3, 1, 0))
+        assert sess.schedule.check() == []
+        step((2, 4, 1, 0))
+
+    def test_replayed_nan_results_never_agree(self):
+        eng = AllReduceEngine(3, 3, options=RunOptions(engine="replay"))
+        ones = np.ones((3, 3), dtype=np.float32)
+        total, cycles = eng.reduce(ones)            # records
+        assert eng.reduce(ones) == (total, cycles) == (9.0, cycles)
+        bad = ones.copy()
+        bad[1, 1] = np.nan
+        with pytest.raises(AssertionError, match="differing"):
+            eng.reduce(bad)
+
+    def test_plane_backed_allocations_charge_the_same_sram(self):
+        nx, ny, nz = self.SHAPE
+        fabric, programs = build_spmv_fabric(_op3d(self.SHAPE, 9),
+                                             np.zeros(self.SHAPE))
+        # v, u, four neighbour legs, zinit, zloop, 5 x 20-deep FIFO store.
+        expected = 2 * ((nz + 1) + (nz + 2) + 4 * nz + (nz + 1) + nz + 100)
+        for row in programs:
+            for prog in row:
+                mem = prog.core.memory
+                assert mem.bytes_used == expected
+                assert np.shares_memory(mem.get("v"), programs.v_plane)
+                assert np.shares_memory(mem.get("u"), programs.u_plane)
+                assert mem.get("v").shape == (nz + 1,)
+        report = analyze_program(fabric)
+        assert not [d for d in report.diagnostics if d.pass_name == "sram"]
+        assert any(
+            n.startswith("sram: worst tile (0,0) uses "
+                         f"{expected}/{programs[0][0].core.memory.capacity} B")
+            for n in report.notes)
+        with pytest.raises(ValueError, match="backing"):
+            programs[0][0].core.memory.alloc(
+                "w", nz, np.float16, backing=programs.v_plane[0, 0])
+
+
+class TestReplayWorkIsBoundedByBuffers:
+    """Count-based guard (no timing): the host-side ops one replay issues
+    must not grow with the tile count."""
+
+    @staticmethod
+    def _ops(schedule):
+        return (len(schedule.scatters) + len(schedule.mem_gathers),
+                len(schedule.ext_gathers), len(schedule.obj_finals))
+
+    def test_spmv_and_allreduce_schedules(self):
+        counts = {}
+        for nx, ny in ((4, 4), (8, 8)):
+            shape = (nx, ny, 2)
+            spmv = SpmvEngine(_op3d(shape, 1),
+                              options=RunOptions(engine="replay"))
+            spmv.run(np.zeros(shape))
+            ar = AllReduceEngine(nx, ny, options=RunOptions(engine="replay"))
+            ar.reduce(np.ones((ny, nx), dtype=np.float32))
+            counts[nx] = (self._ops(spmv.replay.schedule),
+                          self._ops(ar.replay.schedule))
+            assert spmv.replay.schedule.n_nodes > 16 * nx * ny
+        assert counts[4] == counts[8]
+        # One gather per plane read (v, u's carried cell), one scatter
+        # (u); the collective lives in registers: no memory ops at all.
+        assert counts[8] == ((3, 0, 0), (0, 1, 2))

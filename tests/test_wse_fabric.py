@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.api import RunOptions
+from repro.kernels.spmv3d import SpmvEngine
+from repro.problems import Stencil7
 from repro.wse import Fabric, Port
+from repro.wse.channels import tile_channel
 
 
 class _SinkCore:
@@ -149,3 +153,125 @@ class TestRouting:
         cycles = f.run(max_cycles=200)
         assert len(cores[n - 1].received) == k
         assert cycles <= k + 2 * n + 4
+
+
+# ----------------------------------------------------------------------
+# The memoised quiescence proof behind skip_cycles
+# ----------------------------------------------------------------------
+def _idle_spmv(engine):
+    """A 3x3 persistent SpMV left idle after a live run (``active``) or
+    after a replayed one (``replay``), with its proof already memoised."""
+    shape = (3, 3, 4)
+    op, _, _ = Stencil7.from_random(
+        shape, rng=np.random.default_rng(5)).jacobi_precondition()
+    eng = SpmvEngine(op, options=RunOptions(engine=engine))
+    v = 0.1 * np.random.default_rng(6).standard_normal(shape)
+    eng.run(v)
+    eng.run(v)
+    if engine == "replay":
+        assert eng.replay.replays == 1
+    eng.fabric.skip_cycles(3)
+    assert eng.fabric._proven_quiescent
+    return eng
+
+
+def _inject(fabric):
+    assert fabric.core(1, 1).inject(tile_channel(1, 1), np.float16(1.0))
+
+
+def _activate(fabric):
+    fabric.core(1, 1).scheduler.activate("spmv")
+
+
+def _append(fabric):
+    fabric.router(1, 1).queue_for(tile_channel(1, 1), Port.CORE).append(1.0)
+
+
+def _attach_busy(fabric):
+    core = _SinkCore()
+    core.send(0, 1.0)
+    fabric.attach_core(2, 2, core)
+
+
+class TestQuiescenceMemo:
+    @pytest.mark.parametrize("engine", ["active", "replay"])
+    @pytest.mark.parametrize("event",
+                             [_inject, _activate, _append, _attach_busy])
+    def test_memo_never_masks_new_work(self, engine, event):
+        fabric = _idle_spmv(engine).fabric
+        cycle = fabric.cycle
+        event(fabric)
+        assert not fabric._proven_quiescent
+        assert not fabric.quiescent()
+        with pytest.raises(ValueError, match="pending work"):
+            fabric.skip_cycles(1)
+        assert fabric.cycle == cycle
+
+    @pytest.mark.parametrize("engine", ["active", "replay"])
+    def test_rewiring_drops_the_proof(self, engine):
+        fabric = _idle_spmv(engine).fabric
+        fabric.router(0, 0).set_route(15, Port.CORE, (Port.CORE,))
+        assert not fabric._proven_quiescent
+        # Still idle: the re-scan proves it again, and the skip goes on.
+        fabric.skip_cycles(2)
+        assert fabric._proven_quiescent
+        # Re-attaching an idle core likewise costs one re-scan, no more.
+        fabric.attach_core(0, 0, fabric.core(0, 0))
+        assert not fabric._proven_quiescent
+        assert fabric.quiescent() and fabric._proven_quiescent
+
+    def test_no_proof_while_a_queue_handle_is_out(self):
+        fabric = _idle_spmv("active").fabric
+        q = fabric.router(1, 1).queue_for(tile_channel(1, 1), Port.CORE)
+        assert fabric.quiescent()           # true now...
+        assert not fabric._proven_quiescent  # ...but the holder may append
+        q.append(1.0)
+        with pytest.raises(ValueError, match="pending work"):
+            fabric.skip_cycles(1)
+
+    def test_skips_leave_the_active_sets_alone(self):
+        fabric = _idle_spmv("replay").fabric
+        before = (set(fabric._active_routers), set(fabric._awake_cores),
+                  set(fabric._tx_cores), set(fabric._stalled_cores))
+        assert before[0] or before[1]        # stale entries do exist
+        for n in (0, 1, 40):
+            fabric.skip_cycles(n)
+        assert before == (fabric._active_routers, fabric._awake_cores,
+                          fabric._tx_cores, fabric._stalled_cores)
+        with pytest.raises(ValueError, match="negative"):
+            fabric.skip_cycles(-1)
+
+    def test_live_replay_live_skip_matches_pure_active(self):
+        shape = (4, 3, 4)
+        op, _, _ = Stencil7.from_random(
+            shape, rng=np.random.default_rng(8)).jacobi_precondition()
+        eng_r = SpmvEngine(op, options=RunOptions(engine="replay"))
+        eng_a = SpmvEngine(op, options=RunOptions(engine="active"))
+        rng = np.random.default_rng(9)
+
+        def both(fn):
+            for eng in (eng_r, eng_a):
+                fn(eng)
+            sr, sa = eng_r.fabric.stats, eng_a.fabric.stats
+            for f in ("cycles", "skipped_cycles", "active_router_cycles",
+                      "active_core_cycles", "peak_active_routers",
+                      "peak_active_cores"):
+                assert getattr(sr, f) == getattr(sa, f), f
+            assert eng_r.fabric.cycle == eng_a.fabric.cycle
+
+        def run(eng, v):
+            eng.run(v)
+
+        for skip in (5, 7, 0, 4):                 # record, then replays
+            v = 0.1 * rng.standard_normal(shape)
+            both(lambda eng: run(eng, v))
+            both(lambda eng: eng.fabric.skip_cycles(skip))
+        assert (eng_r.replay.records, eng_r.replay.replays) == (1, 3)
+        both(lambda eng: eng.fabric.router(0, 0).set_route(
+            15, Port.CORE, (Port.CORE,)))
+        v = 0.1 * rng.standard_normal(shape)
+        both(lambda eng: run(eng, v))               # live again
+        both(lambda eng: eng.fabric.skip_cycles(6))
+        both(lambda eng: run(eng, v))               # replays the re-record
+        both(lambda eng: eng.fabric.skip_cycles(2))
+        assert (eng_r.replay.records, eng_r.replay.replays) == (2, 4)
