@@ -56,7 +56,7 @@ trace:
 profile:
 	PYTHONPATH=src python -m repro profile
 
-# Engine regression smoke: active-set vs pre-PR stepping on a small
+# Engine regression smoke: active-set vs reference stepping on a small
 # BiCGStab DES workload; writes BENCH_des.json (cycles/sec, words/sec,
 # fabric size) and fails on any engine-equivalence mismatch.  Drop
 # --quick for the full 48x48 headline measurement.  The second step

@@ -1,33 +1,30 @@
-"""DES engine benchmark: active-set vs pre-PR stepping on BiCGStab.
+"""DES engine benchmark: active-set vs reference stepping on BiCGStab.
 
 Measures cycles simulated per wall-clock second on the
 ``bench_bicgstab_des`` workload (a full mixed-precision BiCGStab solve
 with every SpMV and AllReduce executed on the word-level fabric
 simulator) and writes the results to ``BENCH_des.json``.
 
-Two configurations are compared, both producing bit-identical numerics
-and identical per-kernel cycle counts (asserted here and proven at
-depth by ``tests/test_engine_equivalence.py``):
+Two engines drive the same persistent solver, producing bit-identical
+numerics and identical per-kernel cycle counts (asserted here and
+proven at depth by ``tests/test_engine_equivalence.py``):
 
-``legacy`` — the pre-PR engine, reproduced exactly: a fresh fabric is
-    built for every SpMV and every AllReduce (there were no persistent
-    engines), stepping sweeps every tile every cycle
-    (``Fabric.step_reference``), and instruction readiness is evaluated
-    per element (``repro.wse.dsr.LEGACY_ELEMENTWISE``).  It simulates
-    only the busy kernel windows; the charged local AXPY/dot cycles
-    exist solely as counters.
+``reference`` — the full-grid sweep: every tile is visited every cycle
+    (``Fabric.step_reference``).  Its fabrics keep their own clocks, so
+    it simulates only the busy kernel windows; the charged local
+    AXPY/dot cycles exist solely as counters.
 
-``active`` — the event-driven engine: persistent kernel fabrics, dirty
-    active sets, cached route bindings, fused instruction stepping, and
-    a unified wafer timeline in which both fabrics advance through
-    every cycle of the solve — idle spans are *simulated* by cycle
-    skipping (``Fabric.skip_cycles``), which is O(1) because an empty
-    active set proves the fabric state cannot change.
+``active`` — the event-driven engine: dirty active sets, cached route
+    bindings, fused instruction stepping, and a unified wafer timeline
+    in which both fabrics advance through every cycle of the solve —
+    idle spans are *simulated* by cycle skipping
+    (``Fabric.skip_cycles``), which is O(1) because an empty active set
+    proves the fabric state cannot change.
 
 The headline ``speedup_cycles_per_second`` is the ratio of fabric
 cycles simulated per second between the two.  ``solve_wall_speedup``
-(the plain end-to-end wall-clock ratio on the busy windows alone) is
-reported alongside so neither number has to be inferred from the other.
+(the plain end-to-end wall-clock ratio) is reported alongside so
+neither number has to be inferred from the other.
 
 Run directly (``python benchmarks/bench_des_engine.py``) or via
 ``make bench-smoke``; ``--quick`` shrinks the mesh for CI smoke runs.
@@ -42,9 +39,9 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.api import RunOptions
 from repro.kernels.bicgstab_des import DESBiCGStab
 from repro.problems import momentum_system
-from repro.wse import dsr
 
 #: Benchmark mesh: a 48 x 48 tile fabric (2304 tiles — 36x the largest
 #: fabric exercised anywhere else in the test suite) with a thin local
@@ -80,40 +77,26 @@ def _engine_stats(solver: DESBiCGStab):
     return agg
 
 
-def run_legacy(op, b) -> dict:
-    """The pre-PR engine: fresh fabrics per kernel call, full sweep,
-    per-element instruction stepping."""
-    dsr.LEGACY_ELEMENTWISE = True
-    try:
-        solver = DESBiCGStab(op, engine="reference", persistent=False)
-        t0 = time.perf_counter()
-        res = solver.solve(b, rtol=RTOL, maxiter=MAXITER)
-        wall = time.perf_counter() - t0
-    finally:
-        dsr.LEGACY_ELEMENTWISE = False
-    rep = solver.report
-    stepped = rep.spmv_cycles + rep.allreduce_cycles
-    return {
-        "wall_seconds": round(wall, 4),
-        "fabric_cycles_simulated": stepped,
-        "cycles_per_second": round(stepped / wall, 1),
-        "timeline_cycles": rep.total_cycles,
-        "iterations": res.iterations,
-        "note": (
-            "fresh fabric per kernel call; reference full-tile sweep; "
-            "per-element readiness; idle/local-compute cycles are "
-            "counters only, never simulated"
-        ),
-        "_res": res,
-        "_report": rep,
-    }
+#: What each engine's row of the report says about how it steps.
+NOTES = {
+    "reference": (
+        "persistent fabrics; full-tile sweep every cycle; fabrics keep "
+        "their own clocks — idle/local-compute cycles are counters "
+        "only, never simulated"
+    ),
+    "active": (
+        "persistent fabrics; active-set sweep; fused batched stepping; "
+        "unified timeline — both fabrics simulate every solve cycle, "
+        "idle spans via O(1) cycle skipping"
+    ),
+}
 
 
-def run_active(op, b) -> dict:
-    """The active-set engine with persistent fabrics and the unified
-    wafer timeline.  The first solve builds and warms the engines
-    (reported as setup); the measured solve is steady state."""
-    solver = DESBiCGStab(op, engine="active", persistent=True)
+def run_engine(engine: str, op, b) -> dict:
+    """One engine on the persistent solver.  The first solve builds and
+    warms the kernel engines (reported as setup); the measured solve is
+    steady state."""
+    solver = DESBiCGStab(op, options=RunOptions(engine=engine))
     t0 = time.perf_counter()
     solver.solve(b, rtol=RTOL, maxiter=MAXITER)
     setup = time.perf_counter() - t0
@@ -146,11 +129,7 @@ def run_active(op, b) -> dict:
         "peak_active_cores": after["peak_active_cores"],
         "timeline_cycles": rep.total_cycles,
         "iterations": res.iterations,
-        "note": (
-            "persistent fabrics; active-set sweep; fused batched "
-            "stepping; unified timeline — both fabrics simulate every "
-            "solve cycle, idle spans via O(1) cycle skipping"
-        ),
+        "note": NOTES[engine],
         "_res": res,
         "_report": rep,
     }
@@ -160,19 +139,18 @@ def run(shape=SHAPE, out_path: str | Path = "BENCH_des.json") -> dict:
     sys_ = momentum_system(shape, reynolds=50.0, dt=0.02)
     op, b = sys_.operator, sys_.b
 
-    legacy = run_legacy(op, b)
-    active = run_active(op, b)
+    reference = run_engine("reference", op, b)
+    active = run_engine("active", op, b)
 
-    res_l, res_a = legacy.pop("_res"), active.pop("_res")
-    rep_l, rep_a = legacy.pop("_report"), active.pop("_report")
-    # rep_a accumulated over two solves (warm-up + measured): per-solve
-    # kernel cycles must be exactly half, and match legacy's.
+    res_r, res_a = reference.pop("_res"), active.pop("_res")
+    rep_r, rep_a = reference.pop("_report"), active.pop("_report")
     equivalence = {
-        "x_identical": bool(np.array_equal(res_l.x, res_a.x)),
-        "residuals_identical": res_l.residuals == res_a.residuals,
-        "spmv_cycles_match": rep_l.spmv_cycles * 2 == rep_a.spmv_cycles,
+        "x_identical": bool(np.array_equal(res_r.x, res_a.x)),
+        "residuals_identical": res_r.residuals == res_a.residuals,
+        "spmv_cycles_match": rep_r.spmv_cycles == rep_a.spmv_cycles,
         "allreduce_cycles_match":
-            rep_l.allreduce_cycles * 2 == rep_a.allreduce_cycles,
+            rep_r.allreduce_cycles == rep_a.allreduce_cycles,
+        "words_match": reference["words_moved"] == active["words_moved"],
     }
 
     nx, ny, nz = shape
@@ -186,12 +164,12 @@ def run(shape=SHAPE, out_path: str | Path = "BENCH_des.json") -> dict:
             "maxiter": MAXITER,
             "iterations": res_a.iterations,
         },
-        "legacy": legacy,
+        "reference": reference,
         "active": active,
         "speedup_cycles_per_second": round(
-            active["cycles_per_second"] / legacy["cycles_per_second"], 2),
+            active["cycles_per_second"] / reference["cycles_per_second"], 2),
         "solve_wall_speedup": round(
-            legacy["wall_seconds"] / active["wall_seconds"], 2),
+            reference["wall_seconds"] / active["wall_seconds"], 2),
         "equivalence": equivalence,
     }
     Path(out_path).write_text(json.dumps(result, indent=2) + "\n")
@@ -214,7 +192,8 @@ def main(argv=None) -> int:
     print(
         f"\n{result['workload']['fabric']}: "
         f"{result['active']['cycles_per_second']:.0f} cycles/s (active) vs "
-        f"{result['legacy']['cycles_per_second']:.0f} cycles/s (legacy) = "
+        f"{result['reference']['cycles_per_second']:.0f} cycles/s "
+        f"(reference) = "
         f"{result['speedup_cycles_per_second']:.1f}x; "
         f"wall {result['solve_wall_speedup']:.1f}x"
     )

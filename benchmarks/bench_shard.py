@@ -89,7 +89,7 @@ def _kernel_cycles(rep) -> dict:
 def run_engine(engine: str, workers: int, op, b) -> dict:
     """One warm-up solve (engine + shard-worker construction), then one
     measured steady-state solve."""
-    solver = DESBiCGStab(op, persistent=True, options=RunOptions(
+    solver = DESBiCGStab(op, options=RunOptions(
         engine=engine, workers=workers))
     try:
         t0 = time.perf_counter()

@@ -410,12 +410,11 @@ def des_scale_report(shape=(16, 16, 2), engine="active", workers=1) -> str:
     from ..api import RunOptions
     from ..kernels.bicgstab_des import DESBiCGStab
     from ..problems import momentum_system
+    from ..wse.engines import ENGINE_TABLE
 
     sys_ = momentum_system(shape, reynolds=50.0, dt=0.02)
     solver = DESBiCGStab(
-        sys_.operator, persistent=True,
-        options=RunOptions(engine=engine, workers=workers),
-    )
+        sys_.operator, options=RunOptions(engine=engine, workers=workers))
     t0 = time.perf_counter()
     res = solver.solve(sys_.b, rtol=5e-3, maxiter=30)
     wall = time.perf_counter() - t0
@@ -456,24 +455,22 @@ def des_scale_report(shape=(16, 16, 2), engine="active", workers=1) -> str:
             ("cycles / second", round(cycles / wall, 0)),
         ],
         title=f"event-driven DES at 16x16 ({engine} engine"
-              + (f", {workers} workers)" if engine == "sharded" else ")"),
+              + (f", {workers} workers)" if ENGINE_TABLE[engine].forks
+                 else ")"),
     )
-    if engine == "replay":
-        extra = []
-        for label, eng in (("spmv", solver._spmv_eng),
-                           ("allreduce", solver._ar_eng)):
-            sess = getattr(eng, "replay", None) if eng is not None else None
-            if sess is None:
-                continue
-            extra.append(
-                f"  replay[{label}]: records={sess.records} "
-                f"replays={sess.replays} fallbacks={sess.fallbacks} "
-                f"invalidations={sess.invalidations}"
-            )
-            for d in sess.diagnostics:
-                extra.append(f"    {d}")
-        if extra:
-            out = out + "\n" + "\n".join(extra)
+    # Engines that record carry a replay session worth reporting.
+    for label, eng in (("spmv", solver._spmv_eng),
+                       ("allreduce", solver._ar_eng)):
+        sess = eng.replay if eng is not None else None
+        if sess is None:
+            continue
+        out += (
+            f"\n  replay[{label}]: records={sess.records} "
+            f"replays={sess.replays} fallbacks={sess.fallbacks} "
+            f"invalidations={sess.invalidations}"
+        )
+        for d in sess.diagnostics:
+            out += f"\n    {d}"
     return out
 
 

@@ -20,23 +20,26 @@ All shipped runners (``run_spmv_des``, ``run_spmv2d_des``,
 ``run_axpy_des``, ``run_dot_des``, :class:`~repro.kernels.spmv3d.SpmvEngine`,
 :class:`~repro.wse.allreduce.AllReduceEngine`,
 :class:`~repro.kernels.bicgstab_des.DESBiCGStab`) consume
-:class:`RunOptions` internally; their legacy keywords still work but
-emit :class:`DeprecationWarning` via :func:`coerce_options`.
-
-Removal schedule
-----------------
-The legacy keywords (``engine=``, ``analyze=``, ``obs=``, plus
-positional spellings) are deprecated as of PR 10 and will be removed
-two PRs later (PR 12).  Migrate by passing ``options=RunOptions(...)``
-— see ``docs/parallel.md`` ("Migrating to repro.api").
+:class:`RunOptions` and nothing else: ``options=None`` means the
+defaults, any other type is a ``TypeError``.  What each engine name
+means — which stepper it runs on, which instruments it can carry — is
+data in :mod:`repro.wse.engines` (see ``docs/architecture.md``,
+"Engines"); :class:`RunOptions` validates against that table.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Any
+
+from .wse.engines import (
+    ENGINE_TABLE,
+    ENGINES,
+    resolve_options,
+    supporting,
+    unsupported,
+)
 
 __all__ = [
     "ENGINES",
@@ -48,21 +51,8 @@ __all__ = [
     "Dot",
     "AllReduce",
     "add_engine_arguments",
-    "coerce_options",
     "options_from_args",
 ]
-
-#: The four stepping engines, in fidelity order: the naive full-grid
-#: reference sweep, the event-driven active-set engine, the
-#: record-once/replay-many compiled engine, and the multi-process
-#: sharded engine (conservative barrier PDES over the active engine).
-ENGINES = ("reference", "active", "replay", "sharded")
-
-_REMOVAL_NOTE = (
-    "deprecated since PR 10 and will be removed in PR 12; pass "
-    "options=repro.api.RunOptions(...) instead (see docs/parallel.md, "
-    "'Migrating to repro.api')"
-)
 
 
 @dataclass(frozen=True)
@@ -77,10 +67,10 @@ class RunOptions:
         (:mod:`repro.wse.shard`); results are bit-identical to
         ``"active"``.
     sanitize:
-        Attach the runtime race sanitizer for the run.  Unsupported
-        under ``engine="sharded"`` (the sanitizer's happens-before
-        graph is whole-fabric; run the sanitized pass under
-        ``engine="active"`` — sharded runs are bit-identical anyway).
+        Attach the runtime race sanitizer for the run; rejected for the
+        engines whose :data:`~repro.wse.engines.ENGINE_TABLE` row says
+        they cannot carry it (run the sanitized pass under
+        ``engine="active"`` — every engine is bit-identical to it).
     analyze:
         Statically verify the tile program at build time
         (:func:`repro.wse.analyze.analyze_program`) instead of only
@@ -89,8 +79,8 @@ class RunOptions:
         Optional :class:`repro.obs.ObsSession` receiving fabric
         observers and kernel trace spans.
     profile:
-        Attach the cycle profiler (requires ``obs``); unsupported under
-        ``engine="sharded"`` for the same reason as ``sanitize``.
+        Attach the cycle profiler (requires ``obs``); rejected per the
+        engine table, like ``sanitize``.
     workers:
         Shard-worker process count; only meaningful (and only legal
         above 1) with ``engine="sharded"``.  Clamped to the fabric's
@@ -112,23 +102,15 @@ class RunOptions:
         if not isinstance(self.workers, int) or self.workers < 1:
             raise ValueError(f"workers must be a positive int, got "
                              f"{self.workers!r}")
-        if self.engine == "sharded":
-            if self.sanitize:
-                raise ValueError(
-                    "engine='sharded' does not support sanitize=True; the "
-                    "race sanitizer needs the whole-fabric happens-before "
-                    "graph — run the sanitized pass under engine='active' "
-                    "(sharded runs are bit-identical to it)"
-                )
-            if self.profile:
-                raise ValueError(
-                    "engine='sharded' does not support profile=True; "
-                    "profile under engine='active' (sharded runs are "
-                    "bit-identical to it)"
-                )
-        elif self.workers != 1:
+        for instrument in ("sanitize", "profile"):
+            if getattr(self, instrument):
+                why = unsupported(self.engine, instrument)
+                if why:
+                    raise ValueError(why)
+        if self.workers != 1 and not ENGINE_TABLE[self.engine].forks:
             raise ValueError(
-                f"workers={self.workers} requires engine='sharded' "
+                f"workers={self.workers} requires engine="
+                f"{' or '.join(repr(e) for e in supporting('forks'))} "
                 f"(got engine={self.engine!r})"
             )
         if self.profile and self.obs is None:
@@ -142,43 +124,6 @@ class RunOptions:
         """A copy for an unobserved inner run: no ``obs`` session, and so
         no ``profile`` either (it requires one), plus ``changes``."""
         return self.replace(obs=None, profile=False, **changes)
-
-
-def coerce_options(options: RunOptions | None = None, caller: str = "run",
-                   **legacy) -> RunOptions:
-    """Normalize a runner's arguments into one :class:`RunOptions`.
-
-    Runners call this with their (possibly ``None``-defaulted) legacy
-    keywords; any legacy value actually supplied emits a
-    :class:`DeprecationWarning` naming the caller and the removal
-    schedule.  Passing both ``options=`` and a legacy keyword is an
-    error — the call would be ambiguous.
-    """
-    supplied = {k: v for k, v in legacy.items() if v is not None}
-    unknown = set(supplied) - set(RunOptions.__dataclass_fields__)
-    if unknown:
-        raise TypeError(f"{caller}: unknown option(s) {sorted(unknown)}")
-    if options is not None:
-        if not isinstance(options, RunOptions):
-            raise TypeError(
-                f"{caller}: options must be a repro.api.RunOptions, "
-                f"got {type(options).__name__}"
-            )
-        if supplied:
-            raise TypeError(
-                f"{caller}: pass either options=RunOptions(...) or the "
-                f"legacy keyword(s) {sorted(supplied)}, not both"
-            )
-        return options
-    if supplied:
-        warnings.warn(
-            f"{caller}: the {sorted(supplied)} keyword(s) are "
-            f"{_REMOVAL_NOTE}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return RunOptions(**supplied)
-    return RunOptions()
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +173,7 @@ def options_from_args(args, **overrides) -> RunOptions:
     """
     fields = {"engine": getattr(args, "engine", "active")}
     w = getattr(args, "workers", 1)
-    fields["workers"] = w if fields["engine"] == "sharded" else 1
+    fields["workers"] = w if ENGINE_TABLE[fields["engine"]].forks else 1
     fields.update(overrides)
     return RunOptions(**fields)
 
@@ -327,12 +272,9 @@ class Session:
     """
 
     def __init__(self, options: RunOptions | None = None):
-        self.options = options if options is not None else RunOptions()
-        if not isinstance(self.options, RunOptions):
-            raise TypeError("Session(options=...) must be a RunOptions")
+        self.options = resolve_options(options, "Session")
 
     def run(self, program, options: RunOptions | None = None):
-        opts = self.options if options is None else options
-        if not isinstance(opts, RunOptions):
-            raise TypeError("options must be a repro.api.RunOptions")
-        return program.run(opts)
+        if options is None:
+            return program.run(self.options)
+        return program.run(resolve_options(options, "Session.run"))

@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .analysis.reports import REPORTS
-from .api import add_engine_arguments
+from .api import add_engine_arguments, options_from_args
 
 __all__ = ["main", "build_parser"]
 
@@ -127,9 +127,9 @@ def main(argv: list[str] | None = None) -> int:
             print("--engine/--workers only apply to des-scale",
                   file=sys.stderr)
             return 2
-        engine = args.engine or "active"
-        workers = args.workers if engine == "sharded" else 1
-        print(fn(engine=engine, workers=workers))
+        args.engine = args.engine or "active"
+        opts = options_from_args(args)
+        print(fn(engine=opts.engine, workers=opts.workers))
         return 0
     print(fn())
     return 0

@@ -12,7 +12,8 @@ This mode exists to *validate* the functional solver and the analytic
 model (tests assert all three agree); it is usable for meshes up to a
 few thousand points.
 
-Pass an :class:`repro.obs.ObsSession` as ``obs=`` to observe a solve:
+Pass an :class:`repro.obs.ObsSession` as ``RunOptions(obs=...)`` to
+observe a solve:
 every kernel call is recorded as a phase span (``spmv`` / ``allreduce``
 / ``axpy`` / ``dot_local``, which tile the unified wafer timeline
 exactly), each iteration as an enclosing ``iteration[k]`` span carrying
@@ -23,9 +24,9 @@ Chrome-trace/Perfetto JSON (see ``docs/observability.md``).
 With ``ObsSession(profile=True)`` each persistent fabric additionally
 carries a :class:`repro.obs.profile.CycleProfiler`.  The lockstep
 discipline below is what makes fabric-local profiles composable into a
-solve-wide story: ``_sync_clock`` advances whichever fabric is *not*
-running the current kernel by exactly the other's elapsed cycles (as
-O(1) skipped spans), so both fabrics' clocks equal the unified
+solve-wide story: each engine's ``sync`` advances whichever fabric is
+*not* running the current kernel by exactly the other's elapsed cycles
+(as O(1) skipped spans), so both fabrics' clocks equal the unified
 timeline at every phase boundary — a critical-path segment at fabric
 cycle ``c`` therefore lands inside the phase span covering wafer cycle
 ``c`` with no translation, which is how ``python -m repro profile``
@@ -42,14 +43,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..api import RunOptions, coerce_options
-from ..obs import ObsSession
+from ..api import RunOptions
 from ..precision import Precision, spec_for
 from ..problems.stencil7 import Stencil7
 from ..solver.result import SolveResult
-from ..wse.allreduce import AllReduceEngine, simulate_allreduce
+from ..wse.allreduce import AllReduceEngine
 from ..wse.config import CS1, MachineConfig
-from .spmv3d import SpmvEngine, build_spmv_fabric, run_spmv_des
+from ..wse.engines import resolve_options
+from .spmv3d import SpmvEngine, build_spmv_fabric
 
 __all__ = ["DESBiCGStab", "DESCycleReport"]
 
@@ -89,65 +90,39 @@ class DESBiCGStab:
     config:
         Machine constants (SIMD width for the AXPY/dot cycle charges).
     options:
-        A :class:`repro.api.RunOptions` bundle controlling execution
-        (engine, workers, obs, analyze).  The bare ``analyze=`` /
-        ``engine=`` / ``obs=`` fields below are deprecated spellings of
-        the same thing and may not be combined with ``options``.
-    analyze:
-        When True, statically verify the SpMV tile program at
-        construction time — a probe fabric is built (no cycles run) and
-        passed through :func:`repro.wse.analyze.analyze_program`, so a
-        defective program raises before the first solve.
-    engine:
-        Kernel execution engine: ``"active"`` (event-driven active-set
-        sweep, the default), ``"reference"`` (the naive full-fabric
-        sweep kept for equivalence checking), ``"replay"`` (record
-        the first iteration's kernel schedules on the active engine,
-        replay later iterations as compiled vectorized array programs;
-        requires ``persistent=True``), or ``"sharded"`` (the active
-        engine partitioned across ``options.workers`` processes; see
-        :mod:`repro.wse.shard`).  Replay falls back to the live
-        engine on any program the analyzer cannot prove
-        schedule-deterministic, and on any cache invalidation.
-    persistent:
-        When True (default), build one :class:`SpmvEngine` and one
-        :class:`AllReduceEngine` at first use and re-run them for every
-        kernel call.  When False, each SpMV/AllReduce builds a fresh
-        fabric — the original call pattern, kept so the benchmark can
-        measure what persistence buys.
-    obs:
-        Optional :class:`repro.obs.ObsSession`.  When given, the solver
-        emits phase and iteration spans on the unified wafer timeline,
-        records per-iteration telemetry, and attaches fabric observers
-        to the persistent engines.  ``None`` (default) costs nothing.
+        A :class:`repro.api.RunOptions` bundle controlling execution.
+        ``engine`` selects how the two persistent kernel programs are
+        stepped (see :mod:`repro.wse.engines`): ``"replay"`` records the
+        first iteration's kernel schedules and replays later iterations
+        as compiled array programs, falling back to the live engine on
+        any program the analyzer cannot prove schedule-deterministic and
+        on any cache invalidation.  With ``analyze`` the SpMV tile
+        program is statically verified at construction time — a probe
+        fabric is built (no cycles run) and passed through
+        :func:`repro.wse.analyze.analyze_program`, so a defective
+        program raises before the first solve.  With ``obs`` (a
+        :class:`repro.obs.ObsSession`) the solver emits phase and
+        iteration spans on the unified wafer timeline, records
+        per-iteration telemetry, and attaches fabric observers to the
+        persistent engines; ``None`` (default) costs nothing.
+
+    One :class:`SpmvEngine` and one :class:`AllReduceEngine` are built
+    at first use and re-run for every kernel call.
     """
 
     operator: Stencil7
     config: MachineConfig = field(default_factory=lambda: CS1)
-    analyze: bool | None = None
-    engine: str | None = None
-    persistent: bool = True
-    obs: ObsSession | None = None
     options: RunOptions | None = None
 
     def __post_init__(self) -> None:
-        opts = coerce_options(self.options, caller="DESBiCGStab",
-                              engine=self.engine, analyze=self.analyze,
-                              obs=self.obs)
+        opts = resolve_options(self.options, "DESBiCGStab")
         self.options = opts
-        self.engine = opts.engine
-        self.analyze = opts.analyze
         self.obs = opts.obs
         if not self.operator.has_unit_diagonal:
             raise ValueError(
                 "DES BiCGStab requires a Jacobi-preconditioned operator"
             )
-        if self.engine == "replay" and not self.persistent:
-            raise ValueError(
-                "engine='replay' records a persistent program once and "
-                "replays it; it requires persistent=True"
-            )
-        if self.analyze:
+        if opts.analyze:
             build_spmv_fabric(
                 self.operator, np.zeros(self.operator.shape),
                 self.config, analyze=True,
@@ -184,44 +159,34 @@ class DESBiCGStab:
         self.obs.record_iteration(iteration=it, cycles=now - start, **args)
 
     # ------------------------------------------------------------------
-    # Unified timeline (persistent mode)
+    # Persistent engines on one wafer clock
     # ------------------------------------------------------------------
-    def _sync(self, fabric, executor=None) -> None:
-        """Fast-forward a persistent fabric to the solve's current cycle.
+    def _spmv_engine(self) -> SpmvEngine:
+        if self._spmv_eng is None:
+            self._spmv_eng = SpmvEngine(
+                self.operator, self.config,
+                options=self.options.replace(analyze=False),
+            )
+        return self._spmv_eng
 
-        Both persistent fabrics live on one wafer clock: while one runs a
-        kernel (or the cores do charged local AXPY/dot work) the other
-        sits idle.  The active-set engine proves those cycles are inert
-        (empty active set) and skips them in O(1) via
-        :meth:`repro.wse.fabric.Fabric.skip_cycles`; the totals show up
-        in ``FabricStats.skipped_cycles``.  The pre-PR engine had no
-        equivalent — simulating the same timeline costs it a full-fabric
-        sweep per idle cycle.
+    def _allreduce_engine(self) -> AllReduceEngine | None:
+        """None on degenerate (1 x N) fabrics, which reduce on the host."""
+        nx, ny, _nz = self.operator.shape
+        if self._ar_eng is None and nx >= 2 and ny >= 2:
+            self._ar_eng = AllReduceEngine(
+                nx, ny, options=self.options.detached(analyze=False),
+            )
+            if self.obs is not None:
+                self.obs.observe_fabric("allreduce", self._ar_eng.fabric)
+        return self._ar_eng
 
-        Under ``engine="sharded"`` the skip must also advance the shard
-        workers' clocks, so it is routed through the engine's
-        :class:`~repro.wse.shard.ShardedExecutor` when one exists.
-        """
-        now = self.report.total_cycles
-        behind = now - fabric.cycle
-        if behind <= 0:
-            return
-        if fabric.stats.cycles == 0:
-            # Never stepped: a persistent fabric idles unarmed until its
-            # first kernel (reduce()/run() re-arm the cores before any
-            # word moves), so aligning the clock is pure bookkeeping.
-            fabric.cycle = now
-            fabric.stats.cycles += behind
-            fabric.stats.skipped_cycles += behind
-            if fabric.obs is not None:
-                fabric.obs.on_skip(behind)
-            if executor is not None:
-                executor.align_clock(behind)
-            return
-        if executor is not None:
-            executor.skip(behind)
-        else:
-            fabric.skip_cycles(behind)
+    def engines(self) -> list:
+        """The persistent kernel engines (SpMV, then AllReduce when the
+        fabric has one).  A solve builds each at first use; asking here
+        builds them up front, e.g. to instrument their fabrics before
+        the first kernel runs."""
+        both = (self._spmv_engine(), self._allreduce_engine())
+        return [eng for eng in both if eng is not None]
 
     def close(self) -> None:
         """Shut down the persistent engines (and any shard workers).
@@ -229,30 +194,20 @@ class DESBiCGStab:
         Optional — worker processes are also reclaimed by a finalizer
         when the engines are garbage-collected.
         """
-        if self._spmv_eng is not None:
-            self._spmv_eng.close()
-        if self._ar_eng is not None:
-            self._ar_eng.close()
+        for eng in (self._spmv_eng, self._ar_eng):
+            if eng is not None:
+                eng.close()
 
     # ------------------------------------------------------------------
     # Simulated kernels
     # ------------------------------------------------------------------
     def _spmv(self, v: np.ndarray) -> np.ndarray:
         start = self.report.total_cycles
-        if self.persistent:
-            if self._spmv_eng is None:
-                self._spmv_eng = SpmvEngine(
-                    self.operator, self.config,
-                    options=self.options.replace(analyze=False),
-                )
-            if self.engine in ("active", "replay", "sharded"):
-                self._sync(self._spmv_eng.fabric, self._spmv_eng._executor)
-            u, cycles = self._spmv_eng.run(v.astype(np.float16))
-        else:
-            u, cycles = run_spmv_des(
-                self.operator, v.astype(np.float16), self.config,
-                options=self.options.detached(analyze=False),
-            )
+        eng = self._spmv_engine()
+        # Both persistent fabrics live on one wafer clock: catch this
+        # one up on the cycles the other kernels took (Runner.sync).
+        eng.sync(start)
+        u, cycles = eng.run(v.astype(np.float16))
         self.report.spmv_cycles += cycles
         self.report.spmv_runs += 1
         if self.obs is not None:
@@ -262,7 +217,7 @@ class DESBiCGStab:
     def _dot(self, a: np.ndarray, b: np.ndarray) -> float:
         """fp16-multiply / fp32-accumulate local dot, then the simulated
         Fig. 6 AllReduce over the per-tile partials."""
-        nx, ny, nz = self.operator.shape
+        nz = self.operator.shape[2]
         start = self.report.total_cycles
         prod = a.astype(np.float32) * b.astype(np.float32)
         partials = np.add.reduce(prod, axis=2, dtype=np.float32)  # (nx, ny)
@@ -271,33 +226,18 @@ class DESBiCGStab:
         )
         if self.obs is not None:
             self._phase("dot_local", start)
-        if nx >= 2 and ny >= 2:
-            start = self.report.total_cycles
-            if self.persistent:
-                if self._ar_eng is None:
-                    self._ar_eng = AllReduceEngine(
-                        nx, ny,
-                        options=self.options.detached(analyze=False),
-                    )
-                    if self.obs is not None:
-                        self.obs.observe_fabric(
-                            "allreduce", self._ar_eng.fabric
-                        )
-                if self.engine in ("active", "replay", "sharded"):
-                    self._sync(self._ar_eng.fabric, self._ar_eng._executor)
-                total, cycles = self._ar_eng.reduce(partials.T)
-            else:
-                total, cycles = simulate_allreduce(
-                    partials.T,
-                    options=self.options.detached(analyze=False),
-                )  # (rows=y, cols=x)
-            self.report.allreduce_cycles += cycles
-            self.report.allreduce_runs += 1
-            if self.obs is not None:
-                self._phase("allreduce", start)
-            return float(total)
-        # Degenerate fabrics (1 x N) fall back to a tree-ordered sum.
-        return float(np.add.reduce(partials.ravel(), dtype=np.float32))
+        eng = self._allreduce_engine()
+        if eng is None:
+            # Degenerate fabrics (1 x N) fall back to a tree-ordered sum.
+            return float(np.add.reduce(partials.ravel(), dtype=np.float32))
+        start = self.report.total_cycles
+        eng.sync(start)
+        total, cycles = eng.reduce(partials.T)  # (rows=y, cols=x)
+        self.report.allreduce_cycles += cycles
+        self.report.allreduce_runs += 1
+        if self.obs is not None:
+            self._phase("allreduce", start)
+        return float(total)
 
     def _axpy(self, a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """fp16 ``y + a*x`` with the SIMD-4 cycle charge."""
@@ -382,13 +322,11 @@ class DESBiCGStab:
             rho = rho_new
             p = self._axpy(float(beta), self._axpy(-float(omega), s, p), r)
 
-        if self.persistent and self.engine in ("active", "replay", "sharded"):
-            # Close out the unified timeline: both fabrics end the solve
-            # at the same wafer cycle, idle tails skipped in O(1).
-            if self._spmv_eng is not None:
-                self._sync(self._spmv_eng.fabric, self._spmv_eng._executor)
-            if self._ar_eng is not None:
-                self._sync(self._ar_eng.fabric, self._ar_eng._executor)
+        # Close out the unified timeline: both fabrics end the solve at
+        # the same wafer cycle, idle tails skipped in O(1).
+        for eng in (self._spmv_eng, self._ar_eng):
+            if eng is not None:
+                eng.sync(self.report.total_cycles)
         return SolveResult(
             x=x.astype(np.float64),
             converged=converged,

@@ -25,11 +25,10 @@ against :mod:`repro.precision`.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 
-from ..api import RunOptions, coerce_options
+from ..api import RunOptions
+from ..wse import engines
 from ..wse.analyze import (
     InstrDecl,
     MemRef,
@@ -55,31 +54,6 @@ def _single_core_fabric(config: MachineConfig) -> tuple[Fabric, Core]:
     core = Core(0, 0, config)
     fabric.attach_core(0, 0, core)
     return fabric, core
-
-
-@contextmanager
-def _maybe_record(fabric, replay: bool, label: str):
-    """``engine="replay"`` for the one-shot BLAS runners: record the
-    single live execution and prove the compiled schedule reproduces it
-    bit-for-bit (the live results themselves are returned either way)."""
-    if not replay:
-        yield None
-        return
-    from ..wse.replay import ReplaySession
-
-    session = ReplaySession(fabric, label=label)
-    if not session.enabled:
-        yield None
-        return
-    with session.record() as rec:
-        yield rec
-    if session.schedule is not None:
-        bad = session.schedule.check()
-        if bad:
-            raise AssertionError(
-                "replay self-check diverged from the live run: "
-                + "; ".join(bad[:5])
-            )
 
 
 def build_axpy_fabric(
@@ -180,35 +154,22 @@ def build_dot_fabric(
     return fabric, acc, instr
 
 
-def _run_single_tile(fabric, instr, n: int, kernel: str,
-                     opts: RunOptions) -> None:
-    """Step a 1x1 BLAS fabric to instruction completion under ``opts``.
+def _run_kernel(fabric, instr, n: int, label: str,
+                     opts: RunOptions) -> int:
+    """Step a 1x1 BLAS fabric to instruction completion under ``opts``,
+    record the kernel span, return the cycles.
 
     The sharded engine degenerates gracefully here: a single-tile
     fabric plans exactly one shard (no seams), so the round loop is the
     active engine plus process isolation — same cycle count.
     """
     start = fabric.cycle
-    if opts.engine == "sharded":
-        from ..wse.shard import run_sharded
-
-        run_sharded(
-            fabric,
-            lambda rect: (lambda f: instr.finished),
-            workers=opts.workers,
-            max_cycles=10 * n + 10,
-        )
-        return
-    if opts.sanitize:
-        fabric.attach_sanitizer()
-    try:
-        while not instr.finished:
-            fabric.step()
-            if fabric.cycle - start > 10 * n + 10:  # pragma: no cover - defensive
-                raise RuntimeError(f"{kernel} program did not finish")
-    finally:
-        if opts.sanitize:
-            fabric.detach_sanitizer()
+    cycles = engines.run_once(fabric, opts, lambda x, y: instr.finished,
+                              label=label, max_cycles=10 * n + 10)
+    if opts.obs is not None:
+        opts.obs.tracer.record(label, start, cycles, track="kernel:blas",
+                               cat="kernel", args={"n": n})
+    return cycles
 
 
 def run_axpy_des(
@@ -216,9 +177,6 @@ def run_axpy_des(
     x: np.ndarray,
     y: np.ndarray,
     config: MachineConfig = CS1,
-    analyze: bool | None = None,
-    engine: str | None = None,
-    obs=None,
     options: RunOptions | None = None,
 ) -> tuple[np.ndarray, int]:
     """AXPY ``y + a*x`` as one tile instruction.
@@ -227,34 +185,19 @@ def run_axpy_des(
     SIMD-4 streaming cost plus the single launch cycle; the result is
     bit-identical to :func:`repro.precision.ops.axpy` in mixed mode
     (tested).  Execution is controlled by ``options``
-    (:class:`repro.api.RunOptions`); the bare ``engine=``/``analyze=``/
-    ``obs=`` keywords are deprecated spellings of the same thing.
+    (:class:`repro.api.RunOptions`).
     """
-    opts = coerce_options(options, caller="run_axpy_des",
-                          engine=engine, analyze=analyze, obs=obs)
+    opts = engines.resolve_options(options, "run_axpy_des")
     fabric, out, instr = build_axpy_fabric(a, x, y, config,
                                            analyze=opts.analyze)
-    replay = opts.engine == "replay"
-    fabric.engine = ("active" if opts.engine in ("replay", "sharded")
-                     else opts.engine)
-    n = out.size
-    start = fabric.cycle
-    with _maybe_record(fabric, replay, "axpy"):
-        _run_single_tile(fabric, instr, n, "AXPY", opts)
-    if opts.obs is not None:
-        opts.obs.tracer.record("axpy", start, fabric.cycle - start,
-                               track="kernel:blas", cat="kernel",
-                               args={"n": n})
-    return out.copy(), fabric.cycle - start
+    cycles = _run_kernel(fabric, instr, out.size, "axpy", opts)
+    return out.copy(), cycles
 
 
 def run_dot_des(
     x: np.ndarray,
     y: np.ndarray,
     config: MachineConfig = CS1,
-    analyze: bool | None = None,
-    engine: str | None = None,
-    obs=None,
     options: RunOptions | None = None,
 ) -> tuple[float, int]:
     """The mixed-precision dot as one tile instruction.
@@ -262,21 +205,9 @@ def run_dot_des(
     fp16 operands, exact products (fp32), fp32 accumulation, at the
     hardware's 2 elements per cycle.  Returns ``(value, cycles)``.
     Execution is controlled by ``options``
-    (:class:`repro.api.RunOptions`); the bare ``engine=``/``analyze=``/
-    ``obs=`` keywords are deprecated spellings of the same thing.
+    (:class:`repro.api.RunOptions`).
     """
-    opts = coerce_options(options, caller="run_dot_des",
-                          engine=engine, analyze=analyze, obs=obs)
+    opts = engines.resolve_options(options, "run_dot_des")
     fabric, acc, instr = build_dot_fabric(x, y, config, analyze=opts.analyze)
-    replay = opts.engine == "replay"
-    fabric.engine = ("active" if opts.engine in ("replay", "sharded")
-                     else opts.engine)
-    n = np.asarray(x).size
-    start = fabric.cycle
-    with _maybe_record(fabric, replay, "dot"):
-        _run_single_tile(fabric, instr, n, "dot", opts)
-    if opts.obs is not None:
-        opts.obs.tracer.record("dot", start, fabric.cycle - start,
-                               track="kernel:blas", cat="kernel",
-                               args={"n": n})
-    return float(acc.value), fabric.cycle - start
+    cycles = _run_kernel(fabric, instr, np.asarray(x).size, "dot", opts)
+    return float(acc.value), cycles

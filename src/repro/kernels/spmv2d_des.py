@@ -29,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..api import RunOptions, coerce_options
+from ..api import RunOptions
 from ..problems.stencil9 import OFFSETS_9PT, Stencil9
+from ..wse import engines
 from ..wse.analyze import (
     FabricRef,
     InstrDecl,
@@ -328,7 +329,6 @@ def build_spmv2d_fabric(
     block_shape: tuple[int, int],
     config: MachineConfig = CS1,
     analyze: bool = False,
-    engine: str = "active",
     value_range: tuple[float, float] = (-2.0, 2.0),
     tolerance: float = 0.25,
 ) -> tuple[Fabric, list[list[_TileProgram]]]:
@@ -362,7 +362,6 @@ def build_spmv2d_fabric(
         # Shipped programs always carry their StaticContract (exact link
         # words + cycle lower bound; names CDG cycles on deadlock).
         fabric.static_contract = compute_contract(fabric)
-    fabric.engine = engine
     return fabric, programs
 
 
@@ -372,80 +371,29 @@ def run_spmv2d_des(
     block_shape: tuple[int, int],
     config: MachineConfig = CS1,
     max_cycles: int = 500_000,
-    analyze: bool | None = None,
-    engine: str | None = None,
-    obs=None,
     options: RunOptions | None = None,
 ) -> tuple[np.ndarray, int]:
     """Run the 2D-mapping SpMV on the tile simulator.
 
     Returns ``(u, cycles)`` with ``u`` the assembled fp16-arithmetic
     result (float64-valued array).  Execution is controlled by
-    ``options`` (:class:`repro.api.RunOptions`); the bare
-    ``engine=``/``analyze=``/``obs=`` keywords are deprecated spellings
-    of the same thing.
+    ``options`` (:class:`repro.api.RunOptions`).
     """
-    opts = coerce_options(options, caller="run_spmv2d_des",
-                          engine=engine, analyze=analyze, obs=obs)
+    opts = engines.resolve_options(options, "run_spmv2d_des")
     nx, ny = op.shape
     bx, by = block_shape
-    replay = opts.engine == "replay"
     fabric, programs = build_spmv2d_fabric(
-        op, v, block_shape, config, analyze=opts.analyze,
-        engine=("active" if opts.engine in ("replay", "sharded")
-                else opts.engine),
-    )
+        op, v, block_shape, config, analyze=opts.analyze)
     px, py = nx // bx, ny // by
-    if opts.obs is not None:
-        opts.obs.observe_fabric(
-            opts.obs.unique_fabric_name("spmv2d"), fabric)
     obs = opts.obs
-
-    def finished(f: Fabric) -> bool:
-        return f.quiescent() and all(
-            programs[bj][bi].done for bj in range(py) for bi in range(px)
-        )
-
-    start = fabric.cycle
-    if opts.engine == "sharded":
-        from ..wse.shard import run_sharded
-
-        def until_factory(rect):
-            blocks = [(bi, bj) for bj in range(rect.y0, rect.y1)
-                      for bi in range(rect.x0, rect.x1)]
-
-            def local_done(f, blocks=blocks):
-                return f.quiescent() and all(
-                    programs[bj][bi].done for (bi, bj) in blocks
-                )
-
-            return local_done
-
-        cycles = run_sharded(fabric, until_factory, workers=opts.workers,
-                             max_cycles=max_cycles)
-    elif replay:
-        # One-shot runner: record the single live execution and prove
-        # the compiled schedule reproduces it bit-for-bit.
-        from ..wse.replay import ReplaySession
-
-        session = ReplaySession(fabric, label="spmv2d")
-        if session.enabled:
-            with session.record():
-                cycles = fabric.run(max_cycles=max_cycles, until=finished)
-            if session.schedule is not None:
-                bad = session.schedule.check()
-                if bad:
-                    raise AssertionError(
-                        "replay self-check diverged from the live run: "
-                        + "; ".join(bad[:5])
-                    )
-        else:
-            cycles = fabric.run(max_cycles=max_cycles, until=finished)
-    else:
-        cycles = fabric.run(max_cycles=max_cycles, until=finished,
-                            sanitize=opts.sanitize)
     if obs is not None:
-        obs.tracer.record("spmv2d", start, fabric.cycle - start,
+        obs.observe_fabric(obs.unique_fabric_name("spmv2d"), fabric)
+    start = fabric.cycle
+    cycles = engines.run_once(
+        fabric, opts, lambda x, y: programs[y][x].done,
+        label="spmv2d", max_cycles=max_cycles)
+    if obs is not None:
+        obs.tracer.record("spmv2d", start, cycles,
                           track="kernel:spmv2d", cat="kernel",
                           args={"blocks": [px, py]})
     u = np.empty(op.shape)

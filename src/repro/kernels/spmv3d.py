@@ -42,8 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..api import RunOptions, coerce_options
+from ..api import RunOptions
 from ..problems.stencil7 import Stencil7
+from ..wse import engines
 from ..wse.analyze import (
     DrainDecl,
     FabricRef,
@@ -129,12 +130,12 @@ class SpmvPrograms(list):
         (the ``v[Z] = 0`` pad is never written by anyone)."""
         self.v_plane[:, :, :-1] = v16.transpose(1, 0, 2)
 
-    def rearm(self, v16: np.ndarray, executor=None) -> None:
-        """Arm ``v`` and re-activate every tile's ``spmv`` task for a
-        live run.  Under the sharded engine the authoritative copies
-        live in the forked workers, so the same writes travel as pokes
-        (the parent-side planes stay coherent for inspection)."""
-        self.arm(v16)
+    def rearm(self, executor=None) -> None:
+        """Re-activate every tile's ``spmv`` task for a live run over
+        the armed ``v``.  Under the sharded engine the authoritative
+        copies live in the forked workers, so ``v`` and the activation
+        travel as pokes (the parent-side planes stay coherent for
+        inspection)."""
         if executor is not None:
             ops = []
             for j, row in enumerate(self):
@@ -154,8 +155,10 @@ class SpmvPrograms(list):
         array (fp16 values widened exactly)."""
         return self.u_plane[:, :, 1:-1].transpose(1, 0, 2).astype(np.float64)
 
-    def all_done(self) -> bool:
-        return all(prog.done for row in self for prog in row)
+    def tile_done(self, x: int, y: int) -> bool:
+        """Tile (x, y)'s completion tree fired (the per-tile answer
+        :mod:`repro.wse.engines` builds its ``until`` predicates from)."""
+        return self[y][x].done
 
 
 def _build_tile_program(
@@ -510,31 +513,6 @@ def build_spmv_fabric(
     return fabric, programs
 
 
-def _finished(programs: SpmvPrograms):
-    """``until`` predicate of an in-process run: fabric drained and
-    every tile's completion tree fired."""
-    def finished(f: Fabric) -> bool:
-        # quiescent() first: under the active-set engine it rejects in
-        # O(1) while work is in flight (same conjunction).
-        return f.quiescent() and programs.all_done()
-
-    return finished
-
-
-def _shard_until_factory(programs: SpmvPrograms):
-    """Per-shard ``until`` predicates for the sharded engine."""
-    def until_factory(rect):
-        tiles = [programs[j][i] for j in range(rect.y0, rect.y1)
-                 for i in range(rect.x0, rect.x1)]
-
-        def local_done(f, tiles=tiles):
-            return f.quiescent() and all(prog.done for prog in tiles)
-
-        return local_done
-
-    return until_factory
-
-
 class SpmvEngine:
     """A persistent SpMV program: build the fabric once, run many times.
 
@@ -549,67 +527,45 @@ class SpmvEngine:
         op: Stencil7,
         config: MachineConfig = CS1,
         fifo_capacity: int = 20,
-        engine: str | None = None,
-        obs=None,
         obs_name: str = "spmv",
         options: RunOptions | None = None,
     ):
-        opts = coerce_options(options, caller="SpmvEngine",
-                              engine=engine, obs=obs)
+        opts = engines.resolve_options(options, "SpmvEngine")
         self.options = opts
-        engine = opts.engine
-        obs = opts.obs
         self.op = op
         self.fabric, self.programs = build_spmv_fabric(
             op, np.zeros(op.shape), config, fifo_capacity
-        )
-        self.engine = engine
-        # "replay" records the first run() on the live active-set engine
-        # and replays later runs as the compiled schedule; "sharded"
-        # forks shard workers that each step their rectangle with it.
-        self.fabric.engine = (
-            "active" if engine in ("replay", "sharded") else engine
         )
         self.runs = 0
         #: Optional :class:`repro.obs.ObsSession` — attached *before*
         #: the warm-up run so the observer's cycle accounting is exact
         #: (stepped + skipped == fabric.cycle) from cycle 0.
-        self.obs = obs
+        self.obs = obs = opts.obs
         if obs is not None:
             obs.observe_fabric(obs.unique_fabric_name(obs_name), self.fabric)
+        # Built before the warm-up: the replay proof inspects the fresh
+        # program's activation state, and shard workers fork here so the
+        # program state rides the fork and every later re-arm is a poke.
+        self._runner = engines.Runner(
+            self.fabric, opts, self.programs.tile_done, label="spmv",
+            max_cycles=200_000, configure=self._configure_recording,
+        )
+        #: The replay session (``engine="replay"`` only), else None.
+        self.replay = self._runner.replay
         # The build activates each tile's spmv task for a first run over
         # the zero vector; consume it so run() starts clean.
-        self.replay = None
-        #: Shard coordinator (``engine="sharded"`` only); forked on the
-        #: warm-up below so the program state rides the fork and every
-        #: later re-arm travels as pokes.
-        self._executor = None
-        if engine == "replay":
-            # Prove schedule determinism on the freshly built program
-            # (the task-graph pass inspects live activation state, which
-            # the warm-up run below perturbs).
-            from ..wse.replay import ReplaySession
-
-            self.replay = ReplaySession(self.fabric, label="spmv")
-        warm = self._execute()
+        warm = self._runner.live()
         if obs is not None:
             obs.tracer.record("spmv.warmup", self.fabric.cycle - warm, warm,
                               track="kernel:spmv", cat="kernel")
 
-    def _ensure_executor(self):
-        if self._executor is None:
-            from ..wse.shard import ShardedExecutor
-
-            self._executor = ShardedExecutor(
-                self.fabric, workers=self.options.workers,
-                until_factory=_shard_until_factory(self.programs),
-            )
-        return self._executor
+    def sync(self, now: int) -> None:
+        """Fast-forward the idle fabric to wafer cycle ``now``."""
+        self._runner.sync(now)
 
     def close(self) -> None:
         """Release shard workers (no-op for in-process engines)."""
-        if self._executor is not None:
-            self._executor.close()
+        self._runner.close()
 
     def _configure_recording(self, rec) -> None:
         """The stencil coefficient arrays bake into constants; ``v`` and
@@ -622,31 +578,11 @@ class SpmvEngine:
                              "zinit_a", "zloop_a"):
                     rec.register_static(mem.get(name))
 
-    def _execute(self) -> int:
-        start = self.fabric.cycle
-        if self.engine == "sharded":
-            ex = self._ensure_executor()
-            ex.run(max_cycles=200_000 + start)
-            ex.harvest()
-            return self.fabric.cycle - start
-        self.fabric.run(max_cycles=200_000 + start,
-                        until=_finished(self.programs))
-        return self.fabric.cycle - start
-
     def run(self, v: np.ndarray) -> tuple[np.ndarray, int]:
         """One SpMV over the persistent program; returns ``(u, cycles)``."""
         v16 = np.asarray(v, dtype=np.float16).reshape(self.op.shape)
-        session = self.replay
-        if session is not None and session.valid():
-            self.programs.arm(v16)
-            cycles = session.replay()
-        else:
-            self.programs.rearm(v16, self._executor)
-            if session is not None and session.enabled:
-                with session.record(configure=self._configure_recording):
-                    cycles = self._execute()
-            else:
-                cycles = self._execute()
+        self.programs.arm(v16)
+        cycles = self._runner.run(self.programs.rearm)
         self.runs += 1
         if self.obs is not None:
             self.obs.tracer.record(
@@ -663,8 +599,6 @@ def run_spmv_des(
     fifo_capacity: int = 20,
     max_cycles: int = 200_000,
     two_sum_tasks: bool = False,
-    engine: str | None = None,
-    analyze: bool | None = None,
     options: RunOptions | None = None,
 ) -> tuple[np.ndarray, int]:
     """Run the discrete simulation of one SpMV; returns ``(u, cycles)``.
@@ -673,48 +607,16 @@ def run_spmv_des(
     the fp16-arithmetic 7-point matvec; the cycle count is the fabric
     cycle at which every tile's completion tree fired and the fabric
     drained.  Execution is controlled by ``options``
-    (:class:`repro.api.RunOptions`); the bare ``engine=``/``analyze=``
-    keywords are deprecated spellings of the same thing.
+    (:class:`repro.api.RunOptions`).
     """
-    opts = coerce_options(options, caller="run_spmv_des",
-                          engine=engine, analyze=analyze)
-    engine = opts.engine
+    opts = engines.resolve_options(options, "run_spmv_des")
     fabric, programs = build_spmv_fabric(op, v, config, fifo_capacity,
                                          two_sum_tasks, analyze=opts.analyze)
-    replay = engine == "replay"
-    fabric.engine = "active" if engine in ("replay", "sharded") else engine
     if opts.obs is not None:
         opts.obs.observe_fabric(
             opts.obs.unique_fabric_name("spmv"), fabric)
-    finished = _finished(programs)
-
-    if engine == "sharded":
-        from ..wse.shard import run_sharded
-
-        cycles = run_sharded(fabric, _shard_until_factory(programs),
-                             workers=opts.workers, max_cycles=max_cycles)
-    elif replay:
-        # One-shot runners record the single live execution and prove
-        # the compiled schedule reproduces it bit-for-bit (the recorded
-        # results themselves are returned either way).
-        from ..wse.replay import ReplaySession
-
-        session = ReplaySession(fabric, label="spmv-oneshot")
-        if session.enabled:
-            with session.record():
-                cycles = fabric.run(max_cycles=max_cycles, until=finished)
-            if session.schedule is not None:
-                bad = session.schedule.check()
-                if bad:
-                    raise AssertionError(
-                        "replay self-check diverged from the live run: "
-                        + "; ".join(bad[:5])
-                    )
-        else:
-            cycles = fabric.run(max_cycles=max_cycles, until=finished)
-    else:
-        cycles = fabric.run(max_cycles=max_cycles, until=finished,
-                            sanitize=opts.sanitize)
+    cycles = engines.run_once(fabric, opts, programs.tile_done,
+                              label="spmv-oneshot", max_cycles=max_cycles)
     return programs.result(), cycles
 
 

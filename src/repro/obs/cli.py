@@ -273,13 +273,13 @@ def profile_main(argv: list[str] | None = None) -> int:
         help="print the reports only; write nothing",
     )
     from ..api import add_engine_arguments
+    from ..wse.engines import unsupported
 
     add_engine_arguments(parser)
     args = parser.parse_args(argv)
-    if args.engine == "sharded":
-        print("profile: the cycle profiler needs the whole fabric "
-              "in-process; --engine sharded is unsupported (profile under "
-              "active — sharded runs are bit-identical to it)")
+    why = unsupported(args.engine, "profile")
+    if why:
+        print(f"profile: {why}")
         return 2
 
     obs, solver, result = run_profiled_solve(

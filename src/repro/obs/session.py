@@ -1,7 +1,7 @@
 """The observation facade: one tracer + one registry + fabric observers.
 
 An :class:`ObsSession` is what callers hand to the DES kernels and
-solver (``DESBiCGStab(op, obs=session)``): it owns the
+solver (``DESBiCGStab(op, options=RunOptions(obs=session))``): it owns the
 :class:`~repro.obs.span.SpanTracer` for the unified wafer timeline, the
 :class:`~repro.obs.metrics.MetricsRegistry` shared by every fabric, the
 per-fabric :class:`~repro.obs.fabric_obs.FabricObserver` attachments,

@@ -29,10 +29,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..api import RunOptions, coerce_options
+from . import engines
 from .config import CS1, MachineConfig
 from .fabric import Fabric
 from .sanitizer import _ShadowWord
@@ -48,6 +49,9 @@ from .patterns import (
     vrep,
     vstack,
 )
+
+if TYPE_CHECKING:  # repro.api imports repro.wse.engines, hence this package
+    from ..api import RunOptions
 
 __all__ = [
     "CH_ROW",
@@ -530,25 +534,15 @@ class AllReduceEngine:
 
     def __init__(
         self, width: int, height: int, queue_capacity: int = 8,
-        engine: str | None = None, options: RunOptions | None = None,
+        options: RunOptions | None = None,
     ):
-        opts = coerce_options(options, caller="AllReduceEngine",
-                              engine=engine)
+        opts = engines.resolve_options(options, "AllReduceEngine")
         self.options = opts
-        engine = opts.engine
         if width < 2 or height < 2:
             raise ValueError("AllReduce pattern needs a fabric of at least 2x2")
         self.width = width
         self.height = height
-        self.engine = engine
         self.fabric = Fabric(width, height, queue_capacity)
-        # "replay" is an orchestration layer over the active engine: the
-        # first reduce records on the live active-set stepper, later
-        # reduces replay the compiled schedule.  "sharded" forks workers
-        # that each step their rectangle with the active engine.
-        self.fabric.engine = (
-            "active" if engine in ("replay", "sharded") else engine
-        )
         compile_to_fabric(allreduce_pattern(width, height), self.fabric)
         self.cores: list[ReduceCore] = []
         for y in range(height):
@@ -556,44 +550,30 @@ class AllReduceEngine:
                 core = ReduceCore(x, y, width, height, 0.0)
                 self.fabric.attach_core(x, y, core)
                 self.cores.append(core)
-        if engine != "reference":
-            self.fabric.prebind()
+        self.fabric.prebind()
         from .analyze.contracts import compute_contract
 
         # The collective carries its static contract like every shipped
         # program: exact per-link words per reduce, cycle lower bound.
         self.fabric.static_contract = compute_contract(self.fabric)
-        self.replay = None
-        self._executor = None
-        if engine == "replay":
-            from .replay import ReplaySession
-
-            self.replay = ReplaySession(self.fabric, label="allreduce")
-        elif engine == "sharded":
-            from .shard import ShardedExecutor
-
-            cores = self.cores
-
-            def until_factory(rect):
-                local = [c for c in cores if rect.contains(c.x, c.y)]
-
-                def local_done(f, local=local):
-                    return f.quiescent() and all(
-                        c.result is not None for c in local
-                    )
-
-                return local_done
-
-            self._executor = ShardedExecutor(
-                self.fabric, workers=opts.workers,
-                until_factory=until_factory,
-            )
+        cores = self.cores
+        self._runner = engines.Runner(
+            self.fabric, opts,
+            lambda x, y: cores[y * width + x].result is not None,
+            label="allreduce",
+            max_cycles=50 * (width + height) + 1000,
+        )
+        #: The replay session (``engine="replay"`` only), else None.
+        self.replay = self._runner.replay
         self.runs = 0
+
+    def sync(self, now: int) -> None:
+        """Fast-forward the idle fabric to wafer cycle ``now``."""
+        self._runner.sync(now)
 
     def close(self) -> None:
         """Release shard workers (no-op for in-process engines)."""
-        if self._executor is not None:
-            self._executor.close()
+        self._runner.close()
 
     def reduce(self, values: np.ndarray) -> tuple[float, int]:
         """All-reduce one grid of per-tile scalars; returns (sum, cycles)."""
@@ -603,53 +583,35 @@ class AllReduceEngine:
                 f"values shape {values.shape} does not match the "
                 f"({self.height}, {self.width}) fabric"
             )
-        session = self.replay
-        if session is not None:
-            if session.valid():
-                cycles = session.replay({"values": values.ravel()})
-                self.runs += 1
-                # Every core's ``result`` was just assigned from this one
-                # array, so agreement is a single vector comparison.
-                return _agreed(session.schedule.obj_written["result"]), cycles
-            if session.enabled:
-                with session.record():
-                    return self._reduce_live(values)
-            session.note_fallback()
-        return self._reduce_live(values)
+        runner = self._runner
+        cycles = runner.run(lambda executor: self._arm(values, executor),
+                            {"values": values.ravel()})
+        self.runs += 1
+        if runner.replayed:
+            # Every core's ``result`` was just assigned from this one
+            # array, so agreement is a single vector comparison.
+            results = self.replay.schedule.obj_written["result"]
+        else:
+            results = [c.result for c in self.cores]
+        return _agreed(results), cycles
 
-    def _reduce_live(self, values: np.ndarray) -> tuple[float, int]:
-        cores = self.cores
-        if self._executor is not None:
+    def _arm(self, values: np.ndarray, executor) -> None:
+        """Re-arm every core with its operand for a live reduce."""
+        if executor is not None:
             # Sharded: the authoritative cores live in the forked
-            # workers — re-arm them with pokes, run the lockstep
-            # rounds, then pull the results back into the parent.
-            ex = self._executor
-            ex.poke([
+            # workers — re-arm them with pokes.
+            executor.poke([
                 ("reduce_reset", x, y, float(values[y][x]))
                 for y in range(self.height) for x in range(self.width)
             ])
-            fabric = self.fabric
-            start = fabric.cycle
-            ex.run(max_cycles=50 * (self.width + self.height) + 1000)
-            ex.harvest()
-            self.runs += 1
-            return _agreed([c.result for c in cores]), fabric.cycle - start
+            return
+        cores = self.cores
         k = 0
         for y in range(self.height):
             row = values[y]
             for x in range(self.width):
                 cores[k].reset(float(row[x]))
                 k += 1
-        fabric = self.fabric
-        start = fabric.cycle
-        fabric.run(
-            max_cycles=50 * (self.width + self.height) + 1000,
-            # quiescent() first: O(1) rejection while words are in flight.
-            until=lambda f: f.quiescent()
-            and all(c.result is not None for c in cores),
-        )
-        self.runs += 1
-        return _agreed([c.result for c in cores]), fabric.cycle - start
 
 
 def _agreed(results) -> float:
@@ -665,7 +627,7 @@ def _agreed(results) -> float:
 
 def simulate_allreduce(
     values: np.ndarray, queue_capacity: int = 8,
-    engine: str | None = None, options: RunOptions | None = None,
+    options: RunOptions | None = None,
 ) -> tuple[float, int]:
     """Run the collective on a freshly built simulated fabric.
 
@@ -674,8 +636,7 @@ def simulate_allreduce(
     values:
         Per-tile scalars, shape ``(height, width)``.
     options:
-        Execution options (:class:`repro.api.RunOptions`); the bare
-        ``engine=`` keyword is the deprecated spelling.
+        Execution options (:class:`repro.api.RunOptions`).
 
     Returns
     -------
@@ -684,11 +645,9 @@ def simulate_allreduce(
         and the cycle count from first injection to the last core
         receiving the broadcast.
     """
-    opts = coerce_options(options, caller="simulate_allreduce",
-                          engine=engine)
     values = np.asarray(values, dtype=np.float32)
     height, width = values.shape
-    eng = AllReduceEngine(width, height, queue_capacity, options=opts)
+    eng = AllReduceEngine(width, height, queue_capacity, options=options)
     try:
         return eng.reduce(values)
     finally:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from .diagnostics import Diagnostic, Severity
 from .routing import cyclic_sccs
+from ..engines import stepper
 from ..fabric import OPPOSITE, Fabric, FabricDeadlockError, Port
 
 __all__ = [
@@ -237,7 +238,7 @@ def confirm_counterexample(
     Raises ``RuntimeError`` if the fabric finishes or times out without
     deadlocking — i.e. if the static finding failed validation.
     """
-    counterexample.engine = engine
+    counterexample.engine = stepper(engine)
     try:
         counterexample.run(max_cycles=max_cycles)
     except FabricDeadlockError as err:

@@ -30,11 +30,12 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .analyzer import analyze_program
 from .diagnostics import Severity
 from .numerics import confirm_numerics_witness, synthesize_numerics_witness
+from .shipped import build_fig9_program, shipped
+from ..engines import unsupported
+from ...api import RunOptions, add_engine_arguments
 
 __all__ = [
     "NumericsCheck",
@@ -44,13 +45,6 @@ __all__ = [
     "certify_all",
     "certify_main",
 ]
-
-#: Fig. 9 study knobs: a small mfix-like momentum system whose raw
-#: diagonal (``rho/dt = 1/dt``) is deep in fp16 overflow territory.
-_FIG9_SHAPE = (4, 4, 4)
-_FIG9_REYNOLDS = 400.0
-_FIG9_DT = 2.5e-5
-_FIG9_M = 8  # elements per leg in the mac chain
 
 
 @dataclass
@@ -85,224 +79,38 @@ class NumericsCheck:
         }
 
 
-# ---------------------------------------------------------------------------
-# The Fig. 9 pair
-# ---------------------------------------------------------------------------
-def build_fig9_program(scaled: bool):
-    """A single-tile fp16 mac chain with mfix-like coefficients.
-
-    Seven legs (``diag, xp, xm, yp, ym, zp, zm``) accumulate
-    ``out[k] += c_leg[k] * x[k]`` element-wise in fp16 — the arithmetic
-    shape of the wafer SpMV, reduced to one core so the split is purely
-    about the coefficients.  ``scaled=False`` uses the raw momentum
-    operator; ``scaled=True`` its Jacobi unit-diagonal form.
-
-    Returns ``(fabric, out_array, instructions)``.
-    """
-    from ...problems.mfix_like import momentum_system
-    from ..config import CS1
-    from ..core import Core
-    from ..dsr import Instruction, MemCursor
-    from ..fabric import Fabric
-    from .spec import InstrDecl, MemRef
-
-    system = momentum_system(
-        _FIG9_SHAPE, reynolds=_FIG9_REYNOLDS, dt=_FIG9_DT,
-        preconditioned=scaled,
-    )
-    coeffs = system.operator.coeffs
-    m = _FIG9_M
-
-    fabric = Fabric(1, 1)
-    core = Core(0, 0, CS1)
-    fabric.attach_core(0, 0, core)
-    mem = core.memory
-
-    x = mem.alloc("x", m, np.float16)
-    x[:] = np.linspace(-2.0, 2.0, m).astype(np.float16)
-    out = mem.alloc("out", m, np.float16)
-    legs = ("diag", "xp", "xm", "yp", "ym", "zp", "zm")
-    for leg in legs:
-        arr = mem.alloc(f"c_{leg}", m, np.float16)
-        arr[:] = np.asarray(coeffs[leg]).ravel()[:m].astype(np.float16)
-
-    decl = core.program_decl
-    decl.declare_range("x", -2.0, 2.0)
-    decl.declare_tolerance(0.25)
-    instrs = []
-    for leg in legs:
-        instr = Instruction(
-            op="mac",
-            dst=MemCursor(out, 0, m, name="out"),
-            srcs=[
-                MemCursor(mem.get(f"c_{leg}"), 0, m, name=f"c_{leg}"),
-                MemCursor(x, 0, m, name="x"),
-            ],
-            length=m,
-            name=f"mac_{leg}",
-        )
-        core.launch(instr, thread=None)
-        instrs.append(instr)
-        decl.launched(InstrDecl(
-            "mac", MemRef("out", 0, m),
-            (MemRef(f"c_{leg}", 0, m), MemRef("x", 0, m)),
-            length=m, thread=None, name=f"mac_{leg}",
-        ))
-    fabric.prebind()
-    return fabric, out, instrs
-
-
-def _run_fig9(fabric, instrs) -> None:
-    fabric.run(
-        max_cycles=10_000,
-        until=lambda f: all(i.finished for i in instrs),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Shadowed runners: build fresh, attach ShadowNumerics, run, report.
-# Each returns ``(fabric, shadow)`` with at least one completed run.
-# ---------------------------------------------------------------------------
-def _shadowed(fabric, run) -> tuple:
+def _build_and_run(name: str, engine: str):
+    """Start the named shipped program under ``engine``, attach the
+    fp64 shadow executor and run it; returns ``(fabric, shadow)``."""
     import warnings
 
     from ..sanitizer import ShadowNumerics
 
-    shadow = ShadowNumerics(fabric)
-    fabric.attach_sanitizer(shadow)
+    program = {p.name: p for p in shipped("certify")}[name]
+    started = program.start(RunOptions(engine=engine))
     try:
-        # The expected-reject program overflows fp16 by design; keep
-        # numpy's cast warnings out of the report.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            run(fabric)
+        (kernel,) = started.kernels()
+        fabric = kernel.fabric
+        shadow = ShadowNumerics(fabric)
+        fabric.attach_sanitizer(shadow)
+        try:
+            # The expected-reject program overflows fp16 by design; keep
+            # numpy's cast warnings out of the report.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                started.execute()
+                if started.persistent:
+                    started.execute()  # re-arm path: certify across runs
+        finally:
+            fabric.detach_sanitizer()
     finally:
-        fabric.detach_sanitizer()
+        started.close()
     return fabric, shadow
-
-
-def _certify_spmv3d(engine: str, two_sum_tasks: bool = False,
-                    shape=(3, 3, 6)):
-    from ...kernels.spmv3d import SpmvEngine
-    from ...problems.stencil7 import Stencil7
-
-    op, _b, _dinv = Stencil7.from_random(shape).jacobi_precondition()
-    eng = SpmvEngine(op, engine=engine)
-    if two_sum_tasks:
-        # The two-task split only changes drain interleaving; rebuild.
-        from ...kernels.spmv3d import build_spmv_fabric
-
-        n = int(np.prod(shape))
-        v = np.linspace(-1.0, 1.0, n).reshape(shape)
-        fabric, programs = build_spmv_fabric(op, v, two_sum_tasks=True)
-        fabric.engine = "active" if engine == "replay" else engine
-        nx, ny, _nz = op.shape
-
-        def run(f):
-            f.run(max_cycles=200_000, until=lambda f: f.quiescent() and all(
-                programs[j][i].done for j in range(ny) for i in range(nx)))
-
-        return _shadowed(fabric, run)
-
-    n = int(np.prod(shape))
-    v = np.linspace(-1.0, 1.0, n).reshape(shape)
-
-    def run(_f):
-        eng.run(v)
-
-    return _shadowed(eng.fabric, run)
-
-
-def _certify_spmv2d(engine: str, shape=(6, 6), block_shape=(3, 3)):
-    from ...kernels.spmv2d_des import build_spmv2d_fabric
-    from ...problems.stencil9 import Stencil9
-
-    op, _b, _dinv = Stencil9.from_random(shape).jacobi_precondition()
-    n = int(np.prod(shape))
-    v = np.linspace(1.0, -1.0, n).reshape(shape)
-    fabric, programs = build_spmv2d_fabric(op, v, block_shape, engine=engine)
-    bx, by = block_shape
-    px, py = shape[0] // bx, shape[1] // by
-
-    def run(f):
-        f.run(max_cycles=500_000, until=lambda f: f.quiescent() and all(
-            programs[bj][bi].done for bj in range(py) for bi in range(px)))
-
-    return _shadowed(fabric, run)
-
-
-def _certify_blas(engine: str, kernel: str, n: int = 32):
-    from ...kernels.blas_des import build_axpy_fabric, build_dot_fabric
-
-    x = np.linspace(-1, 1, n)
-    y = np.linspace(1, -1, n)
-    if kernel == "axpy":
-        fabric, _out, instr = build_axpy_fabric(0.5, x, y)
-    else:
-        fabric, _acc, instr = build_dot_fabric(x, y)
-    fabric.engine = engine
-
-    def run(f):
-        f.run(max_cycles=10 * n + 100, until=lambda f: instr.finished)
-
-    return _shadowed(fabric, run)
-
-
-def _certify_allreduce(engine: str, width: int = 6, height: int = 4):
-    from ..allreduce import AllReduceEngine
-
-    eng = AllReduceEngine(width, height, engine=engine)
-    rng = np.random.default_rng(7)
-    values = rng.uniform(-60.0, 60.0, (height, width))
-
-    def run(_f):
-        eng.reduce(values)
-        eng.reduce(values * 0.5)  # re-arm path: certify across runs
-
-    return _shadowed(eng.fabric, run)
-
-
-def _certify_fig9(engine: str, scaled: bool):
-    fabric, _out, instrs = build_fig9_program(scaled)
-    fabric.engine = engine
-    return _shadowed(fabric, lambda f: _run_fig9(f, instrs))
 
 
 def certified_programs() -> list[tuple[str, bool]]:
     """``(name, expect_reject)`` for the nine certified programs."""
-    return [
-        ("spmv3d-3x3x6", False),
-        ("spmv3d-two-sum-tasks", False),
-        ("spmv3d-1x1x8", False),
-        ("spmv2d-6x6-b3x3", False),
-        ("axpy-32", False),
-        ("dot-32", False),
-        ("allreduce-6x4", False),
-        ("mfix-fig9-scaled", False),
-        ("mfix-fig9-unscaled", True),
-    ]
-
-
-def _build_and_run(name: str, engine: str):
-    if name == "spmv3d-3x3x6":
-        return _certify_spmv3d(engine)
-    if name == "spmv3d-two-sum-tasks":
-        return _certify_spmv3d(engine, two_sum_tasks=True)
-    if name == "spmv3d-1x1x8":
-        return _certify_spmv3d(engine, shape=(1, 1, 8))
-    if name == "spmv2d-6x6-b3x3":
-        return _certify_spmv2d(engine)
-    if name == "axpy-32":
-        return _certify_blas(engine, "axpy")
-    if name == "dot-32":
-        return _certify_blas(engine, "dot")
-    if name == "allreduce-6x4":
-        return _certify_allreduce(engine)
-    if name == "mfix-fig9-scaled":
-        return _certify_fig9(engine, scaled=True)
-    if name == "mfix-fig9-unscaled":
-        return _certify_fig9(engine, scaled=False)
-    raise ValueError(f"unknown certified program {name!r}")
+    return [(p.name, p.expect_reject) for p in shipped("certify")]
 
 
 # ---------------------------------------------------------------------------
@@ -412,14 +220,11 @@ def certify_main(argv=None) -> int:
         description="Certify static numerics bounds against fp64 shadow "
                     "execution on every shipped program.",
     )
-    from ...api import add_engine_arguments
-
     add_engine_arguments(parser, workers=False, json_flag=True)
     args = parser.parse_args(argv)
-    if args.engine in ("reference", "sharded"):
-        print(f"certify-numerics: the fp64 shadow executor drives the "
-              f"instruction stepper in-process; --engine {args.engine} is "
-              "unsupported (certify under active or replay)")
+    why = unsupported(args.engine, "shadow")
+    if why:
+        print(f"certify-numerics: {why}")
         return 2
 
     checks = certify_all(engine=args.engine)

@@ -70,6 +70,7 @@ from .spec import (
     ScalarRef,
     drain_fifo_name,
 )
+from ..engines import stepper
 from ..fabric import Port
 
 __all__ = [
@@ -1109,7 +1110,7 @@ def confirm_numerics_witness(diag_or_data, engine: str = "active") -> dict:
     from ..sanitizer import ShadowNumerics
 
     fabric, handles = synthesize_numerics_witness(diag_or_data)
-    fabric.engine = engine
+    fabric.engine = stepper(engine)
     shadow = ShadowNumerics(fabric)
     fabric.attach_sanitizer(shadow)
     try:

@@ -62,6 +62,7 @@ from .passes import (
 from .routing import forwarding_graph, routes_by_channel
 from .spec import BUILD_LAUNCH, FabricRef, FifoRef, MemRef
 from ..dsr import Action
+from ..engines import stepper
 from ..fabric import Fabric, Port
 
 __all__ = [
@@ -372,7 +373,7 @@ def confirm_race(diagnostic, engine: str = "active",
 
     data = getattr(diagnostic, "data", diagnostic)
     ce = synthesize_race_program(data)
-    ce.engine = engine
+    ce.engine = stepper(engine)
     try:
         ce.run(max_cycles=max_cycles, sanitize=True)
     except FabricRaceError as err:

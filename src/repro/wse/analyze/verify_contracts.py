@@ -47,11 +47,11 @@ from __future__ import annotations
 import argparse
 from dataclasses import dataclass
 
-import numpy as np
-
 from .analyzer import analyze_program
 from .cdg import cdg_pass
 from .contracts import StaticContract
+from .shipped import shipped
+from ..engines import ENGINE_TABLE, ENGINES, unsupported
 from ...api import RunOptions, add_engine_arguments
 from ...obs import ObsSession
 
@@ -189,7 +189,7 @@ def _check_fabric(
 
 
 # ---------------------------------------------------------------------------
-# Program runners — each builds, analyzes, observes, runs, and checks.
+# The loop over the shipped table
 # ---------------------------------------------------------------------------
 def _contract_of(fabric) -> StaticContract:
     contract = fabric.static_contract
@@ -199,229 +199,35 @@ def _contract_of(fabric) -> StaticContract:
     return contract
 
 
-def _check_spmv3d(engine: str, shape=(3, 3, 6), profile: bool = False,
-                  workers: int = 1):
-    from ...kernels.spmv3d import SpmvEngine
-    from ...problems.stencil7 import Stencil7
-
-    op, _b, _dinv = Stencil7.from_random(shape).jacobi_precondition()
-    session = ObsSession(profile=profile)
-    eng = SpmvEngine(op, options=RunOptions(engine=engine, workers=workers,
-                                            obs=session))
-    n = int(np.prod(shape))
-    v = np.linspace(-1.0, 1.0, n).reshape(shape)
-    if engine == "replay":
-        # The first run records; run again so the measured run below is
-        # a true compiled replay (word/cycle deltas folded, not stepped).
-        eng.run(v)
-    prof = session.profiles.get("spmv")
-    mark = prof.mark() if prof is not None else None
-    _u, cycles = eng.run(v)
-    name = "x".join(str(s) for s in shape)
-    contract = _contract_of(eng.fabric)
-    return _check_fabric(
-        f"spmv3d-{name}", eng.fabric, contract, session, "spmv",
-        runs=eng.runs + 1,  # the build's warm-up run moved the same words
-        observed_cycles=cycles,
-        bound=contract.cycle_lower_bound,
-        mark=mark,
-    )
-
-
-def _run_oneshot(fabric, finished, engine: str, label: str,
-                 max_cycles: int = 200_000, workers: int = 1,
-                 until_factory=None) -> None:
-    """Run a one-shot program to completion under ``engine``.
-
-    ``"replay"`` records the single live execution through the PR 7
-    recorder and proves the compiled schedule reproduces it
-    bit-for-bit (the one-shot pattern of ``run_spmv_des``);
-    ``"sharded"`` steps the program through ``workers`` shard processes
-    (``until_factory`` supplies each shard's rect-local completion
-    predicate; ``finished`` is used for every shard when omitted)."""
-    if engine == "sharded":
-        from ...wse.shard import run_sharded
-
-        fabric.engine = "active"
-        factory = until_factory or (lambda rect: finished)
-        run_sharded(fabric, factory, workers=workers,
-                    max_cycles=max_cycles)
-        return
-    if engine == "replay":
-        from ...wse.replay import ReplaySession
-
-        fabric.engine = "active"
-        session = ReplaySession(fabric, label=label)
-        if session.enabled:
-            with session.record():
-                fabric.run(max_cycles=max_cycles, until=finished)
-            if session.schedule is not None:
-                bad = session.schedule.check()
-                if bad:
-                    raise AssertionError(
-                        "replay self-check diverged from the live run: "
-                        + "; ".join(bad[:5])
-                    )
-            return
-    else:
-        fabric.engine = engine
-    fabric.run(max_cycles=max_cycles, until=finished)
-
-
-def _check_spmv3d_two_sum(engine: str, shape=(3, 3, 6),
-                          profile: bool = False, workers: int = 1):
-    """The two-sum-tasks SpMV variant (no persistent-engine wrapper)."""
-    from ...kernels.spmv3d import build_spmv_fabric
-    from ...problems.stencil7 import Stencil7
-
-    op, _b, _dinv = Stencil7.from_random(shape).jacobi_precondition()
-    n = int(np.prod(shape))
-    v = np.linspace(-1.0, 1.0, n).reshape(shape)
-    fabric, programs = build_spmv_fabric(op, v, two_sum_tasks=True)
-    session = ObsSession(profile=profile)
-    session.observe_fabric("spmv3d-two-sum", fabric)
-    nx, ny, _nz = op.shape
-    start = fabric.cycle
-
-    def finished(f) -> bool:
-        return f.quiescent() and all(
-            programs[j][i].done for j in range(ny) for i in range(nx)
-        )
-
-    def until_factory(rect):
-        tiles = [(i, j) for j in range(rect.y0, rect.y1)
-                 for i in range(rect.x0, rect.x1)]
-        return lambda f: f.quiescent() and all(
-            programs[j][i].done for (i, j) in tiles
-        )
-
-    _run_oneshot(fabric, finished, engine, "spmv3d-two-sum",
-                 workers=workers, until_factory=until_factory)
-    contract = _contract_of(fabric)
-    name = "x".join(str(s) for s in shape)
-    return _check_fabric(
-        f"spmv3d-{name}-two-sum", fabric, contract, session,
-        "spmv3d-two-sum", runs=1, observed_cycles=fabric.cycle - start,
-        bound=contract.cycle_lower_bound,
-    )
-
-
-def _check_spmv2d(engine: str, shape=(6, 6), block_shape=(3, 3),
-                  profile: bool = False, workers: int = 1):
-    from ...kernels.spmv2d_des import run_spmv2d_des
-    from ...problems.stencil9 import Stencil9
-
-    op, _b, _dinv = Stencil9.from_random(shape).jacobi_precondition()
-    n = int(np.prod(shape))
-    v = np.linspace(1.0, -1.0, n).reshape(shape)
-    session = ObsSession(profile=profile)
-    _u, cycles = run_spmv2d_des(
-        op, v, block_shape,
-        options=RunOptions(engine=engine, workers=workers, obs=session))
-    fabric = session.fabrics["spmv2d"].fabric
-    contract = _contract_of(fabric)
-    return _check_fabric(
-        f"spmv2d-{shape[0]}x{shape[1]}-b{block_shape[0]}x{block_shape[1]}",
-        fabric, contract, session, "spmv2d",
-        runs=1, observed_cycles=cycles, bound=contract.cycle_lower_bound,
-    )
-
-
-def _check_blas(engine: str, kernel: str = "axpy", n: int = 32,
-                profile: bool = False, workers: int = 1):
-    from ...kernels.blas_des import build_axpy_fabric, build_dot_fabric
-
-    x = np.linspace(-1, 1, n)
-    y = np.linspace(1, -1, n)
-    if kernel == "axpy":
-        fabric, _out, instr = build_axpy_fabric(0.5, x, y)
-    else:
-        fabric, _acc, instr = build_dot_fabric(x, y)
-    session = ObsSession(profile=profile)
-    session.observe_fabric(kernel, fabric)
-    start = fabric.cycle
-    _run_oneshot(fabric, lambda f: instr.finished, engine, kernel,
-                 max_cycles=10 * n + 10, workers=workers)
-    # Shard workers step forked copies of the program; the parent's
-    # Instruction object is not part of the harvested fabric state, so
-    # completion there is proven by the word/cycle contract instead.
-    if engine != "sharded" and not instr.finished:  # pragma: no cover
-        raise RuntimeError(f"{kernel} program did not finish")
-    contract = _contract_of(fabric)
-    return _check_fabric(
-        f"{kernel}-{n}", fabric, contract, session, kernel,
-        runs=1, observed_cycles=fabric.cycle - start,
-        bound=contract.cycle_lower_bound,
-    )
-
-
-def _check_allreduce(engine: str, width: int = 6, height: int = 4,
-                     profile: bool = False, workers: int = 1):
-    from ...wse.allreduce import AllReduceEngine
-
-    eng = AllReduceEngine(width, height,
-                          options=RunOptions(engine=engine, workers=workers))
-    session = ObsSession(profile=profile)
-    session.observe_fabric("allreduce", eng.fabric)
-    values = np.arange(width * height, dtype=np.float64).reshape(height, width)
-    runs = 1
-    if engine == "replay":
-        # First reduce records; the measured reduce below is a replay.
-        eng.reduce(values)
-        runs = 2
-    prof = session.profiles.get("allreduce")
-    mark = prof.mark() if prof is not None else None
-    _total, cycles = eng.reduce(values)
-    contract = _contract_of(eng.fabric)
-    return _check_fabric(
-        f"allreduce-{width}x{height}", eng.fabric, contract, session,
-        "allreduce", runs=runs, observed_cycles=cycles,
-        bound=contract.cycle_lower_bound,
-        mark=mark,
-    )
-
-
-def _check_bicgstab(engine: str, shape=(2, 2, 4), maxiter: int = 1,
-                    profile: bool = False, workers: int = 1):
-    """One full DES BiCGStab iteration: verify both persistent fabrics.
-
-    Word counts must equal ``runs x contract`` on each fabric (the SpMV
-    fabric's warm-up run included); the cycle bound scales the same way
-    and is held against the fabric's *stepped* cycles — idle spans
-    between kernels are skipped, never stepped, so stepped cycles are
-    exactly the cycles spent running the programs.
-    """
-    from ...kernels.bicgstab_des import DESBiCGStab
-    from ...problems import momentum_system
-
-    system = momentum_system(shape, reynolds=50.0, dt=0.02)
-    session = ObsSession(profile=profile)
-    solver = DESBiCGStab(system.operator, options=RunOptions(
-        engine=engine, workers=workers, obs=session))
-    solver.solve(system.b, rtol=1e-30, maxiter=maxiter)
-    report = solver.report
-    checks = []
-
-    spmv_fabric = solver._spmv_eng.fabric
-    spmv_contract = _contract_of(spmv_fabric)
-    spmv_runs = report.spmv_runs + 1  # + the SpmvEngine warm-up
-    stepped = session.metrics.counter("spmv.stepped_cycles").value
-    checks.append(_check_fabric(
-        f"bicgstab[{maxiter}it]-spmv", spmv_fabric, spmv_contract, session,
-        "spmv", runs=spmv_runs, observed_cycles=stepped,
-        bound=spmv_contract.scaled_lower_bound(spmv_runs),
-    ))
-
-    ar_fabric = solver._ar_eng.fabric
-    ar_contract = _contract_of(ar_fabric)
-    stepped = session.metrics.counter("allreduce.stepped_cycles").value
-    checks.append(_check_fabric(
-        f"bicgstab[{maxiter}it]-allreduce", ar_fabric, ar_contract, session,
-        "allreduce", runs=report.allreduce_runs, observed_cycles=stepped,
-        bound=ar_contract.scaled_lower_bound(report.allreduce_runs),
-    ))
-    solver.close()
-    return checks
+def _check_program(program, options: RunOptions) -> list[ContractCheck]:
+    """Start ``program`` observed, execute it once, hold each of its
+    fabrics to its contract."""
+    session = options.obs
+    started = program.start(options)
+    try:
+        marks = {}
+        if started.persistent:
+            if ENGINE_TABLE[options.engine].records:
+                # The first run records; run again so the measured run
+                # is a true compiled replay (deltas folded, not stepped).
+                started.execute()
+            for name, prof in session.profiles.items():
+                marks[name] = prof.mark()
+        measured = started.execute()
+        checks = []
+        for kernel in started.kernels():
+            contract = _contract_of(kernel.fabric)
+            cycles, runs = measured[kernel.obs_name]
+            checks.append(_check_fabric(
+                (program.verify_name or program.name) + kernel.suffix,
+                kernel.fabric, contract, session, kernel.obs_name,
+                runs=kernel.executions, observed_cycles=cycles,
+                bound=contract.scaled_lower_bound(runs),
+                mark=marks.get(kernel.obs_name),
+            ))
+        return checks
+    finally:
+        started.close()
 
 
 def verify_contracts(engine: str = "active", profile: bool = False,
@@ -433,19 +239,13 @@ def verify_contracts(engine: str = "active", profile: bool = False,
     sets the shard process count for ``engine="sharded"`` (profiling is
     unsupported there; profile under ``"active"``, which is
     bit-identical)."""
-    if engine != "sharded":
+    if not ENGINE_TABLE[engine].forks:
         workers = 1
-    checks = [
-        _check_spmv3d(engine, profile=profile, workers=workers),
-        _check_spmv3d_two_sum(engine, profile=profile, workers=workers),
-        _check_spmv3d(engine, shape=(1, 1, 8), profile=profile,
-                      workers=workers),
-        _check_spmv2d(engine, profile=profile, workers=workers),
-        _check_blas(engine, "axpy", profile=profile, workers=workers),
-        _check_blas(engine, "dot", profile=profile, workers=workers),
-        _check_allreduce(engine, profile=profile, workers=workers),
-    ]
-    checks.extend(_check_bicgstab(engine, profile=profile, workers=workers))
+    checks = []
+    for program in shipped("verify"):
+        checks.extend(_check_program(program, RunOptions(
+            engine=engine, workers=workers,
+            obs=ObsSession(profile=profile))))
     return checks
 
 
@@ -454,7 +254,7 @@ def verify_report_text(engine: str = "active", profile: bool = False,
     """The full verification report as printable text."""
     checks = verify_contracts(engine, profile=profile, workers=workers)
     header = f"contract verification (engine={engine}"
-    if engine == "sharded":
+    if ENGINE_TABLE[engine].forks:
         header += f", workers={workers}"
     lines = [header + (", profiled)" if profile else ")")]
     lines.extend(f"  {c.summary()}" for c in checks)
@@ -531,30 +331,26 @@ def verify_main(argv: list[str] | None = None) -> int:
     if args.engine == "both":
         engines = ("active", "reference")
     elif args.engine == "all":
-        engines = ("active", "reference", "replay", "sharded")
+        engines = ENGINES
     else:
         engines = (args.engine,)
     status = 0
     for engine in engines:
-        workers = max(args.workers, 2) if engine == "sharded" else 1
+        workers = max(args.workers, 2) if ENGINE_TABLE[engine].forks else 1
         text = verify_report_text(
             engine,
-            # The profiler needs the whole fabric in-process; the
-            # sharded leg runs unprofiled (it is bit-identical anyway).
-            profile=args.profile and engine != "sharded",
+            # An engine that cannot carry the profiler runs its leg
+            # unprofiled (it is bit-identical anyway).
+            profile=args.profile and not unsupported(engine, "profile"),
             workers=workers,
         )
         print(text)
         if not text.endswith("VERIFY OK"):
             status = 1
-    # --engine all always covers the numerics certificates; the shadow
-    # executor drives the instruction stepper, so it runs under the
-    # active and replay orchestrations (not the reference engine or the
-    # shard workers).
+    # --engine all always covers the numerics certificates, under every
+    # engine that can run the fp64 shadow executor.
     if args.numerics or args.engine == "all":
         for engine in engines:
-            if engine in ("reference", "sharded"):
-                continue
-            if verify_numerics(engine):
+            if not unsupported(engine, "shadow") and verify_numerics(engine):
                 status = 1
     return status

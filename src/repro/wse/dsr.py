@@ -37,13 +37,6 @@ __all__ = [
     "Instruction",
 ]
 
-#: When True, every instruction built afterwards uses the per-element
-#: readiness loop (the original engine's cost model) instead of batched
-#: readiness.  The two paths are numerically identical — the flag exists
-#: so the benchmark harness can measure the legacy stepping cost
-#: (``benchmarks/bench_des_engine.py``) and tests can pin equivalence.
-LEGACY_ELEMENTWISE = False
-
 
 class Action(enum.Enum):
     """Scheduler manipulation fired when a thread completes (listing 1's
@@ -394,7 +387,7 @@ class Instruction:
         """
         avails = []
         buffers = []
-        ok = not LEGACY_ELEMENTWISE
+        ok = True
         for s in self.srcs:
             fn = getattr(s, "avail_read", None)
             if fn is None:

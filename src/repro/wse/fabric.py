@@ -285,7 +285,6 @@ class Fabric:
         #: Cumulative words delivered to destinations (fanout counted
         #: per destination; see module docstring).
         self.total_words_moved = 0
-        #: Engine selector: "active" (default) or "reference".
         self.engine = "active"
         self.stats = FabricStats()
         #: Optional :class:`repro.wse.analyze.contracts.StaticContract`
@@ -366,6 +365,27 @@ class Fabric:
                 router = self.routers[y][x]
                 router._touch = self._router_toucher(x, y)
                 router._rewired = rewired
+
+    @property
+    def engine(self) -> str:
+        """Stepper selector: ``"active"`` (default) or ``"reference"``.
+
+        These are the only two ways a fabric steps; the orchestrating
+        engine names (``"replay"``, ``"sharded"``) map onto them in
+        :mod:`repro.wse.engines` and are rejected here, so a run cannot
+        be labelled with an engine it did not use.
+        """
+        return self._engine
+
+    @engine.setter
+    def engine(self, name: str) -> None:
+        if name not in ("active", "reference"):
+            raise ValueError(
+                f"Fabric.engine must be 'active' or 'reference', got "
+                f"{name!r} (other engine names are orchestration layers: "
+                "see repro.wse.engines)"
+            )
+        self._engine = name
 
     def _router_toucher(self, x: int, y: int):
         coord = (y, x)

@@ -1,9 +1,10 @@
-"""Tests for :mod:`repro.api` — RunOptions, Session, and the shims.
+"""Tests for :mod:`repro.api` — RunOptions, Session, the CLI fragment.
 
 Three contracts live here: the :class:`RunOptions` value object rejects
 every inconsistent combination at construction (so runners never have
-to re-validate), the legacy runner keywords keep working but warn with
-the documented removal schedule, and the shared CLI fragment spells
+to re-validate), every runner takes its execution options as one
+``options=RunOptions(...)`` argument and nothing else (the PR-10 keyword
+shims are gone), and the shared CLI fragment spells
 ``--engine``/``--workers``/``--json`` identically for every subcommand.
 """
 
@@ -21,7 +22,6 @@ from repro.api import (
     Session,
     Spmv3D,
     add_engine_arguments,
-    coerce_options,
     options_from_args,
 )
 
@@ -103,73 +103,55 @@ class TestRunOptions:
         assert results[0] == results[1]
 
 
+def _tiny_operator():
+    from repro.problems import momentum_system
+
+    return momentum_system((2, 2, 4), reynolds=50.0, dt=0.02).operator
+
+
 class TestCoerceOptions:
+    """What a runner does with its ``options`` argument."""
+
     def test_no_arguments_yields_defaults(self):
-        assert coerce_options(None, caller="x") == RunOptions()
+        from repro.kernels.bicgstab_des import DESBiCGStab
+
+        assert DESBiCGStab(_tiny_operator()).options == RunOptions()
 
     def test_options_passed_through_unchanged(self):
+        from repro.kernels.bicgstab_des import DESBiCGStab
+
         opts = RunOptions(engine="replay")
-        assert coerce_options(opts, caller="x") is opts
-
-    def test_legacy_keyword_warns_with_schedule(self):
-        with pytest.warns(DeprecationWarning,
-                          match=r"myrunner.*engine.*PR 12"):
-            opts = coerce_options(None, caller="myrunner", engine="replay")
-        assert opts == RunOptions(engine="replay")
-
-    def test_none_valued_legacy_keywords_are_silent(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            opts = coerce_options(None, caller="x", engine=None, obs=None)
-        assert opts == RunOptions()
-
-    def test_both_spellings_is_an_error(self):
-        with pytest.raises(TypeError, match="not both"):
-            coerce_options(RunOptions(), caller="x", engine="active")
-
-    def test_unknown_legacy_keyword_is_an_error(self):
-        with pytest.raises(TypeError, match="unknown option"):
-            coerce_options(None, caller="x", engin="active")
+        assert DESBiCGStab(_tiny_operator(), options=opts).options is opts
 
     def test_options_type_checked(self):
-        with pytest.raises(TypeError, match="RunOptions"):
-            coerce_options({"engine": "active"}, caller="x")
+        from repro.kernels import run_dot_des
+
+        with pytest.raises(TypeError, match="run_dot_des.*RunOptions"):
+            run_dot_des(np.ones(4), np.ones(4), options={"engine": "active"})
 
 
 class TestRunnerShims:
-    """The pre-PR keyword spellings still work, warning once."""
+    """The pre-PR-10 keyword spellings are gone: an ``engine=`` keyword
+    is a plain ``TypeError``, never a warning and never a silent run."""
 
     def test_run_spmv_des_engine_kwarg(self):
         from repro.kernels import run_spmv_des
-        from repro.problems import Stencil7
 
-        op, _, _ = Stencil7.from_random(
-            (2, 2, 4), rng=np.random.default_rng(0)).jacobi_precondition()
-        v = np.ones(op.shape)
-        with pytest.warns(DeprecationWarning, match="run_spmv_des"):
-            u_old, c_old = run_spmv_des(op, v, engine="active")
-        u_new, c_new = run_spmv_des(op, v, options=RunOptions())
-        assert c_old == c_new
-        np.testing.assert_array_equal(u_old, u_new)
+        op = _tiny_operator()
+        with pytest.raises(TypeError, match="engine"):
+            run_spmv_des(op, np.ones(op.shape), engine="active")
 
     def test_allreduce_engine_kwarg(self):
         from repro.wse.allreduce import AllReduceEngine
 
-        with pytest.warns(DeprecationWarning, match="AllReduceEngine"):
-            eng = AllReduceEngine(2, 2, engine="active")
-        eng.close()
+        with pytest.raises(TypeError, match="engine"):
+            AllReduceEngine(2, 2, engine="active")
 
     def test_bicgstab_engine_kwarg(self):
         from repro.kernels.bicgstab_des import DESBiCGStab
-        from repro.problems import momentum_system
 
-        system = momentum_system((2, 2, 4), reynolds=50.0, dt=0.02)
-        with pytest.warns(DeprecationWarning, match="DESBiCGStab"):
-            solver = DESBiCGStab(system.operator, engine="active")
-        assert solver.options == RunOptions()
-        solver.close()
+        with pytest.raises(TypeError, match="engine"):
+            DESBiCGStab(_tiny_operator(), engine="active")
 
 
 class TestSession:

@@ -37,7 +37,6 @@ from repro.kernels import (
 from repro.kernels.spmv3d import SpmvEngine
 from repro.problems import Stencil7, Stencil9
 from repro.wse import CS1, Core, Fabric, FabricDeadlockError, Port
-from repro.wse import dsr
 from repro.wse.allreduce import AllReduceEngine, simulate_allreduce
 from repro.wse.dsr import FabricRx, Instruction, MemCursor
 from repro.wse.shard import run_sharded
@@ -172,24 +171,31 @@ class TestKernelEquivalence:
         np.testing.assert_array_equal(ua, ur)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_spmv3d_runner_and_legacy_elementwise(self, seed):
-        """The public runner agrees across engines, and the pre-PR
-        per-element readiness path is numerically identical too."""
+    def test_spmv3d_runner_and_legacy_elementwise(self, seed, monkeypatch):
+        """The public runner agrees across engines, and the per-element
+        readiness path — what an operand without ``avail_read`` falls
+        back to — is numerically identical too."""
         shape = (3, 4, 6)
         op = _op3d(shape, 20 + seed)
         v = 0.1 * np.random.default_rng(seed).standard_normal(shape)
-        u_act, c_act = run_spmv_des(op, v, engine="active")
-        u_ref, c_ref = run_spmv_des(op, v, engine="reference")
-        u_rep, c_rep = run_spmv_des(op, v, engine="replay")
+        u_act, c_act = run_spmv_des(op, v, options=RunOptions(engine="active"))
+        u_ref, c_ref = run_spmv_des(op, v,
+                                    options=RunOptions(engine="reference"))
+        u_rep, c_rep = run_spmv_des(op, v, options=RunOptions(engine="replay"))
         assert c_act == c_ref == c_rep
         np.testing.assert_array_equal(u_act, u_ref)
         np.testing.assert_array_equal(u_act, u_rep)
-        assert not dsr.LEGACY_ELEMENTWISE
-        dsr.LEGACY_ELEMENTWISE = True
-        try:
-            u_leg, c_leg = run_spmv_des(op, v, engine="reference")
-        finally:
-            dsr.LEGACY_ELEMENTWISE = False
+        # Every SpMV instruction reads a MemCursor; without its
+        # ``avail_read`` none of them can take the batched plan.
+        monkeypatch.delattr(MemCursor, "avail_read")
+        probe = Instruction(
+            op="copy", length=2,
+            dst=MemCursor(np.zeros(2, np.float16), 0, 2),
+            srcs=[MemCursor(np.ones(2, np.float16), 0, 2)],
+        )
+        assert probe.step(2) == 2 and not probe._batched
+        u_leg, c_leg = run_spmv_des(op, v,
+                                    options=RunOptions(engine="reference"))
         assert c_leg == c_act
         np.testing.assert_array_equal(u_leg, u_act)
 
@@ -201,9 +207,12 @@ class TestKernelEquivalence:
             shape, rng=np.random.default_rng(shape[0] * 31 + block[0])
         )
         v = 0.1 * np.random.default_rng(9).standard_normal(shape)
-        u_act, c_act = run_spmv2d_des(op, v, block, engine="active")
-        u_ref, c_ref = run_spmv2d_des(op, v, block, engine="reference")
-        u_rep, c_rep = run_spmv2d_des(op, v, block, engine="replay")
+        u_act, c_act = run_spmv2d_des(op, v, block,
+                                      options=RunOptions(engine="active"))
+        u_ref, c_ref = run_spmv2d_des(op, v, block,
+                                      options=RunOptions(engine="reference"))
+        u_rep, c_rep = run_spmv2d_des(op, v, block,
+                                      options=RunOptions(engine="replay"))
         assert c_act == c_ref == c_rep
         np.testing.assert_array_equal(u_act, u_ref)
         np.testing.assert_array_equal(u_act, u_rep)
@@ -213,13 +222,16 @@ class TestKernelEquivalence:
         vals = np.random.default_rng(w * 10 + h).random((h, w)).astype(
             np.float32
         )
-        t_act, c_act = simulate_allreduce(vals, engine="active")
-        t_ref, c_ref = simulate_allreduce(vals, engine="reference")
-        t_rep, c_rep = simulate_allreduce(vals, engine="replay")
+        t_act, c_act = simulate_allreduce(vals,
+                                          options=RunOptions(engine="active"))
+        t_ref, c_ref = simulate_allreduce(
+            vals, options=RunOptions(engine="reference"))
+        t_rep, c_rep = simulate_allreduce(vals,
+                                          options=RunOptions(engine="replay"))
         assert c_act == c_ref == c_rep
         assert t_act == t_ref == t_rep  # bit-identical fp32 reduction
         engines = {
-            name: AllReduceEngine(w, h, engine=name)
+            name: AllReduceEngine(w, h, options=RunOptions(engine=name))
             for name in ("active", "reference", "replay")
         }
         words = {}
@@ -232,9 +244,9 @@ class TestKernelEquivalence:
     def test_blas(self):
         x = np.random.default_rng(1).random(17).astype(np.float16)
         y = np.random.default_rng(2).random(17).astype(np.float16)
-        axpy = {e: run_axpy_des(0.7, x, y, engine=e)
+        axpy = {e: run_axpy_des(0.7, x, y, options=RunOptions(engine=e))
                 for e in ("active", "reference", "replay")}
-        dot = {e: run_dot_des(x, y, engine=e)
+        dot = {e: run_dot_des(x, y, options=RunOptions(engine=e))
                for e in ("active", "reference", "replay")}
         ra, ca = axpy["active"]
         for e in ("reference", "replay"):
@@ -254,8 +266,9 @@ class TestKernelEquivalence:
         op = _op3d(shape, 31)
         v = 0.1 * np.random.default_rng(32).standard_normal(shape)
         u_act, c_act = run_spmv_des(op, v, two_sum_tasks=True,
-                                    engine="active")
-        u_e, c_e = run_spmv_des(op, v, two_sum_tasks=True, engine=engine)
+                                    options=RunOptions(engine="active"))
+        u_e, c_e = run_spmv_des(op, v, two_sum_tasks=True,
+                                options=RunOptions(engine=engine))
         assert c_e == c_act
         np.testing.assert_array_equal(u_e, u_act)
 

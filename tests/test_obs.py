@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.api import RunOptions
 from repro.kernels.bicgstab_des import DESBiCGStab
 from repro.obs import (
     FabricTrace,
@@ -385,7 +386,7 @@ class TestObservedSolve:
     def solved(self):
         sys_ = momentum_system((6, 6, 8), reynolds=50.0, dt=0.02)
         obs = ObsSession()
-        solver = DESBiCGStab(sys_.operator, obs=obs)
+        solver = DESBiCGStab(sys_.operator, options=RunOptions(obs=obs))
         result = solver.solve(sys_.b, rtol=5e-3, maxiter=10)
         obs.harvest()
         return obs, solver, result
@@ -487,7 +488,7 @@ class TestReplayObservation:
         op, _b, _dinv = Stencil7.from_random(
             (3, 3, 8), rng=np.random.default_rng(3)).jacobi_precondition()
         obs = ObsSession()
-        eng = SpmvEngine(op, engine=engine, obs=obs)
+        eng = SpmvEngine(op, options=RunOptions(engine=engine, obs=obs))
         v = 0.1 * np.random.default_rng(5).standard_normal(op.shape)
         for _ in range(runs):
             eng.run(v)
@@ -512,7 +513,8 @@ class TestReplayObservation:
     def test_phase_spans_tile_timeline_under_replay(self):
         sys_ = momentum_system((6, 6, 8), reynolds=50.0, dt=0.02)
         obs = ObsSession()
-        solver = DESBiCGStab(sys_.operator, engine="replay", obs=obs)
+        solver = DESBiCGStab(sys_.operator,
+                             options=RunOptions(engine="replay", obs=obs))
         result = solver.solve(sys_.b, rtol=5e-3, maxiter=10)
         assert result.converged
         totals = obs.phase_totals()

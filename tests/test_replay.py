@@ -87,10 +87,10 @@ class TestReplayBitIdentity:
     def test_allreduce_engine(self):
         rng = np.random.default_rng(11)
         w, h = 5, 4
-        eng_r = AllReduceEngine(w, h, engine="replay")
+        eng_r = AllReduceEngine(w, h, options=RunOptions(engine="replay"))
         for i in range(3):
             vals = rng.random((h, w)).astype(np.float32)
-            eng_a = AllReduceEngine(w, h, engine="active")
+            eng_a = AllReduceEngine(w, h, options=RunOptions(engine="active"))
             t_a, c_a = eng_a.reduce(vals)
             t_r, c_r = eng_r.reduce(vals)
             assert t_r == t_a  # bit-identical fp32 reduction
@@ -99,7 +99,7 @@ class TestReplayBitIdentity:
         assert (sess.records, sess.replays, sess.fallbacks) == (1, 2, 0)
         # Per-router word accounting over all three reduces matches a
         # live engine that ran the same three.
-        eng_live = AllReduceEngine(w, h, engine="active")
+        eng_live = AllReduceEngine(w, h, options=RunOptions(engine="active"))
         rng = np.random.default_rng(11)
         for i in range(3):
             eng_live.reduce(rng.random((h, w)).astype(np.float32))
@@ -111,8 +111,8 @@ class TestReplayBitIdentity:
         shape = (3, 3, 8)
         op = _op3d(shape, 5)
         rng = np.random.default_rng(6)
-        eng_r = SpmvEngine(op, engine="replay")
-        eng_a = SpmvEngine(op, engine="active")
+        eng_r = SpmvEngine(op, options=RunOptions(engine="replay"))
+        eng_a = SpmvEngine(op, options=RunOptions(engine="active"))
         for i in range(3):
             v = (0.1 * rng.standard_normal(shape)).astype(np.float16)
             u_a, c_a = eng_a.run(v)
@@ -137,29 +137,31 @@ class TestReplayBitIdentity:
         op = _op3d(shape, 7)
         v = 0.1 * np.random.default_rng(8).standard_normal(shape)
         u_a, c_a = run_spmv_des(op, v, two_sum_tasks=two_sum,
-                                engine="active")
+                                options=RunOptions(engine="active"))
         u_r, c_r = run_spmv_des(op, v, two_sum_tasks=two_sum,
-                                engine="replay")
+                                options=RunOptions(engine="replay"))
         assert c_r == c_a
         np.testing.assert_array_equal(u_a, u_r)
 
     def test_spmv2d_one_shot(self):
         op = Stencil9.from_random((6, 6), rng=np.random.default_rng(9))
         v = 0.1 * np.random.default_rng(10).standard_normal((6, 6))
-        u_a, c_a = run_spmv2d_des(op, v, (2, 3), engine="active")
-        u_r, c_r = run_spmv2d_des(op, v, (2, 3), engine="replay")
+        u_a, c_a = run_spmv2d_des(op, v, (2, 3),
+                                  options=RunOptions(engine="active"))
+        u_r, c_r = run_spmv2d_des(op, v, (2, 3),
+                                  options=RunOptions(engine="replay"))
         assert c_r == c_a
         np.testing.assert_array_equal(u_a, u_r)
 
     def test_blas_one_shot(self):
         x = np.random.default_rng(1).random(17).astype(np.float16)
         y = np.random.default_rng(2).random(17).astype(np.float16)
-        ra, ca = run_axpy_des(0.7, x, y, engine="active")
-        rr, cr = run_axpy_des(0.7, x, y, engine="replay")
+        ra, ca = run_axpy_des(0.7, x, y, options=RunOptions(engine="active"))
+        rr, cr = run_axpy_des(0.7, x, y, options=RunOptions(engine="replay"))
         assert ca == cr
         np.testing.assert_array_equal(ra, rr)
-        da, ca = run_dot_des(x, y, engine="active")
-        dr, cr = run_dot_des(x, y, engine="replay")
+        da, ca = run_dot_des(x, y, options=RunOptions(engine="active"))
+        dr, cr = run_dot_des(x, y, options=RunOptions(engine="replay"))
         assert ca == cr
         assert da == dr
 
@@ -169,8 +171,9 @@ class TestReplayBitIdentity:
         op = Stencil7.from_random(shape, rng=rng)
         b = rng.standard_normal(shape)
         pre, bprime, _ = op.jacobi_precondition(b)
-        sol_a = DESBiCGStab(pre, engine="active").solve(bprime, maxiter=8)
-        solver_r = DESBiCGStab(pre, engine="replay")
+        sol_a = DESBiCGStab(
+            pre, options=RunOptions(engine="active")).solve(bprime, maxiter=8)
+        solver_r = DESBiCGStab(pre, options=RunOptions(engine="replay"))
         sol_r = solver_r.solve(bprime, maxiter=8)
         np.testing.assert_array_equal(
             np.asarray(sol_a.x).view(np.uint64),
@@ -186,11 +189,6 @@ class TestReplayBitIdentity:
         assert solver_r._spmv_eng.replay.records == 1
         assert solver_r._spmv_eng.replay.replays > 0
         assert solver_r._ar_eng.replay.replays > 0
-
-    def test_bicgstab_replay_requires_persistent(self):
-        pre = _op3d((2, 2, 4), 1)
-        with pytest.raises(ValueError, match="persistent"):
-            DESBiCGStab(pre, engine="replay", persistent=False)
 
 
 # ----------------------------------------------------------------------
@@ -215,14 +213,14 @@ class TestReplayRefusal:
         assert session.schedule is None
 
     def test_record_failure_cap_disables_session(self):
-        eng = AllReduceEngine(3, 3, engine="replay")
+        eng = AllReduceEngine(3, 3, options=RunOptions(engine="replay"))
         sess = eng.replay
         assert sess.enabled
         sess._record_failures = sess.MAX_RECORD_FAILURES
         assert not sess.enabled
         # The engine still runs live and counts the fallback.
         vals = np.random.default_rng(0).random((3, 3)).astype(np.float32)
-        ref = AllReduceEngine(3, 3, engine="active")
+        ref = AllReduceEngine(3, 3, options=RunOptions(engine="active"))
         t_live, c_live = ref.reduce(vals)
         t, c = eng.reduce(vals)
         assert (t, c) == (t_live, c_live)
@@ -235,7 +233,7 @@ class TestReplayRefusal:
 # ----------------------------------------------------------------------
 class TestReplayInvalidation:
     def _engine(self, seed=3):
-        eng = AllReduceEngine(4, 3, engine="replay")
+        eng = AllReduceEngine(4, 3, options=RunOptions(engine="replay"))
         rng = np.random.default_rng(seed)
         vals = rng.random((3, 4)).astype(np.float32)
         eng.reduce(vals)  # records
@@ -250,7 +248,7 @@ class TestReplayInvalidation:
         # collective, but it *could* have: the token must invalidate.
         eng.fabric.router(0, 0).set_route(15, Port.CORE, (Port.CORE,))
         assert not sess.valid()
-        ref = AllReduceEngine(4, 3, engine="active")
+        ref = AllReduceEngine(4, 3, options=RunOptions(engine="active"))
         t_live, c_live = ref.reduce(vals)
         t, c = eng.reduce(vals)  # falls back live and re-records
         assert (t, c) == (t_live, c_live)
@@ -283,7 +281,7 @@ class TestReplayInvalidation:
         assert not sess.valid()
         assert sess.invalidations == 1
         assert any("mutated" in d or "sanit" in d for d in sess.diagnostics)
-        ref = AllReduceEngine(4, 3, engine="active")
+        ref = AllReduceEngine(4, 3, options=RunOptions(engine="active"))
         t_live, c_live = ref.reduce(vals)
         t, c = eng.reduce(vals)  # re-records on the live engine
         assert (t, c) == (t_live, c_live)
@@ -294,7 +292,7 @@ class TestReplayInvalidation:
         eng.fabric.attach_sanitizer()
         try:
             assert not sess.valid()
-            ref = AllReduceEngine(4, 3, engine="active")
+            ref = AllReduceEngine(4, 3, options=RunOptions(engine="active"))
             t_live, c_live = ref.reduce(vals)
             # Sanitized live run, bit-identical, never replayed.
             t, c = eng.reduce(vals)
@@ -309,11 +307,11 @@ class TestReplayInvalidation:
 class TestEngineSwitchBoundaries:
     def test_live_replay_live_timeline_consistency(self):
         obs = ObsSession()
-        eng = AllReduceEngine(4, 3, engine="replay")
+        eng = AllReduceEngine(4, 3, options=RunOptions(engine="replay"))
         observer = obs.observe_fabric("allreduce", eng.fabric)
         rng = np.random.default_rng(12)
         vals = rng.random((3, 4)).astype(np.float32)
-        ref = AllReduceEngine(4, 3, engine="active")
+        ref = AllReduceEngine(4, 3, options=RunOptions(engine="active"))
         t_ref, c_ref = ref.reduce(vals)
 
         def consistent():
@@ -361,7 +359,7 @@ class TestEngineSwitchBoundaries:
         b = rng.standard_normal(shape)
         pre, bprime, _ = op.jacobi_precondition(b)
         obs = ObsSession()
-        solver = DESBiCGStab(pre, engine="replay", obs=obs)
+        solver = DESBiCGStab(pre, options=RunOptions(engine="replay", obs=obs))
         sol = solver.solve(bprime, maxiter=6)
         assert sol.iterations >= 2  # at least one replayed iteration
         for name, observer in obs.fabrics.items():

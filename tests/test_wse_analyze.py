@@ -12,6 +12,7 @@ Two families:
 import numpy as np
 import pytest
 
+from repro.api import RunOptions
 from repro.wse import CS1, Core, Fabric, Port, TileMemory
 from repro.wse.analyze import (
     AnalysisError,
@@ -523,7 +524,7 @@ class TestBuilderWiring:
         build_spmv_fabric(op, np.zeros(op.shape), analyze=True)
         # And the run path still produces the right answer under analyze.
         v = 0.1 * np.random.default_rng(1).standard_normal(op.shape)
-        u, _cycles = run_spmv_des(op, v, analyze=True)
+        u, _cycles = run_spmv_des(op, v, options=RunOptions(analyze=True))
         v16 = np.asarray(v, np.float16).astype(np.float64)
         expect = (op.to_csr() @ v16.ravel()).reshape(op.shape)
         tol = 8 * 2.0**-11 * (np.max(np.abs(expect)) + 1.0)
@@ -541,7 +542,7 @@ class TestBuilderWiring:
         from repro.problems import Stencil7
 
         op, _b, _d = Stencil7.from_random((2, 2, 4)).jacobi_precondition()
-        solver = DESBiCGStab(op, analyze=True)
+        solver = DESBiCGStab(op, options=RunOptions(analyze=True))
         assert solver.report.total_cycles == 0  # probe build ran no cycles
 
 
