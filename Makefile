@@ -13,9 +13,9 @@ test:
 lint:
 	PYTHONPATH=src python -m repro lint
 	python -m compileall -q src
-	@python -c "import pyflakes" 2>/dev/null \
-		&& python -m pyflakes src \
-		|| echo "pyflakes not installed; skipped"
+	@if python -c "import pyflakes" 2>/dev/null; \
+		then python -m pyflakes src; \
+		else echo "pyflakes not installed; skipped"; fi
 
 # Dynamic verification: run every shipped program under the DES engine
 # and hold the observed per-router word counts (exactly) and cycle

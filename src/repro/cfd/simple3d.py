@@ -323,7 +323,6 @@ class SimpleSolver3D:
 
         ``dt``/``old`` enable the transient (implicit-Euler) form, as in
         the 2D solver."""
-        m = self.mesh
         inner = 0
         A_u, b_u, d_u = self._u_system(f, dt=dt, old=old)
         ru = bicgstab(A_u, b_u, x0=f.u[1:-1, :, :], rtol=1e-12,

@@ -11,7 +11,7 @@ substrate, matching Algorithm 2's structure with the time term enabled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 

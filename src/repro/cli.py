@@ -10,11 +10,30 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 
 from .analysis.reports import REPORTS
 from .api import add_engine_arguments, options_from_args
 
 __all__ = ["main", "build_parser"]
+
+
+#: Subcommands that own their flags (``--shape``, ``--json``, their
+#: own ``--engine``, ...), as ``name -> "module:function"``: dispatched
+#: before the report parser sees the arguments, imported on lookup.
+SUBCOMMANDS = {
+    "trace": ".obs.cli:trace_main",
+    "profile": ".obs.cli:profile_main",
+    "bench-compare": ".analysis.bench_history:compare_main",
+    "bench-history": ".analysis.bench_history:history_main",
+    "lint": ".wse.analyze.lint:lint_main",
+    "verify-contracts": ".wse.analyze.verify_contracts:verify_main",
+    "sanitize": ".wse.analyze.sanitize:sanitize_main",
+    "certify-numerics": ".wse.analyze.certify:certify_main",
+}
+
+#: Names the report parser itself handles besides :data:`REPORTS`.
+_BUILTINS = ("list", "all", "write-report")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -26,16 +45,14 @@ def build_parser() -> argparse.ArgumentParser:
             "tables and figures."
         ),
     )
+    # A subcommand wins over the report of the same name, so list it once.
+    reports = ", ".join(n for n in REPORTS if n not in SUBCOMMANDS)
+    names = ", ".join(repr(n) for n in (*_BUILTINS, *SUBCOMMANDS))
     parser.add_argument(
         "report",
         nargs="?",
         default="list",
-        help=(
-            "report name, 'list', 'all', 'lint', 'verify-contracts', "
-            "'certify-numerics', 'sanitize', 'trace', 'profile', "
-            "'bench-compare', 'bench-history', or 'write-report' "
-            "(default: list)"
-        ),
+        help=f"a report name ({reports}), or one of {names} (default: list)",
     )
     parser.add_argument(
         "--output",
@@ -60,47 +77,10 @@ def _describe() -> str:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "trace":
-        # `trace` owns its own flags (--shape, --out, ...), so dispatch
-        # before the report parser sees them.
-        from .obs.cli import trace_main
-
-        return trace_main(argv[1:])
-    if argv and argv[0] == "profile":
-        # `profile` owns --shape/--engine/--flame; same early dispatch.
-        from .obs.cli import profile_main
-
-        return profile_main(argv[1:])
-    if argv and argv[0] == "bench-compare":
-        # `bench-compare` owns --history/--current; same early dispatch.
-        from .analysis.bench_history import compare_main
-
-        return compare_main(argv[1:])
-    if argv and argv[0] == "bench-history":
-        # `bench-history` appends BENCH_*.json summaries to the ledger.
-        from .analysis.bench_history import history_main
-
-        return history_main(argv[1:])
-    if argv and argv[0] == "lint":
-        # `lint` owns --json; same early dispatch as trace.
-        from .wse.analyze.lint import lint_main
-
-        return lint_main(argv[1:])
-    if argv and argv[0] == "verify-contracts":
-        # `verify-contracts` owns --engine; same early dispatch.
-        from .wse.analyze.verify_contracts import verify_main
-
-        return verify_main(argv[1:])
-    if argv and argv[0] == "sanitize":
-        # `sanitize` owns --engine; same early dispatch.
-        from .wse.analyze.sanitize import sanitize_main
-
-        return sanitize_main(argv[1:])
-    if argv and argv[0] == "certify-numerics":
-        # `certify-numerics` owns --engine/--json; same early dispatch.
-        from .wse.analyze.certify import certify_main
-
-        return certify_main(argv[1:])
+    if argv and argv[0] in SUBCOMMANDS:
+        module, _, function = SUBCOMMANDS[argv[0]].partition(":")
+        entry = getattr(import_module(module, __package__), function)
+        return entry(argv[1:])
     args = build_parser().parse_args(argv)
     name = args.report
     if name == "list":

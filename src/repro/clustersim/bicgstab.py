@@ -17,7 +17,7 @@ extends the sweep to 16 K cores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

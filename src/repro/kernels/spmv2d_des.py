@@ -139,7 +139,6 @@ def _build_tile(
     def local_compute(c: Core) -> None:
         # Nine FMAs, queued on the main thread (strictly ordered — the
         # single-datapath FMAC loop the paper credits with efficiency).
-        n = bx * by
         last_leg = list(OFFSETS_9PT)[-1]
         for leg, (di, dj) in OFFSETS_9PT.items():
             # out[1+di : 1+di+bx, 1+dj : 1+dj+by] += coeff * v, row by row

@@ -33,7 +33,11 @@ Attachment follows the repo-wide zero-cost-when-detached discipline:
 the profiler chains into ``fabric.obs`` (like the replay recorder's
 shim) so :meth:`Fabric.step` needs no new branch, and each
 :class:`~repro.wse.core.Core` pays exactly one ``profiler is None``
-test when detached.  Profiling composes with the replay engine: the
+test when detached.  The per-cycle accounting is the tail of the one
+instrumented stepping body (:meth:`Core._step_instrumented
+<repro.wse.core.Core._step_instrumented>`), so it composes with the
+race sanitizer, the fp64 shadow and the schedule recorder alike.
+Profiling also composes with the replay engine: the
 :class:`~repro.wse.replay.record.ScheduleRecorder` snapshots the
 profiler at attach and the compiled schedule carries the recorded
 window's per-tile ledger deltas and state-change events, so a replayed

@@ -21,9 +21,7 @@ paper cites:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .simple_cycles import SimpleCostModel
 

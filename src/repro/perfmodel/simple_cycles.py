@@ -15,10 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .cluster import ClusterModel
-from .wafer import HEADLINE_MESH, WaferPerfModel
+from .wafer import WaferPerfModel
 
 __all__ = ["SimplePhase", "table2", "SimpleCostModel"]
 

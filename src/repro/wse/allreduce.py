@@ -163,13 +163,22 @@ def allreduce_pattern(width: int, height: int) -> Pattern:
 
 @dataclass
 class _Role:
-    """What part a tile plays in the collective."""
+    """What part a tile plays in the collective (Fig. 6a): accumulate
+    the ``n_row`` / ``n_col`` / ``n_gather`` partials it awaits on
+    ``CH_ROW`` / ``CH_COL`` / ``CH_GATHER``, then send the accumulator
+    once on ``send``.  The row -> column -> gather -> broadcast schedule
+    is stated here only: :func:`_reduce_decl` declares it and
+    :meth:`ReduceCore._advance` runs it."""
 
-    row_sink: bool
-    col_sink: bool
     root: bool
     n_row: int
     n_col: int
+    n_gather: int
+    send: int
+
+
+#: Phase name per collective channel (declaration instruction names).
+_PHASE = {CH_ROW: "row", CH_COL: "col", CH_GATHER: "gather", CH_BCAST: "bcast"}
 
 
 def _role_of(x: int, y: int, width: int, height: int) -> _Role:
@@ -185,7 +194,15 @@ def _role_of(x: int, y: int, width: int, height: int) -> _Role:
     n_col = 0
     if col_sink:
         n_col = (cy - 1) if y == cy - 1 else (height - 1 - cy)
-    return _Role(row_sink, col_sink, root, n_row, n_col)
+    if not row_sink:
+        send = CH_ROW
+    elif not col_sink:
+        send = CH_COL
+    elif not root:
+        send = CH_GATHER
+    else:
+        send = CH_BCAST
+    return _Role(root, n_row, n_col, 3 if root else 0, send)
 
 
 def _reduce_decl(
@@ -195,9 +212,9 @@ def _reduce_decl(
 ):
     """A tile's static program declaration, derived from its role.
 
-    Mirrors exactly what :meth:`ReduceCore._advance` does on each phase
-    channel — one word sent per forwarding role, ``n_row``/``n_col``/3
-    words accumulated per sink — so the analyzer's flow-conservation and
+    Declares what :meth:`ReduceCore._advance` executes from the same
+    role — ``n_row``/``n_col``/``n_gather`` words accumulated, then one
+    word sent on ``role.send`` — so the analyzer's flow-conservation and
     contract passes can verify the whole collective against the Fig. 6
     routing pattern word-for-word.  ``value_range`` bounds each tile's
     input scalar and ``tolerance`` is the per-output absolute error
@@ -207,42 +224,21 @@ def _reduce_decl(
     from .analyze.spec import FabricRef, InstrDecl, ProgramDecl, ScalarRef
 
     acc = ScalarRef("float32")
-    instrs = []
-    if not role.row_sink:
-        instrs.append(InstrDecl(
-            "copy", FabricRef(CH_ROW, 1), (acc,), length=1, name="row_send",
-        ))
-    else:
-        if role.n_row:
-            instrs.append(InstrDecl(
-                "add", acc, (FabricRef(CH_ROW, role.n_row),),
-                length=role.n_row, name="row_acc",
-            ))
-        if not role.col_sink:
-            instrs.append(InstrDecl(
-                "copy", FabricRef(CH_COL, 1), (acc,), length=1,
-                name="col_send",
-            ))
-        else:
-            if role.n_col:
-                instrs.append(InstrDecl(
-                    "add", acc, (FabricRef(CH_COL, role.n_col),),
-                    length=role.n_col, name="col_acc",
-                ))
-            if not role.root:
-                instrs.append(InstrDecl(
-                    "copy", FabricRef(CH_GATHER, 1), (acc,), length=1,
-                    name="gather_send",
-                ))
-            else:
-                instrs.append(InstrDecl(
-                    "add", acc, (FabricRef(CH_GATHER, 3),), length=3,
-                    name="gather_acc",
-                ))
-                instrs.append(InstrDecl(
-                    "copy", FabricRef(CH_BCAST, 1), (acc,), length=1,
-                    name="bcast_send",
-                ))
+    instrs = [
+        InstrDecl(
+            "add", acc, (FabricRef(channel, n),), length=n,
+            name=f"{_PHASE[channel]}_acc",
+        )
+        for channel, n in (
+            (CH_ROW, role.n_row), (CH_COL, role.n_col),
+            (CH_GATHER, role.n_gather),
+        )
+        if n
+    ]
+    instrs.append(InstrDecl(
+        "copy", FabricRef(role.send, 1), (acc,), length=1,
+        name=f"{_PHASE[role.send]}_send",
+    ))
     if not role.root:
         instrs.append(InstrDecl(
             "copy", acc, (FabricRef(CH_BCAST, 1),), length=1,
@@ -282,7 +278,7 @@ class ReduceCore:
         self._inbox: deque = deque()
         self._tx: deque = deque()
         self._counts = {CH_ROW: 0, CH_COL: 0, CH_GATHER: 0}
-        self._sent = {CH_ROW: False, CH_COL: False, CH_GATHER: False, CH_BCAST: False}
+        self._sent = False
         self.finish_cycle: int | None = None
         self._quiet = False
         self.on_wake = None  # set by Fabric.attach_core
@@ -303,9 +299,7 @@ class ReduceCore:
         self._inbox.clear()
         self._tx.clear()
         self._counts = {CH_ROW: 0, CH_COL: 0, CH_GATHER: 0}
-        self._sent = {
-            CH_ROW: False, CH_COL: False, CH_GATHER: False, CH_BCAST: False
-        }
+        self._sent = False
         self._quiet = False
         rec = self.recorder
         if rec is not None:
@@ -355,165 +349,93 @@ class ReduceCore:
         return self._quiet and not self._inbox
 
     def _advance(self) -> int:
-        if self.shadow is not None:
-            return self._advance_shadowed()
-        if self.recorder is not None:
-            return self._advance_recorded()
-        work = 0
-        while self._inbox:
-            channel, value = self._inbox.popleft()
-            if channel == CH_BCAST:
-                self.result = np.float32(value)
-            else:
-                self.acc = np.float32(self.acc + np.float32(value))
-                self._counts[channel] += 1
-            work += 1
-        r = self.role
-        if not r.row_sink:
-            if not self._sent[CH_ROW]:
-                self._tx.append((CH_ROW, float(self.acc)))
-                self._sent[CH_ROW] = True
-            return work
-        row_done = self._counts[CH_ROW] >= r.n_row
-        if not r.col_sink:
-            if row_done and not self._sent[CH_COL]:
-                self._tx.append((CH_COL, float(self.acc)))
-                self._sent[CH_COL] = True
-            return work
-        col_done = row_done and self._counts[CH_COL] >= r.n_col
-        if not r.root:
-            if col_done and not self._sent[CH_GATHER]:
-                self._tx.append((CH_GATHER, float(self.acc)))
-                self._sent[CH_GATHER] = True
-            return work
-        if col_done and self._counts[CH_GATHER] >= 3 and not self._sent[CH_BCAST]:
-            self.result = np.float32(self.acc)
-            self._tx.append((CH_BCAST, float(self.acc)))
-            self._sent[CH_BCAST] = True
-        return work
+        """Drain the inbox into the fp32 accumulator, then send this
+        tile's partial once everything its role awaits has arrived.
 
-    def _advance_shadowed(self) -> int:
-        """:meth:`_advance` while an fp64 shadow executor is attached.
-
-        Identical arithmetic and send schedule; additionally carries the
-        fp64 shadow of every word in-band (:class:`_ShadowWord` — the
-        routers treat words opaquely, so the pair travels unchanged) and
-        reports each fp32 accumulation plus the final result to the
-        shadow, which records the realized |fp32 - fp64| error.
+        An attached fp64 shadow or schedule recording taps this one
+        body: words then travel tagged (the routers treat words
+        opaquely, so the tag rides along unchanged) — :meth:`_untag`
+        splits an arrival, :meth:`_tap` reports the accumulate or the
+        result it caused, :meth:`_tagged` stamps the outgoing partial.
+        Arithmetic and send schedule are the same either way.  The
+        shadow pre-empts the recorder (which refuses to attach next to
+        it anyway).
         """
         sh = self.shadow
+        tapped = sh is not None or self.recorder is not None
         f32 = np.float32
         work = 0
-        while self._inbox:
-            channel, word = self._inbox.popleft()
+        inbox = self._inbox
+        counts = self._counts
+        while inbox:
+            channel, value = inbox.popleft()
+            if tapped:
+                value, tag = self._untag(sh, channel, value)
+            if channel == CH_BCAST:
+                self.result = f32(value)
+            else:
+                self.acc = f32(self.acc + f32(value))
+                counts[channel] += 1
+            if tapped:
+                self._tap(sh, channel, tag)
+            work += 1
+        r = self.role
+        if (not self._sent and counts[CH_ROW] >= r.n_row
+                and counts[CH_COL] >= r.n_col
+                and counts[CH_GATHER] >= r.n_gather):
+            word = float(self.acc)
+            if tapped:
+                tag, word = self._tagged(sh)
+            if r.root:
+                self.result = f32(self.acc)
+                if tapped:
+                    self._tap(sh, CH_BCAST, tag)
+            self._tx.append((r.send, word))
+            self._sent = True
+        return work
+
+    def _untag(self, sh, channel: int, word):
+        """Split an arriving word into ``(value, tag)``: the tag is its
+        fp64 shadow value (``sh`` attached) or its tape node."""
+        if sh is not None:
             if isinstance(word, _ShadowWord):
-                value, sval = word.v, word.s
-            else:  # un-instrumented producer: keep running, flag the gap
-                value = float(word)
-                sval = sh.on_stray_word(self, channel, value)
-            if channel == CH_BCAST:
-                self.result = f32(value)
-                sh.on_reduce_result(self, float(self.result), sval)
-            else:
-                self.acc = f32(self.acc + f32(value))
-                sh.on_reduce_add(self, sval)
-                self._counts[channel] += 1
-            work += 1
-
-        def send(channel):
-            self._tx.append((
-                channel,
-                _ShadowWord(float(self.acc), sh.reduce_shadow(self)),
-            ))
-
-        r = self.role
-        if not r.row_sink:
-            if not self._sent[CH_ROW]:
-                send(CH_ROW)
-                self._sent[CH_ROW] = True
-            return work
-        row_done = self._counts[CH_ROW] >= r.n_row
-        if not r.col_sink:
-            if row_done and not self._sent[CH_COL]:
-                send(CH_COL)
-                self._sent[CH_COL] = True
-            return work
-        col_done = row_done and self._counts[CH_COL] >= r.n_col
-        if not r.root:
-            if col_done and not self._sent[CH_GATHER]:
-                send(CH_GATHER)
-                self._sent[CH_GATHER] = True
-            return work
-        if col_done and self._counts[CH_GATHER] >= 3 and not self._sent[CH_BCAST]:
-            self.result = f32(self.acc)
-            sh.on_reduce_result(
-                self, float(self.result), sh.reduce_shadow(self)
-            )
-            send(CH_BCAST)
-            self._sent[CH_BCAST] = True
-        return work
-
-    def _advance_recorded(self) -> int:
-        """:meth:`_advance` while a schedule recording is attached.
-
-        Identical arithmetic and send schedule; additionally unwraps
-        arriving :class:`~repro.wse.replay.TracedWord` tokens into the
-        recorder's fp32 accumulation chain and stamps outgoing words
-        with the chain's current node.
-        """
+                return word.v, word.s
+            # un-instrumented producer: keep running, flag the gap
+            value = float(word)
+            return value, sh.on_stray_word(self, channel, value)
         rec = self.recorder
-        f32 = np.float32
-        work = 0
-        while self._inbox:
-            channel, word = self._inbox.popleft()
-            if hasattr(word, "t"):
-                value, node = word.v, word.t
-            else:  # un-instrumented producer: keep running, void the tape
-                value = word
-                rec.fail(
-                    f"reduce core ({self.x},{self.y}) received an "
-                    f"unattributed word on channel {channel}"
-                )
-                node = rec.on_obj_init(self, "_stray", f32(value))
+        if hasattr(word, "t"):
+            return word.v, word.t
+        # un-instrumented producer: keep running, void the tape
+        rec.fail(
+            f"reduce core ({self.x},{self.y}) received an "
+            f"unattributed word on channel {channel}"
+        )
+        return word, rec.on_obj_init(self, "_stray", np.float32(word))
+
+    def _tap(self, sh, channel: int, tag) -> None:
+        """Report the word just applied: the result on ``CH_BCAST``, an
+        fp32 accumulation on every other channel."""
+        if sh is not None:
             if channel == CH_BCAST:
-                self.result = f32(value)
-                rec.obj_set(self, "result", node)
+                sh.on_reduce_result(self, float(self.result), tag)
             else:
-                self.acc = f32(self.acc + f32(value))
-                rec.obj_add32(self, "acc", node)
-                self._counts[channel] += 1
-            work += 1
-        wrap = rec.wrap
+                sh.on_reduce_add(self, tag)
+        elif channel == CH_BCAST:
+            self.recorder.obj_set(self, "result", tag)
+        else:
+            self.recorder.obj_add32(self, "acc", tag)
 
-        def send(channel):
-            w = wrap(float(self.acc))
-            w.t = rec.obj_get(self, "acc")
-            self._tx.append((channel, w))
-
-        r = self.role
-        if not r.row_sink:
-            if not self._sent[CH_ROW]:
-                send(CH_ROW)
-                self._sent[CH_ROW] = True
-            return work
-        row_done = self._counts[CH_ROW] >= r.n_row
-        if not r.col_sink:
-            if row_done and not self._sent[CH_COL]:
-                send(CH_COL)
-                self._sent[CH_COL] = True
-            return work
-        col_done = row_done and self._counts[CH_COL] >= r.n_col
-        if not r.root:
-            if col_done and not self._sent[CH_GATHER]:
-                send(CH_GATHER)
-                self._sent[CH_GATHER] = True
-            return work
-        if col_done and self._counts[CH_GATHER] >= 3 and not self._sent[CH_BCAST]:
-            self.result = np.float32(self.acc)
-            rec.obj_set(self, "result", rec.obj_get(self, "acc"))
-            send(CH_BCAST)
-            self._sent[CH_BCAST] = True
-        return work
+    def _tagged(self, sh):
+        """``(tag, word)`` for the outgoing partial: the accumulator
+        paired with its fp64 shadow, or stamped with its tape node."""
+        if sh is not None:
+            tag = sh.reduce_shadow(self)
+            return tag, _ShadowWord(float(self.acc), tag)
+        rec = self.recorder
+        word = rec.wrap(float(self.acc))
+        word.t = rec.obj_get(self, "acc")
+        return word.t, word
 
     @property
     def idle(self) -> bool:

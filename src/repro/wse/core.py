@@ -19,8 +19,6 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 
-import numpy as np
-
 from .analyze.spec import ProgramDecl
 from .config import MachineConfig
 from .dsr import (
@@ -89,16 +87,17 @@ class Core:
         self.on_wake = None
         #: Attached :class:`repro.wse.sanitizer.RaceSanitizer`, or None.
         #: The hot path pays exactly one ``is None`` test (like the obs
-        #: hook); all shadow tracking lives in :meth:`_step_sanitized`.
+        #: hook); its hooks are called from :meth:`_step_instrumented`.
         self.sanitizer = None
         #: Attached :class:`repro.wse.replay.ScheduleRecorder`, or None.
         #: Same contract as the sanitizer hook: one ``is None`` test on
-        #: the hot path, all taping in :meth:`_step_recorded`.
+        #: the hot path, all taping from :meth:`_step_instrumented`.
         self.recorder = None
         #: Attached :class:`repro.obs.profile.TileProfile`, or None.
         #: Same contract again: one ``is None`` test on the hot path,
-        #: all wait-state accounting in :meth:`_step_profiled` (and the
-        #: recorded path's tail, so profiling composes with recording).
+        #: all wait-state accounting at the tail of
+        #: :meth:`_step_instrumented`, so profiling composes with the
+        #: sanitizer and with recording.
         self.profiler = None
         #: True after a cycle in which nothing happened (no task ran, no
         #: instruction advanced or finished); the sleep gate.
@@ -226,12 +225,9 @@ class Core:
 
         Returns the number of vector elements processed this cycle.
         """
-        if self.sanitizer is not None:
-            return self._step_sanitized()
-        if self.recorder is not None:
-            return self._step_recorded()
-        if self.profiler is not None:
-            return self._step_profiled()
+        if (self.sanitizer is not None or self.recorder is not None
+                or self.profiler is not None):
+            return self._step_instrumented()
         self._stepping = True
         ran = self.scheduler.dispatch(self)
         simd = self._simd
@@ -269,58 +265,21 @@ class Core:
         self._quiet = not (processed or ran or finished)
         return processed
 
-    def _step_sanitized(self) -> int:
-        """:meth:`step` with race-sanitizer hooks on the same schedule.
+    def _step_instrumented(self) -> int:
+        """:meth:`step` with whichever of :attr:`sanitizer`,
+        :attr:`recorder` and :attr:`profiler` are attached, in any
+        combination, on the same schedule.
 
-        Identical issue order and numerics — the sanitizer only observes
-        (epoch starts at main-head arrival, epoch retirement before the
-        completion fires), so a sanitized run is bit-identical.
+        Identical issue order and numerics — the instruments only
+        observe, so an instrumented run is bit-identical.  The sanitizer
+        starts a main-queue epoch when an instruction reaches the head
+        and retires an epoch before its completion fires; the recorder
+        taps an instruction's fabric descriptors before its first step
+        (``pre_instr``) and records each step's elements after the live
+        arithmetic ran (``on_instr``); the profiler classifies the cycle
+        after its real work.
         """
         san = self.sanitizer
-        self._stepping = True
-        ran = self.scheduler.dispatch(self)
-        simd = self._simd
-        processed = 0
-        finished = 0
-        main = self.main
-        if main:
-            head = main[0]
-            san.on_main_head(self, head)
-            fn = head._stepfn
-            processed += fn(simd) if fn is not None else head.step(simd)
-            if head.finished:
-                main.popleft()
-                finished += 1
-                san.on_finish(self, head, "main")
-                self._fire(head)
-        occupied = self._occupied
-        if occupied:
-            threads = self.threads
-            for slot in occupied[:]:
-                instr = threads[slot]
-                fn = instr._stepfn
-                processed += fn(simd) if fn is not None else instr.step(simd)
-                if instr.finished:
-                    threads[slot] = None
-                    occupied.remove(slot)
-                    finished += 1
-                    san.on_finish(self, instr, slot)
-                    self._fire(instr)
-        self._stepping = False
-        self.elements_processed += processed
-        if processed:
-            self.cycles_active += 1
-        self._quiet = not (processed or ran or finished)
-        return processed
-
-    def _step_recorded(self) -> int:
-        """:meth:`step` with schedule-recorder hooks, same schedule.
-
-        Like the sanitized path, this only observes: ``pre_instr`` taps
-        an instruction's fabric descriptors before its first step and
-        ``on_instr`` records each step's elements after the live
-        arithmetic ran, so a recorded run is bit-identical.
-        """
         rec = self.recorder
         self._stepping = True
         ran = self.scheduler.dispatch(self)
@@ -330,31 +289,41 @@ class Core:
         main = self.main
         if main:
             head = main[0]
-            rec.pre_instr(self, head)
+            if san is not None:
+                san.on_main_head(self, head)
+            if rec is not None:
+                rec.pre_instr(self, head)
             fn = head._stepfn
             n = fn(simd) if fn is not None else head.step(simd)
             if n:
-                rec.on_instr(self, head, n)
+                if rec is not None:
+                    rec.on_instr(self, head, n)
                 processed += n
             if head.finished:
                 main.popleft()
                 finished += 1
+                if san is not None:
+                    san.on_finish(self, head, "main")
                 self._fire(head)
         occupied = self._occupied
         if occupied:
             threads = self.threads
             for slot in occupied[:]:
                 instr = threads[slot]
-                rec.pre_instr(self, instr)
+                if rec is not None:
+                    rec.pre_instr(self, instr)
                 fn = instr._stepfn
                 n = fn(simd) if fn is not None else instr.step(simd)
                 if n:
-                    rec.on_instr(self, instr, n)
+                    if rec is not None:
+                        rec.on_instr(self, instr, n)
                     processed += n
                 if instr.finished:
                     threads[slot] = None
                     occupied.remove(slot)
                     finished += 1
+                    if san is not None:
+                        san.on_finish(self, instr, slot)
                     self._fire(instr)
         self._stepping = False
         self.elements_processed += processed
@@ -368,49 +337,6 @@ class Core:
                 self._classify_wait(prof)
             else:
                 prof.account(0, -1)
-        return processed
-
-    def _step_profiled(self) -> int:
-        """:meth:`step` with per-cycle wait-state accounting, same
-        schedule.  Like the sanitized/recorded paths this only observes:
-        the classification runs after the cycle's real work, so a
-        profiled run is bit-identical."""
-        self._stepping = True
-        ran = self.scheduler.dispatch(self)
-        simd = self._simd
-        processed = 0
-        finished = 0
-        main = self.main
-        if main:
-            head = main[0]
-            fn = head._stepfn
-            processed += fn(simd) if fn is not None else head.step(simd)
-            if head.finished:
-                main.popleft()
-                finished += 1
-                self._fire(head)
-        occupied = self._occupied
-        if occupied:
-            threads = self.threads
-            for slot in occupied[:]:
-                instr = threads[slot]
-                fn = instr._stepfn
-                processed += fn(simd) if fn is not None else instr.step(simd)
-                if instr.finished:
-                    threads[slot] = None
-                    occupied.remove(slot)
-                    finished += 1
-                    self._fire(instr)
-        self._stepping = False
-        self.elements_processed += processed
-        if processed:
-            self.cycles_active += 1
-        quiet = not (processed or ran or finished)
-        self._quiet = quiet
-        if quiet:
-            self._classify_wait(self.profiler)
-        else:
-            self.profiler.account(0, -1)
         return processed
 
     def _classify_wait(self, tp) -> None:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 

@@ -1170,10 +1170,11 @@ class Fabric:
         """
         if self.sanitizer is not None:
             raise RuntimeError("a sanitizer is already attached")
-        # Sanitized stepping pre-empts any schedule recording, so a
-        # replay cache built earlier can no longer claim to model what
-        # runs next; bumping the epoch invalidates it (replay sessions
-        # fold this into their mutation token).
+        # The recorder refuses to attach next to a sanitizer, and a
+        # replay would skip it, so a replay cache built earlier can no
+        # longer claim to model what runs next; bumping the epoch
+        # invalidates it (replay sessions fold this into their mutation
+        # token).
         self._sanitize_epoch += 1
         if sanitizer is None:
             from .sanitizer import RaceSanitizer

@@ -39,7 +39,6 @@ from .record import (
     OP_CONST,
     OP_EXTERN,
     OP_LEAF,
-    OP_MUL,
     OP_MULX,
     OP_PEND,
     RecordedTape,

@@ -15,8 +15,8 @@ consuming descriptor.
 The recorder attaches only to public surfaces, mirroring the sanitizer
 and obs precedents:
 
-* ``Core.recorder`` — :meth:`Core.step` takes the ``_step_recorded``
-  branch (one ``is None`` test when detached), which calls
+* ``Core.recorder`` — :meth:`Core.step` takes its instrumented body
+  (one ``is None`` test when detached), which calls
   :meth:`pre_instr` / :meth:`on_instr` around each instruction;
 * ``fabric.obs`` — the recorder chains in front of any attached
   observer to capture the per-cycle word/skip accounting through the
@@ -273,8 +273,8 @@ class ScheduleRecorder:
         fabric.obs = _RecorderObs(self, self._inner_obs)
         # Profiler composition: snapshot the wait-state ledgers so the
         # tape can carry the recorded window's attribution deltas (the
-        # cores' recorded step path keeps accounting live during the
-        # recording; replays fold the payload back via the schedule).
+        # cores keep accounting live during the recording; replays fold
+        # the payload back via the schedule).
         prof = getattr(fabric, "profiler", None)
         if prof is not None and getattr(prof, "attached", False):
             self._prof = prof
@@ -432,7 +432,7 @@ class ScheduleRecorder:
         tx._rec_pend.append(word)
 
     # ------------------------------------------------------------------
-    # Instruction hooks (called from Core._step_recorded)
+    # Instruction hooks (called from Core._step_instrumented)
     # ------------------------------------------------------------------
     def pre_instr(self, core, instr) -> None:
         """First-touch setup for an instruction: tap its fabric

@@ -34,7 +34,9 @@ naming both instructions, the array, and the element index.
 The sanitizer observes and never writes: a sanitized run is bit-identical
 to an unsanitized one.  The engine hot path pays a single
 ``sanitizer is None`` test (see :meth:`repro.wse.core.Core.step`), like
-the observability hook; all tracking lives on the sanitized branch.
+the observability hook; the hooks are called from
+:meth:`repro.wse.core.Core._step_instrumented`, the one body the
+recorder and the profiler ride too.
 Accesses performed outside vector instructions — task bodies poking
 arrays directly, host code between runs — are invisible to the shadow
 state, exactly as they are to the static pass.
@@ -169,7 +171,7 @@ class RaceSanitizer:
             self._carrier.setdefault(id(core), set()).update(self._all_ids)
 
     # ------------------------------------------------------------------
-    # Core hooks (called from the sanitized step path)
+    # Core hooks (called from Core.launch / Core._step_instrumented)
     # ------------------------------------------------------------------
     def on_launch(self, core, instr, thread) -> None:
         """``Core.launch`` hook.  Background launches start executing
@@ -299,8 +301,8 @@ class _ShadowWord:
 
     Only :class:`~repro.wse.allreduce.ReduceCore` traffic uses in-band
     shadows (its arithmetic happens inside ``_advance``, not in vector
-    instructions); routers treat words opaquely, so the pair travels
-    unchanged.  ``float(word)`` still yields the primary value, keeping
+    instructions, which taps the pair apart on arrival); routers treat
+    words opaquely, so the pair travels unchanged.  ``float(word)`` still yields the primary value, keeping
     un-shadowed consumers working.
     """
 

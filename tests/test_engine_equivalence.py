@@ -23,6 +23,9 @@ its cross-process propagation), and the seeded-defect check that the
 equivalence gate catches a deliberately unsound lookahead.
 """
 
+from contextlib import nullcontext
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -35,10 +38,14 @@ from repro.kernels import (
     run_spmv_des,
 )
 from repro.kernels.spmv3d import SpmvEngine
+from repro.obs import CycleProfiler
 from repro.problems import Stencil7, Stencil9
 from repro.wse import CS1, Core, Fabric, FabricDeadlockError, Port
 from repro.wse.allreduce import AllReduceEngine, simulate_allreduce
 from repro.wse.dsr import FabricRx, Instruction, MemCursor
+from repro.wse.engines import fabric_until
+from repro.wse.replay import ReplaySession
+from repro.wse.sanitizer import ShadowNumerics
 from repro.wse.shard import run_sharded
 
 RNG = np.random.default_rng(7)
@@ -74,6 +81,74 @@ class _Recorder:
     @property
     def idle(self):
         return not self._tx
+
+
+# ----------------------------------------------------------------------
+# Instrument composition: every instrument observes the one execution
+# ----------------------------------------------------------------------
+def _spmv_two_sum_program():
+    shape = (3, 3, 4)
+    v = 0.1 * np.random.default_rng(32).standard_normal(shape)
+    fabric, programs = build_spmv_fabric(_op3d(shape, 31), v,
+                                         two_sum_tasks=True)
+    return (fabric, lambda: None, programs.tile_done,
+            lambda: programs.result().tobytes())
+
+
+def _allreduce_program():
+    w, h = 5, 4
+    eng = AllReduceEngine(w, h)
+    vals = np.random.default_rng(54).uniform(-4, 4, w * h).astype(np.float32)
+
+    def arm():
+        for core, val in zip(eng.cores, vals):
+            core.reset(float(val))
+
+    return (eng.fabric, arm,
+            lambda x, y: eng.cores[y * w + x].result is not None,
+            lambda: np.array([c.result for c in eng.cores]).tobytes())
+
+
+_PROGRAMS = {"spmv3d-two-sum": _spmv_two_sum_program,
+             "allreduce": _allreduce_program}
+
+
+def _run_instrumented(program, instruments):
+    """Run a fresh ``program`` with ``instruments`` attached; returns
+    everything an instrument must leave exactly as the bare run has it."""
+    fabric, arm, tile_done, output = _PROGRAMS[program]()
+    prof = san = shadow = session = None
+    if "profile" in instruments:
+        prof = CycleProfiler(program, fabric).attach()
+    if "sanitize" in instruments:
+        san = fabric.attach_sanitizer()
+    if "shadow" in instruments:
+        shadow = fabric.attach_sanitizer(ShadowNumerics(fabric))
+    if "record" in instruments:
+        session = ReplaySession(fabric, label=program)
+    start = fabric.cycle
+    with session.record() if session is not None else nullcontext():
+        arm()
+        fabric.run(max_cycles=50_000, until=fabric_until(fabric, tile_done))
+    # Each instrument really rode along.
+    if prof is not None:
+        assert prof.totals()["busy"] > 0
+        assert all(sum(t.values()) == prof.stepped
+                   for t in prof.taxonomy().values())
+    if san is not None and program != "allreduce":  # no vector instructions
+        assert san.instructions_tracked > 0
+    if shadow is not None:
+        assert shadow.elements_shadowed > 0 and shadow.stream_gaps == 0
+    if session is not None:
+        assert session.records == 1, session.diagnostics
+        assert session.schedule.check() == []
+    return {
+        "cycles": fabric.cycle - start,
+        "output": output(),
+        "router_words": [[r.words_moved for r in row]
+                         for row in fabric.routers],
+        "stats": asdict(fabric.stats),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -258,6 +333,19 @@ class TestKernelEquivalence:
             de, ce = dot[e]
             assert ce == ca
             assert de == da
+
+    @pytest.mark.parametrize("program", list(_PROGRAMS))
+    @pytest.mark.parametrize("instruments", [
+        "sanitize", "profile", "sanitize+profile", "record",
+        "record+profile", "shadow",
+    ])
+    def test_instrument_composition(self, program, instruments):
+        """Instruments tap one stepping body per core type, so any
+        combination of them leaves the execution bit-identical."""
+        bare = _run_instrumented(program, ())
+        got = _run_instrumented(program, instruments.split("+"))
+        for key, want in bare.items():
+            assert got[key] == want, key
 
     @pytest.mark.parametrize("engine", ["reference", "replay"])
     def test_spmv3d_two_sum_matrix(self, engine):

@@ -16,7 +16,7 @@ import pytest
 
 from repro.api import RunOptions
 from repro.kernels.bicgstab_des import DESBiCGStab
-from repro.kernels.spmv3d import SpmvEngine
+from repro.kernels.spmv3d import SpmvEngine, run_spmv_des
 from repro.obs import (
     CycleProfiler,
     ObsSession,
@@ -80,6 +80,24 @@ class TestConservation:
         obs.observe_fabric("allreduce", eng.fabric)
         eng.reduce(np.ones((3, 4)))
         _assert_conserved(obs.profiles["allreduce"])
+
+    def test_sanitized_run_profiles_like_unsanitized(self):
+        """The race sanitizer and the profiler share one stepping body:
+        attaching the sanitizer must not blank the wait-state ledger."""
+        op = _spmv_op((4, 4, 6))
+        v = 0.1 * np.random.default_rng(5).standard_normal(op.shape)
+        profs, outs = {}, {}
+        for sanitize in (False, True):
+            obs = ObsSession(profile=True)
+            outs[sanitize] = run_spmv_des(op, v, options=RunOptions(
+                sanitize=sanitize, profile=True, obs=obs))
+            profs[sanitize] = obs.profiles["spmv"]
+            _assert_conserved(profs[sanitize])
+        assert outs[True][1] == outs[False][1]
+        assert np.array_equal(outs[True][0], outs[False][0])
+        assert profs[False].totals()["busy"] > 0
+        assert profs[True].totals() == profs[False].totals()
+        assert profs[True].taxonomy() == profs[False].taxonomy()
 
     def test_solver_both_fabrics(self):
         sys_ = momentum_system((6, 6, 8), reynolds=50.0, dt=0.02)

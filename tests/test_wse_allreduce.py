@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import RunOptions
 from repro.wse import (
     CS1,
     allreduce_latency_cycles,
@@ -13,8 +14,9 @@ from repro.wse import (
     allreduce_pattern,
     simulate_allreduce,
 )
-from repro.wse.allreduce import CH_BCAST
+from repro.wse.allreduce import CH_BCAST, AllReduceEngine, ReduceCore
 from repro.wse.patterns import Pattern
+from repro.wse.sanitizer import ShadowNumerics
 
 RNG = np.random.default_rng(41)
 
@@ -82,6 +84,59 @@ class TestSimulation:
             _, cycles = simulate_allreduce(np.ones((h, w)))
             model = allreduce_latency_cycles(w, h, stage_overhead=0)
             assert abs(cycles - model) <= max(6, 0.4 * model)
+
+
+class _UntappedCore(ReduceCore):
+    """A producer no instrument taps: it refuses the shadow and the
+    recorder, strips the tag off what it receives and sends plain floats."""
+
+    shadow = recorder = property(lambda self: None, lambda self, _v: None)
+
+    def deliver(self, channel, value):
+        super().deliver(channel, getattr(value, "v", value))
+
+
+class TestUninstrumentedProducer:
+    """One corner tile (a non-sink: it sends a single CH_ROW word) is
+    not instrumented; the instrumented sink that receives its plain
+    float must keep the collective running and say what it lost."""
+
+    W, H = 5, 4
+
+    def _engine(self, engine):
+        eng = AllReduceEngine(self.W, self.H,
+                              options=RunOptions(engine=engine))
+        stray = _UntappedCore(0, 0, self.W, self.H, 0.0)
+        eng.fabric.attach_core(0, 0, stray)
+        eng.cores[0] = stray
+        return eng
+
+    def _expected(self, values):
+        return AllReduceEngine(self.W, self.H).reduce(values)
+
+    def test_shadowed_core_counts_a_stream_gap(self):
+        values = RNG.uniform(-4, 4, size=(self.H, self.W))
+        eng = self._engine("active")
+        shadow = ShadowNumerics(eng.fabric)
+        eng.fabric.attach_sanitizer(shadow)
+        assert eng.reduce(values) == self._expected(values)
+        assert shadow.stream_gaps == 1
+        # Every tapped tile still reported its realized error.
+        assert len(shadow.report()) == self.W * self.H - 1
+
+    def test_recording_is_voided_and_falls_back_live(self):
+        values = RNG.uniform(-4, 4, size=(self.H, self.W))
+        eng = self._engine("replay")
+        sess = eng.replay
+        assert sess.enabled
+        assert eng.reduce(values) == self._expected(values)
+        assert (sess.records, sess.replays, sess.fallbacks) == (0, 0, 1)
+        assert sess.schedule is None
+        assert any("recording failed" in d and "unattributed word" in d
+                   for d in sess.diagnostics)
+        # The next reduce runs live again and is still right.
+        assert eng.reduce(2 * values) == self._expected(2 * values)
+        assert sess.replays == 0
 
 
 class TestLatencyModel:
