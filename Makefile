@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: install test lint verify-contracts certify-numerics sanitize check trace profile perf perf-quick bench bench-smoke bench-compare bench-verbose examples report all clean
+.PHONY: install test lint verify-contracts certify-numerics sanitize check trace profile perf perf-quick perf-pairs bench bench-smoke bench-compare bench-verbose examples report all clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -103,6 +103,15 @@ perf:
 perf-quick:
 	python3 benchmarks/perf/selftest.py
 	python3 benchmarks/perf/run.py --quick
+
+# The protocol for claiming a gain, automated: N alternating pairs of one
+# workload, working tree against a clone of PARENT (in .bench_out/parent,
+# measured by the working tree's benchmarks/perf/), with per-side median
+# and quartiles, wins/ties and the README verdict.
+#   make perf-pairs PARENT=HEAD~1 WORKLOAD=bicgstab-replay-headline [N=10] [SEED=42]
+perf-pairs:
+	python3 benchmarks/pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
+		--pairs $(or $(N),10) --seed $(or $(SEED),42)
 
 bench:
 	pytest benchmarks/ --benchmark-only -q

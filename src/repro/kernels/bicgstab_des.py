@@ -50,7 +50,7 @@ from ..solver.result import SolveResult
 from ..wse.allreduce import AllReduceEngine
 from ..wse.config import CS1, MachineConfig
 from ..wse.engines import resolve_options
-from .spmv3d import SpmvEngine, build_spmv_fabric
+from .spmv3d import SpmvEngine
 
 __all__ = ["DESBiCGStab", "DESCycleReport"]
 
@@ -96,18 +96,18 @@ class DESBiCGStab:
         first iteration's kernel schedules and replays later iterations
         as compiled array programs, falling back to the live engine on
         any program the analyzer cannot prove schedule-deterministic and
-        on any cache invalidation.  With ``analyze`` the SpMV tile
-        program is statically verified at construction time — a probe
-        fabric is built (no cycles run) and passed through
-        :func:`repro.wse.analyze.analyze_program`, so a defective
-        program raises before the first solve.  With ``obs`` (a
+        on any cache invalidation.  With ``analyze`` the SpMV engine is
+        built at construction time and its tile program passed through
+        :func:`repro.wse.analyze.analyze_program` before it runs, so a
+        defective program raises before the first solve.  With ``obs`` (a
         :class:`repro.obs.ObsSession`) the solver emits phase and
         iteration spans on the unified wafer timeline, records
         per-iteration telemetry, and attaches fabric observers to the
         persistent engines; ``None`` (default) costs nothing.
 
     One :class:`SpmvEngine` and one :class:`AllReduceEngine` are built
-    at first use and re-run for every kernel call.
+    at first use (the former up front under ``analyze``) and re-run for
+    every kernel call.
     """
 
     operator: Stencil7
@@ -122,17 +122,14 @@ class DESBiCGStab:
             raise ValueError(
                 "DES BiCGStab requires a Jacobi-preconditioned operator"
             )
-        if opts.analyze:
-            build_spmv_fabric(
-                self.operator, np.zeros(self.operator.shape),
-                self.config, analyze=True,
-            )
         self.report = DESCycleReport()
         self._spmv_eng: SpmvEngine | None = None
         self._ar_eng: AllReduceEngine | None = None
         if self.obs is not None and self.obs.tracer.clock is None:
             # The solver's clock is the unified wafer timeline.
             self.obs.tracer.clock = lambda: self.report.total_cycles
+        if opts.analyze:
+            self._spmv_engine()
 
     def _phase(self, name: str, start: int) -> None:
         """Record a leaf phase span ``[start, now)`` on the timeline.
@@ -164,9 +161,7 @@ class DESBiCGStab:
     def _spmv_engine(self) -> SpmvEngine:
         if self._spmv_eng is None:
             self._spmv_eng = SpmvEngine(
-                self.operator, self.config,
-                options=self.options.replace(analyze=False),
-            )
+                self.operator, self.config, options=self.options)
         return self._spmv_eng
 
     def _allreduce_engine(self) -> AllReduceEngine | None:

@@ -36,6 +36,7 @@ from ..wse.analyze import (
     FabricRef,
     InstrDecl,
     MemRef,
+    ProgramDecl,
     analyze_program,
     compute_contract,
 )
@@ -88,6 +89,95 @@ def _row_cursor(arr: np.ndarray, by: int, y: int, x0: int, length: int,
                      stride=stride_row, name=name)
 
 
+def _tile_decl(
+    has: dict,
+    bx: int,
+    by: int,
+    value_range: tuple[float, float],
+    tolerance: float,
+) -> ProgramDecl:
+    """The static declaration of one tile *class* — a ``bx x by`` block
+    whose neighbours exist per ``has`` (send channel -> bool).  Every
+    tile of the class shares it."""
+    decl = ProgramDecl()
+    # The numerics certificate is conditional on the iterate staying in
+    # this range (checked per run by the shadow executor); the tolerance
+    # is the per-output absolute error budget the static bound must meet.
+    decl.declare_range("v", *value_range)
+    decl.declare_tolerance(tolerance)
+    last_leg = list(OFFSETS_9PT)[-1]
+    decl.task("local", launches=tuple(
+        InstrDecl(
+            "mac",
+            MemRef("out", (1 + di + xk) * (by + 2) + (1 + dj), by),
+            (MemRef(f"c_{leg}", xk * by, by), MemRef("v", xk * by, by)),
+            length=by, thread=None,
+            completions=(
+                (("start_x", Action.ACTIVATE),)
+                if (leg == last_leg and xk == bx - 1) else ()
+            ),
+            name=f"mac_{leg}_{xk}",
+        )
+        for leg, (di, dj) in OFFSETS_9PT.items()
+        for xk in range(bx)
+    ))
+
+    sx_launches: list[InstrDecl] = []
+    sx_actions: list[tuple] = []
+    for ch, col in ((CH_E, bx + 1), (CH_W, 0)):
+        if has[ch]:
+            sx_launches.append(InstrDecl(
+                "copy", FabricRef(ch, by + 2),
+                (MemRef("out", col * (by + 2), by + 2),),
+                length=by + 2, thread=0 if ch == CH_E else 1,
+                name=f"send_x_{ch}",
+            ))
+    # A stream arrives from the side opposite to the one it is sent to.
+    for arrives, ch, col, trig in (
+        (has[CH_W], CH_E, 1, ("x_done", Action.ACTIVATE)),
+        (has[CH_E], CH_W, bx, ("x_done", Action.UNBLOCK)),
+    ):
+        if not arrives:
+            sx_actions.append(trig)
+            continue
+        sx_launches.append(InstrDecl(
+            "addin", MemRef("out", col * (by + 2), by + 2),
+            (FabricRef(ch, by + 2),),
+            length=by + 2, thread=2 if ch == CH_E else 3,
+            completions=(trig,), name=f"recv_x_{ch}",
+        ))
+    decl.task("start_x", launches=sx_launches, actions=sx_actions)
+    decl.task("x_done", actions=(
+        ("x_done", Action.BLOCK), ("start_y", Action.ACTIVATE)))
+
+    sy_launches: list[InstrDecl] = []
+    sy_actions: list[tuple] = []
+    for ch, row in ((CH_N, by + 1), (CH_S, 0)):
+        if has[ch]:
+            sy_launches.append(InstrDecl(
+                "copy", FabricRef(ch, bx),
+                (MemRef("out", (by + 2) + row, bx, stride=by + 2),),
+                length=bx, thread=4 if ch == CH_N else 5,
+                name=f"send_y_{ch}",
+            ))
+    for arrives, ch, row, trig in (
+        (has[CH_S], CH_N, 1, ("y_done", Action.ACTIVATE)),
+        (has[CH_N], CH_S, by, ("y_done", Action.UNBLOCK)),
+    ):
+        if not arrives:
+            sy_actions.append(trig)
+            continue
+        sy_launches.append(InstrDecl(
+            "addin", MemRef("out", (by + 2) + row, bx, stride=by + 2),
+            (FabricRef(ch, bx),),
+            length=bx, thread=6 if ch == CH_N else 7,
+            completions=(trig,), name=f"recv_y_{ch}",
+        ))
+    decl.task("start_y", launches=sy_launches, actions=sy_actions)
+    decl.task("y_done", actions=(("y_done", Action.BLOCK),))
+    return decl.freeze()
+
+
 def _build_tile(
     core: Core,
     fabric: Fabric,
@@ -98,9 +188,12 @@ def _build_tile(
     bj: int,
     bx: int,
     by: int,
+    decls: dict,
     value_range: tuple[float, float] = (-2.0, 2.0),
     tolerance: float = 0.25,
 ) -> _TileProgram:
+    """Build one block's tile program; ``decls`` interns the static
+    declaration per tile class across one fabric build."""
     mem = core.memory
     px = op.shape[0] // bx
     py = op.shape[1] // by
@@ -163,28 +256,6 @@ def _build_tile(
 
     core.scheduler.add("local", local_compute)
     core.scheduler.activate("local")
-    decl = core.program_decl
-    # The numerics certificate is conditional on the iterate staying in
-    # this range (checked per run by the shadow executor); the tolerance
-    # is the per-output absolute error budget the static bound must meet.
-    decl.declare_range("v", *value_range)
-    decl.declare_tolerance(tolerance)
-    last_leg = list(OFFSETS_9PT)[-1]
-    decl.task("local", launches=tuple(
-        InstrDecl(
-            "mac",
-            MemRef("out", (1 + di + xk) * (by + 2) + (1 + dj), by),
-            (MemRef(f"c_{leg}", xk * by, by), MemRef("v", xk * by, by)),
-            length=by, thread=None,
-            completions=(
-                (("start_x", Action.ACTIVATE),)
-                if (leg == last_leg and xk == bx - 1) else ()
-            ),
-            name=f"mac_{leg}_{xk}",
-        )
-        for leg, (di, dj) in OFFSETS_9PT.items()
-        for xk in range(bx)
-    ))
 
     # ---- x-round ---------------------------------------------------------
     def start_x(c: Core) -> None:
@@ -221,38 +292,12 @@ def _build_tile(
 
     core.scheduler.add("start_x", start_x, blocked=True)
     core.scheduler.unblock("start_x")
-    sx_launches: list[InstrDecl] = []
-    sx_actions: list[tuple] = []
-    for ch, col in ((CH_E, bx + 1), (CH_W, 0)):
-        if has[ch]:
-            sx_launches.append(InstrDecl(
-                "copy", FabricRef(ch, by + 2),
-                (MemRef("out", col * (by + 2), by + 2),),
-                length=by + 2, thread=0 if ch == CH_E else 1,
-                name=f"send_x_{ch}",
-            ))
-    for queue, ch, col, trig in (
-        (rx_e, CH_E, 1, ("x_done", Action.ACTIVATE)),
-        (rx_w, CH_W, bx, ("x_done", Action.UNBLOCK)),
-    ):
-        if queue is None:
-            sx_actions.append(trig)
-            continue
-        sx_launches.append(InstrDecl(
-            "addin", MemRef("out", col * (by + 2), by + 2),
-            (FabricRef(ch, by + 2),),
-            length=by + 2, thread=2 if ch == CH_E else 3,
-            completions=(trig,), name=f"recv_x_{ch}",
-        ))
-    decl.task("start_x", launches=sx_launches, actions=sx_actions)
 
     def x_done(c: Core) -> None:
         c.scheduler.block("x_done")
         c.scheduler.activate("start_y")
 
     core.scheduler.add("x_done", x_done, blocked=True)
-    decl.task("x_done", actions=(
-        ("x_done", Action.BLOCK), ("start_y", Action.ACTIVATE)))
 
     # ---- y-round ---------------------------------------------------------
     def start_y(c: Core) -> None:
@@ -287,38 +332,17 @@ def _build_tile(
 
     core.scheduler.add("start_y", start_y, blocked=True)
     core.scheduler.unblock("start_y")
-    sy_launches: list[InstrDecl] = []
-    sy_actions: list[tuple] = []
-    for ch, row in ((CH_N, by + 1), (CH_S, 0)):
-        if has[ch]:
-            sy_launches.append(InstrDecl(
-                "copy", FabricRef(ch, bx),
-                (MemRef("out", (by + 2) + row, bx, stride=by + 2),),
-                length=bx, thread=4 if ch == CH_N else 5,
-                name=f"send_y_{ch}",
-            ))
-    for queue, ch, row, trig in (
-        (rx_n, CH_N, 1, ("y_done", Action.ACTIVATE)),
-        (rx_s, CH_S, by, ("y_done", Action.UNBLOCK)),
-    ):
-        if queue is None:
-            sy_actions.append(trig)
-            continue
-        sy_launches.append(InstrDecl(
-            "addin", MemRef("out", (by + 2) + row, bx, stride=by + 2),
-            (FabricRef(ch, bx),),
-            length=bx, thread=6 if ch == CH_N else 7,
-            completions=(trig,), name=f"recv_y_{ch}",
-        ))
-    decl.task("start_y", launches=sy_launches, actions=sy_actions)
 
     def y_done(c: Core) -> None:
         c.scheduler.block("y_done")
         c.flags["spmv2d_done"] = True
 
     core.scheduler.add("y_done", y_done, blocked=True)
-    decl.task("y_done", actions=(("y_done", Action.BLOCK),))
 
+    key = tuple(has.values())
+    if key not in decls:
+        decls[key] = _tile_decl(has, bx, by, value_range, tolerance)
+    core.program_decl = decls[key]
     return _TileProgram(core=core, bx=bx, by=by, out=out)
 
 
@@ -347,12 +371,13 @@ def build_spmv2d_fabric(
     cols = {leg: _column_coefficient(op, leg) for leg in OFFSETS_9PT}
     fabric = Fabric(px, py)
     programs: list[list[_TileProgram]] = [[None] * px for _ in range(py)]  # type: ignore[list-item]
+    decls: dict = {}
     for bj in range(py):
         for bi in range(px):
             core = Core(bi, bj, config)
             fabric.attach_core(bi, bj, core)
             programs[bj][bi] = _build_tile(
-                core, fabric, op, cols, v, bi, bj, bx, by,
+                core, fabric, op, cols, v, bi, bj, bx, by, decls,
                 value_range, tolerance,
             )
     if analyze:

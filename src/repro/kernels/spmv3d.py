@@ -38,7 +38,8 @@ against the CSR ground truth either way.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MethodType
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from ..wse.analyze import (
     FifoRef,
     InstrDecl,
     MemRef,
+    ProgramDecl,
     analyze_program,
     compute_contract,
 )
@@ -76,9 +78,12 @@ _NEIGHBOUR_LEGS = (
     ("yp", (0, 1), Port.NORTH),
     ("ym", (0, -1), Port.SOUTH),
 )
+_LEG_OFFSET = {name: offset for name, offset, _port in _NEIGHBOUR_LEGS}
 
-#: Thread-slot assignment (listing 1's ``.thr`` fields).
-_THREAD = {"xp": 0, "xm": 1, "yp": 2, "ym": 3, "z": 4, "c_tx": 5, "c_add": 6}
+#: Thread-slot assignment (listing 1's ``.thr`` fields); the z-init
+#: multiply runs on the synchronous main thread.
+_THREAD = {"xp": 0, "xm": 1, "yp": 2, "ym": 3, "z": 4, "c_tx": 5, "c_add": 6,
+           "zinit": None}
 
 #: Completion trigger per leg thread: (task, action).
 _TRIGGERS = {
@@ -88,17 +93,101 @@ _TRIGGERS = {
     "ym": Completion("ydone", Action.UNBLOCK),
     "z": Completion("cdone", Action.ACTIVATE),
     "c_add": Completion("cdone", Action.UNBLOCK),
+    "zinit": Completion("launch_rest", Action.ACTIVATE),
 }
+
+#: The five FIFO legs in drain order.  "The production code used two
+#: distinct summation tasks to improve performance" (listing 1's
+#: commentary): with ``two_sum_tasks`` the first three drain in
+#: ``sumtask`` and the last two in ``sumtask2``, so drains interleave at
+#: finer grain.
+_FIFO_LEGS = ("xp", "xm", "z", "yp", "ym")
+
+#: The completion tree: each task blocks itself and hands on.
+_TREE = {
+    "xdone": ((Action.BLOCK, "xdone"), (Action.UNBLOCK, "xydone")),
+    "ydone": ((Action.BLOCK, "ydone"), (Action.ACTIVATE, "xydone")),
+    "xydone": ((Action.BLOCK, "xydone"), (Action.UNBLOCK, "xycdone")),
+    "cdone": ((Action.BLOCK, "cdone"), (Action.ACTIVATE, "xycdone")),
+    "xycdone": ((Action.BLOCK, "xycdone"), (Action.ACTIVATE, "spmv_exit")),
+}
+
+
+def _tree_body(ops):
+    def body(c: Core) -> None:
+        for action, target in ops:
+            c.scheduler.apply(target, action)
+    return body
+
+
+#: The tree bodies touch nothing but the scheduler of the core they run
+#: on, so every tile registers these same five functions.
+_TREE_BODIES = {name: _tree_body(ops) for name, ops in _TREE.items()}
+
+
+def _spmv_exit(c: Core) -> None:
+    c.flags["spmv_done"] = True
+
+
+def _drain(_pairs, c: Core) -> None:
+    # Drain the FIFOs into their accumulators; fp16 adds, in
+    # arrival order.  Hot path: operate on the FIFO buffer and
+    # accumulator array directly (same semantics as
+    # pop()/peek()/write(), minus the per-element calls).
+    rec = c.recorder
+    # The fp64 shadow executor taps drains the same way the
+    # recorder does (RaceSanitizer has no on_drain → None).
+    shadow = getattr(c.sanitizer, "on_drain", None)
+    for fifo, acc in _pairs:
+        buf = fifo._buf
+        if not buf:
+            continue
+        arr = acc.array
+        offset = acc.offset
+        stride = acc.stride
+        pos = acc.pos
+        length = acc.length
+        popleft = buf.popleft
+        if rec is not None or shadow is not None:
+            # Tape the drain before the adds land so first-touch
+            # leaves capture pre-mutation cell values.
+            n = len(buf)
+            if n > length - pos:
+                n = length - pos
+            if n:
+                if rec is not None:
+                    rec.on_drain(fifo, acc, pos, n)
+                if shadow is not None:
+                    shadow(fifo, acc, pos, n)
+        while buf and pos < length:
+            idx = offset + pos * stride
+            arr[idx] = arr[idx] + popleft()
+            pos += 1
+        acc.pos = pos
 
 
 @dataclass
 class SpmvProgram:
-    """Handle to one tile's SpMV program (memory arrays + launch task)."""
+    """Handle to one tile's SpMV program: its memory arrays, plus the
+    per-tile state its ``spmv`` and ``launch_rest`` task bodies (bound
+    methods of this handle) run on."""
 
     core: Core
     z: int
     v: np.ndarray
     u: np.ndarray
+    #: leg -> arrival queue, for each neighbour this tile has.
+    _rx: dict = field(default_factory=dict, repr=False)
+    #: Loopback arrival queues of the z-leg and the diagonal thread.
+    _loop: tuple = field(default=(), repr=False)
+    #: (FIFO, accumulator descriptor) per leg, in ``_FIFO_LEGS`` order.
+    #: The descriptors persist across sum-task runs within one SpMV.
+    _pairs: list = field(default_factory=list, repr=False)
+    #: Instruction cache: a persistent program re-issues the same thread
+    #: instructions every run.  Descriptor bindings never change between
+    #: runs (the arrays are updated in place), so each Instruction is
+    #: built at its first issue and rewound thereafter.
+    _instrs: dict = field(default_factory=dict, repr=False)
 
     def result(self) -> np.ndarray:
         """The local SpMV result (fp16, length Z)."""
@@ -107,6 +196,86 @@ class SpmvProgram:
     @property
     def done(self) -> bool:
         return bool(self.core.flags.get("spmv_done"))
+
+    def _issue(self, key: str) -> None:
+        instr = self._instrs.get(key)
+        if instr is None:
+            self._instrs[key] = instr = self._make(key)
+        else:
+            instr.rewind()
+        self.core.launch(instr, thread=_THREAD[key])
+
+    def _make(self, key: str) -> Instruction:
+        core, Z = self.core, self.z
+        own_ch = tile_channel(core.x, core.y)
+        if key == "c_tx":
+            # c_tx[] = v1[] : broadcast the local vector.
+            return Instruction(
+                op="copy", dst=FabricTx(core, Z, own_ch, name="c_tx"),
+                srcs=[MemCursor(self.v, 0, Z, name="v1")],
+                length=Z, name="c_tx_thread",
+            )
+        if key == "zinit":
+            # zm_acc[] = v0[] * zm_a[] : the synchronous multiply that
+            # initializes the result; its completion launches the rest.
+            return Instruction(
+                op="mul", dst=MemCursor(self.u, 0, Z + 1, name="zinit_acc"),
+                srcs=[
+                    MemCursor(self.v, 0, Z + 1, name="v0"),
+                    MemCursor(core.memory.get("zinit_a"), 0, Z + 1,
+                              name="zinit_a"),
+                ],
+                length=Z + 1, completions=[_TRIGGERS[key]],
+                name="zinit_thread",
+            )
+        if key == "c_add":
+            # The unit main diagonal: the looped-back stream added
+            # straight into the result (no multiply, no FIFO).
+            return Instruction(
+                op="addin", dst=MemCursor(self.u, 1, Z, name="c_acc"),
+                srcs=[FabricRx(self._loop[1], Z, own_ch, name="c_rx")],
+                length=Z, completions=[_TRIGGERS[key]], name="c_add_thread",
+            )
+        # A FIFO-feeding multiply: a neighbour's stream, or ("z") the
+        # looped-back own stream, times the stored diagonal.
+        if key == "z":
+            queue, channel, coeff = self._loop[0], own_ch, "zloop_a"
+        else:
+            dx, dy = _LEG_OFFSET[key]
+            queue = self._rx[key]
+            channel, coeff = tile_channel(core.x + dx, core.y + dy), f"{key}_a"
+        return Instruction(
+            op="mul",
+            dst=FifoPush(core.fifos[f"{key}_fifo"], Z, name=f"{key}_fifo_push"),
+            srcs=[
+                FabricRx(queue, Z, channel, name=f"{key}_rx"),
+                MemCursor(core.memory.get(coeff), 0, Z, name=coeff),
+            ],
+            length=Z, completions=[_TRIGGERS[key]], name=f"{key}_thread",
+        )
+
+    def _spmv_task(self, c: Core) -> None:
+        # Re-runnable: rewind the persistent accumulator descriptors
+        # (they track progress across sum-task invocations within one
+        # SpMV and must restart for the next).
+        for _fifo, acc in self._pairs:
+            acc.reset()
+        self._issue("c_tx")
+        self._issue("zinit")
+
+    def _launch_rest(self, c: Core) -> None:
+        # The five FIFO-writing threads plus the diagonal add, launched
+        # after the synchronous z-leg completes (listing order).
+        for name in ("xp", "xm", "yp", "ym"):
+            if name in self._rx:
+                self._issue(name)
+            else:
+                # A missing neighbour behaves as an instantly-complete,
+                # zero-length stream: fire its trigger now.
+                trig = _TRIGGERS[name]
+                c.scheduler.apply(trig.task, trig.action)
+        self._issue("z")
+        self._issue("c_add")
 
 
 class SpmvPrograms(list):
@@ -161,6 +330,77 @@ class SpmvPrograms(list):
         return self[y][x].done
 
 
+def _tile_decl(
+    own_ch: int,
+    present: tuple,
+    Z: int,
+    two_sum_tasks: bool,
+    value_range: tuple[float, float],
+    tolerance: float,
+) -> ProgramDecl:
+    """The static declaration of one tile *class*: listing 1 for a tile
+    of colour ``own_ch`` whose neighbours exist per ``present`` (in
+    ``_NEIGHBOUR_LEGS`` order).  Every tile of the class shares it."""
+    decl = ProgramDecl()
+    # The numerics certificate is conditional on the iterate staying in
+    # this range (the shadow executor checks it per run); the tolerance
+    # is the per-output absolute error budget the static bound must meet.
+    decl.declare_range("v", *value_range)
+    decl.declare_tolerance(tolerance)
+
+    def drains(names):
+        # DrainDecl (not bare names): the numerics pass needs to know
+        # where the popped words land to propagate error bounds.
+        return tuple(
+            DrainDecl(f"{n}_fifo", MemRef("u", 2 if n == "z" else 1, Z))
+            for n in names
+        )
+
+    if two_sum_tasks:
+        decl.task("sumtask", drains=drains(_FIFO_LEGS[:3]))
+        decl.task("sumtask2", drains=drains(_FIFO_LEGS[3:]))
+    else:
+        decl.task("sumtask", drains=drains(_FIFO_LEGS))
+    for name, ops in _TREE.items():
+        decl.task(name, actions=tuple((t, a) for a, t in ops))
+    decl.task("spmv_exit")
+
+    def thread(name, op, dst, srcs, length=Z):
+        trig = _TRIGGERS.get(name)
+        return InstrDecl(
+            op, dst, srcs, length=length, thread=_THREAD[name],
+            completions=((trig.task, trig.action),) if trig else (),
+            name=f"{name}_thread",
+        )
+
+    launches, actions = [], []
+    for (name, (dx, dy), _port), has in zip(_NEIGHBOUR_LEGS, present):
+        if has:
+            # The neighbour's colour follows from ours (c = x + 2y mod 5).
+            launches.append(thread(
+                name, "mul", FifoRef(f"{name}_fifo", Z),
+                (FabricRef((own_ch + dx + 2 * dy) % 5, Z),
+                 MemRef(f"{name}_a", 0, Z)),
+            ))
+        else:
+            trig = _TRIGGERS[name]
+            actions.append((trig.task, trig.action))
+    launches.append(thread(
+        "z", "mul", FifoRef("z_fifo", Z),
+        (FabricRef(own_ch, Z), MemRef("zloop_a", 0, Z)),
+    ))
+    launches.append(thread(
+        "c_add", "addin", MemRef("u", 1, Z), (FabricRef(own_ch, Z),)))
+    decl.task("launch_rest", launches=launches, actions=actions)
+    decl.task("spmv", launches=(
+        thread("c_tx", "copy", FabricRef(own_ch, Z), (MemRef("v", 0, Z),)),
+        thread("zinit", "mul", MemRef("u", 0, Z + 1),
+               (MemRef("v", 0, Z + 1), MemRef("zinit_a", 0, Z + 1)),
+               length=Z + 1),
+    ))
+    return decl.freeze()
+
+
 def _build_tile_program(
     core: Core,
     fabric: Fabric,
@@ -169,29 +409,24 @@ def _build_tile_program(
     i: int,
     j: int,
     fifo_capacity: int,
+    decls: dict,
     two_sum_tasks: bool = False,
     value_range: tuple[float, float] = (-2.0, 2.0),
     tolerance: float = 0.25,
 ) -> SpmvProgram:
-    """Construct listing 1 on one core for mesh column (i, j, :)."""
-    nx, ny, nz = op.shape
-    mem = core.memory
-    Z = nz
+    """Construct listing 1 on one core for mesh column (i, j, :).
 
-    if not op.has_unit_diagonal:
-        raise ValueError(
-            "the wafer SpMV kernel requires a unit main diagonal; "
-            "apply jacobi_precondition() first (paper section IV)"
-        )
+    ``decls`` interns the static declaration per tile class (own colour
+    x which neighbours exist) across one fabric build."""
+    Z = op.shape[2]
+    mem = core.memory
 
     # --- Memory allocation (the float16 declarations) -------------------
     v = mem.alloc("v", Z + 1, np.float16, backing=programs.v_plane[j, i])
     u = mem.alloc("u", Z + 2, np.float16, backing=programs.u_plane[j, i])
-    legs = {}
     for name in ("xp", "xm", "yp", "ym"):
         arr = mem.alloc(f"{name}_a", Z, np.float16)
         arr[:] = op.coeffs[name][i, j, :].astype(np.float16)
-        legs[name] = arr
     zinit = mem.alloc("zinit_a", Z + 1, np.float16)
     zinit[0] = np.float16(0.0)
     zinit[1:] = op.coeffs["zp"][i, j, :].astype(np.float16)
@@ -201,271 +436,62 @@ def _build_tile_program(
     # FIFO circular-buffer backing store (term[5][20] in the listing).
     mem.alloc("term", 5 * fifo_capacity, np.float16)
 
-    # --- FIFOs (pushes activate the sum task(s)) -------------------------
-    # "The production code used two distinct summation tasks to improve
-    # performance" (listing 1's commentary): optionally split the five
-    # FIFOs across two tasks so drains interleave at finer grain.
-    task_of = {
-        "xp": "sumtask", "xm": "sumtask", "z": "sumtask",
-        "yp": "sumtask2" if two_sum_tasks else "sumtask",
-        "ym": "sumtask2" if two_sum_tasks else "sumtask",
-    }
-    fifos = {
-        name: core.make_fifo(f"{name}_fifo", fifo_capacity,
-                             activates=task_of[name])
-        for name in ("xp", "xm", "yp", "ym", "z")
-    }
+    prog = SpmvProgram(core=core, z=Z, v=v, u=u)
+
+    # --- FIFOs (pushes activate the sum task(s)) and their accumulator
+    # descriptors ---------------------------------------------------------
+    for name in ("xp", "xm", "yp", "ym", "z"):
+        core.make_fifo(
+            f"{name}_fifo", fifo_capacity,
+            activates="sumtask2" if two_sum_tasks and name[0] == "y"
+            else "sumtask",
+        )
+    prog._pairs = [
+        (core.fifos[f"{name}_fifo"],
+         MemCursor(u, 2 if name == "z" else 1, Z, name=f"{name}_acc"))
+        for name in _FIFO_LEGS
+    ]
 
     # --- Routing: broadcast own colour to neighbours + loopback ---------
     own_ch = tile_channel(i, j)
-    out_ports = [Port.CORE]
-    present = {}
-    for name, (dx, dy), port in _NEIGHBOUR_LEGS:
-        nb = fabric.neighbor(i, j, port)
-        present[name] = nb is not None
-        if nb is not None:
-            out_ports.append(port)
-    fabric.router(i, j).set_route(own_ch, Port.CORE, tuple(out_ports))
+    router = fabric.router(i, j)
+    present = tuple(
+        fabric.neighbor(i, j, port) is not None
+        for _name, _offset, port in _NEIGHBOUR_LEGS
+    )
+    router.set_route(own_ch, Port.CORE, (Port.CORE,) + tuple(
+        port for (_n, _o, port), has in zip(_NEIGHBOUR_LEGS, present) if has))
     # Incoming neighbour streams: deliver each to this core.
-    rx_queues = {}
-    for name, (dx, dy), port in _NEIGHBOUR_LEGS:
-        if not present[name]:
-            continue
-        nb_ch = tile_channel(i + dx, j + dy)
-        fabric.router(i, j).set_route(nb_ch, port, (Port.CORE,))
-        rx_queues[name] = (core.subscribe(nb_ch), nb_ch)
+    for (name, (dx, dy), port), has in zip(_NEIGHBOUR_LEGS, present):
+        if has:
+            nb_ch = tile_channel(i + dx, j + dy)
+            router.set_route(nb_ch, port, (Port.CORE,))
+            prog._rx[name] = core.subscribe(nb_ch)
     # Loopback subscriptions: the z-leg thread and the diagonal thread.
-    q_z = core.subscribe(own_ch)
-    q_c = core.subscribe(own_ch)
-
-    # --- Accumulator descriptors (persist across sumtask runs) ----------
-    accs = {
-        "xp": MemCursor(u, 1, Z, name="xp_acc"),
-        "xm": MemCursor(u, 1, Z, name="xm_acc"),
-        "yp": MemCursor(u, 1, Z, name="yp_acc"),
-        "ym": MemCursor(u, 1, Z, name="ym_acc"),
-        "z": MemCursor(u, 2, Z, name="z_acc"),
-    }
+    prog._loop = (core.subscribe(own_ch), core.subscribe(own_ch))
 
     # --- Tasks -----------------------------------------------------------
-    def _drain(names):
-        pairs = [(fifos[name], accs[name]) for name in names]
-
-        def body(c: Core, _pairs=pairs) -> None:
-            # Drain the FIFOs into their accumulators; fp16 adds, in
-            # arrival order.  Hot path: operate on the FIFO buffer and
-            # accumulator array directly (same semantics as
-            # pop()/peek()/write(), minus the per-element calls).
-            rec = c.recorder
-            # The fp64 shadow executor taps drains the same way the
-            # recorder does (RaceSanitizer has no on_drain → None).
-            shadow = getattr(c.sanitizer, "on_drain", None)
-            for fifo, acc in _pairs:
-                buf = fifo._buf
-                if not buf:
-                    continue
-                arr = acc.array
-                offset = acc.offset
-                stride = acc.stride
-                pos = acc.pos
-                length = acc.length
-                popleft = buf.popleft
-                if rec is not None or shadow is not None:
-                    # Tape the drain before the adds land so first-touch
-                    # leaves capture pre-mutation cell values.
-                    n = len(buf)
-                    if n > length - pos:
-                        n = length - pos
-                    if n:
-                        if rec is not None:
-                            rec.on_drain(fifo, acc, pos, n)
-                        if shadow is not None:
-                            shadow(fifo, acc, pos, n)
-                while buf and pos < length:
-                    idx = offset + pos * stride
-                    arr[idx] = arr[idx] + popleft()
-                    pos += 1
-                acc.pos = pos
-        return body
-
-    decl = core.program_decl
-    # The numerics certificate is conditional on the iterate staying in
-    # this range (the shadow executor checks it per run); the tolerance
-    # is the per-output absolute error budget the static bound must meet.
-    decl.declare_range("v", *value_range)
-    decl.declare_tolerance(tolerance)
-    # DrainDecl (not bare names): the numerics pass needs to know where
-    # the popped words land to propagate error bounds through the drain.
-    drain_dst = {
-        name: MemRef("u", 2 if name == "z" else 1, Z)
-        for name in ("xp", "xm", "yp", "ym", "z")
-    }
-
-    def _drain_decls(names):
-        return tuple(DrainDecl(f"{n}_fifo", drain_dst[n]) for n in names)
-
+    # The drain body binds its (FIFO, accumulator) pairs as a method
+    # binds self: one object per task, no closure.
+    add = core.scheduler.add
     if two_sum_tasks:
-        core.scheduler.add("sumtask", _drain(("xp", "xm", "z")), priority=1)
-        core.scheduler.add("sumtask2", _drain(("yp", "ym")), priority=1)
-        decl.task("sumtask", drains=_drain_decls(("xp", "xm", "z")))
-        decl.task("sumtask2", drains=_drain_decls(("yp", "ym")))
+        add("sumtask", MethodType(_drain, prog._pairs[:3]), priority=1)
+        add("sumtask2", MethodType(_drain, prog._pairs[3:]), priority=1)
     else:
-        core.scheduler.add(
-            "sumtask", _drain(("xp", "xm", "z", "yp", "ym")), priority=1
-        )
-        decl.task("sumtask",
-                  drains=_drain_decls(("xp", "xm", "z", "yp", "ym")))
-
-    def _tree(name, *ops_):
-        def body(c: Core, _ops=ops_) -> None:
-            for action, target in _ops:
-                c.scheduler.apply(target, action)
-        core.scheduler.add(name, body, blocked=True)
-        decl.task(name, actions=tuple((t, a) for a, t in ops_))
-
-    _tree("xdone", (Action.BLOCK, "xdone"), (Action.UNBLOCK, "xydone"))
-    _tree("ydone", (Action.BLOCK, "ydone"), (Action.ACTIVATE, "xydone"))
-    _tree("xydone", (Action.BLOCK, "xydone"), (Action.UNBLOCK, "xycdone"))
-    _tree("cdone", (Action.BLOCK, "cdone"), (Action.ACTIVATE, "xycdone"))
-    _tree("xycdone", (Action.BLOCK, "xycdone"), (Action.ACTIVATE, "spmv_exit"))
-
-    def spmv_exit(c: Core) -> None:
-        c.flags["spmv_done"] = True
-
-    core.scheduler.add("spmv_exit", spmv_exit)
-    decl.task("spmv_exit")
-
-    # Instruction cache: a persistent program re-issues the same thread
-    # instructions every run.  Descriptor bindings never change between
-    # runs (the arrays are updated in place), so each Instruction is
-    # built once and rewound thereafter — recreating ~8 instructions per
-    # tile per run dominated warm-run cost on large fabrics.
-    instr_cache: dict[str, Instruction] = {}
-
-    def _issue(key: str, make, thread: int | None) -> None:
-        instr = instr_cache.get(key)
-        if instr is None:
-            instr_cache[key] = instr = make()
-        else:
-            instr.rewind()
-        core.launch(instr, thread=thread)
-
-    def launch_threads(c: Core) -> None:
-        # The five FIFO-writing threads plus the diagonal add, launched
-        # after the synchronous z-leg completes (listing order).
-        for name in ("xp", "xm", "yp", "ym"):
-            if not present[name]:
-                # A missing neighbour behaves as an instantly-complete,
-                # zero-length stream: fire its trigger now.
-                trig = _TRIGGERS[name]
-                c.scheduler.apply(trig.task, trig.action)
-                continue
-            q, ch = rx_queues[name]
-            _issue(name, lambda name=name, q=q, ch=ch: Instruction(
-                op="mul",
-                dst=FifoPush(fifos[name], Z, name=f"{name}_fifo_push"),
-                srcs=[
-                    FabricRx(q, Z, ch, name=f"{name}_rx"),
-                    MemCursor(legs[name], 0, Z, name=f"{name}_a"),
-                ],
-                length=Z,
-                completions=[_TRIGGERS[name]],
-                name=f"{name}_thread",
-            ), _THREAD[name])
-        _issue("z", lambda: Instruction(
-            op="mul",
-            dst=FifoPush(fifos["z"], Z, name="z_fifo_push"),
-            srcs=[
-                FabricRx(q_z, Z, own_ch, name="z_rx"),
-                MemCursor(zloop, 0, Z, name="zloop_a"),
-            ],
-            length=Z,
-            completions=[_TRIGGERS["z"]],
-            name="z_thread",
-        ), _THREAD["z"])
-        _issue("c_add", lambda: Instruction(
-            op="addin",
-            dst=MemCursor(u, 1, Z, name="c_acc"),
-            srcs=[FabricRx(q_c, Z, own_ch, name="c_rx")],
-            length=Z,
-            completions=[_TRIGGERS["c_add"]],
-            name="c_add_thread",
-        ), _THREAD["c_add"])
-
-    core.scheduler.add("launch_rest", launch_threads)
-    lr_launches: list[InstrDecl] = []
-    lr_actions: list[tuple] = []
-    for name, (dx, dy), port in _NEIGHBOUR_LEGS:
-        trig = _TRIGGERS[name]
-        if not present[name]:
-            lr_actions.append((trig.task, trig.action))
-            continue
-        lr_launches.append(InstrDecl(
-            "mul", FifoRef(f"{name}_fifo", Z),
-            (FabricRef(rx_queues[name][1], Z), MemRef(f"{name}_a", 0, Z)),
-            length=Z, thread=_THREAD[name],
-            completions=((trig.task, trig.action),),
-            name=f"{name}_thread",
-        ))
-    lr_launches.append(InstrDecl(
-        "mul", FifoRef("z_fifo", Z),
-        (FabricRef(own_ch, Z), MemRef("zloop_a", 0, Z)),
-        length=Z, thread=_THREAD["z"],
-        completions=((_TRIGGERS["z"].task, _TRIGGERS["z"].action),),
-        name="z_thread",
-    ))
-    lr_launches.append(InstrDecl(
-        "addin", MemRef("u", 1, Z), (FabricRef(own_ch, Z),),
-        length=Z, thread=_THREAD["c_add"],
-        completions=((_TRIGGERS["c_add"].task, _TRIGGERS["c_add"].action),),
-        name="c_add_thread",
-    ))
-    decl.task("launch_rest", launches=lr_launches, actions=lr_actions)
-
-    def spmv_task(c: Core) -> None:
-        # Re-runnable: rewind the persistent accumulator descriptors
-        # (they track progress across sum-task invocations within one
-        # SpMV and must restart for the next).
-        for acc in accs.values():
-            acc.reset()
-        # c_tx[] = v1[] : broadcast the local vector (background thread).
-        _issue("c_tx", lambda: Instruction(
-            op="copy",
-            dst=FabricTx(c, Z, own_ch, name="c_tx"),
-            srcs=[MemCursor(v, 0, Z, name="v1")],
-            length=Z,
-            name="c_tx_thread",
-        ), _THREAD["c_tx"])
-        # zm_acc[] = v0[] * zm_a[] : synchronous main-thread multiply that
-        # initializes the result; its completion launches the rest.
-        _issue("zinit", lambda: Instruction(
-            op="mul",
-            dst=MemCursor(u, 0, Z + 1, name="zinit_acc"),
-            srcs=[
-                MemCursor(v, 0, Z + 1, name="v0"),
-                MemCursor(zinit, 0, Z + 1, name="zinit_a"),
-            ],
-            length=Z + 1,
-            completions=[Completion("launch_rest", Action.ACTIVATE)],
-            name="zinit_thread",
-        ), thread=None)
-
-    core.scheduler.add("spmv", spmv_task)
+        add("sumtask", MethodType(_drain, prog._pairs), priority=1)
+    for name, body in _TREE_BODIES.items():
+        add(name, body, blocked=True)
+    add("spmv_exit", _spmv_exit)
+    add("launch_rest", prog._launch_rest)
+    add("spmv", prog._spmv_task)
     core.scheduler.activate("spmv")
-    decl.task("spmv", launches=(
-        InstrDecl(
-            "copy", FabricRef(own_ch, Z), (MemRef("v", 0, Z),),
-            length=Z, thread=_THREAD["c_tx"], name="c_tx_thread",
-        ),
-        InstrDecl(
-            "mul", MemRef("u", 0, Z + 1),
-            (MemRef("v", 0, Z + 1), MemRef("zinit_a", 0, Z + 1)),
-            length=Z + 1, thread=None,
-            completions=(("launch_rest", Action.ACTIVATE),),
-            name="zinit_thread",
-        ),
-    ))
-    return SpmvProgram(core=core, z=Z, v=v, u=u)
+
+    key = (own_ch, present)
+    if key not in decls:
+        decls[key] = _tile_decl(
+            own_ch, present, Z, two_sum_tasks, value_range, tolerance)
+    core.program_decl = decls[key]
+    return prog
 
 
 def build_spmv_fabric(
@@ -490,18 +516,27 @@ def build_spmv_fabric(
     """
     nx, ny, nz = op.shape
     op.validate()
+    if not op.has_unit_diagonal:
+        raise ValueError(
+            "the wafer SpMV kernel requires a unit main diagonal; "
+            "apply jacobi_precondition() first (paper section IV)"
+        )
     v = np.asarray(v, dtype=np.float16).reshape(op.shape)
     fabric = Fabric(nx, ny)
     programs = SpmvPrograms(nx, ny, nz)
+    decls: dict = {}
     for j in range(ny):
         for i in range(nx):
             core = Core(i, j, config)
             fabric.attach_core(i, j, core)
             programs[j][i] = _build_tile_program(
-                core, fabric, op, programs, i, j, fifo_capacity,
+                core, fabric, op, programs, i, j, fifo_capacity, decls,
                 two_sum_tasks, value_range, tolerance,
             )
     programs.arm(v)
+    # Before the analysis: binding creates router queues, which moves
+    # the topology version the analyzer's routing facts are cached on.
+    fabric.prebind()
     if analyze:
         analyze_program(fabric).raise_on_error()
     else:
@@ -509,7 +544,6 @@ def build_spmv_fabric(
         # per-link word counts plus the cycle lower bound, and the
         # runtime names the predicted CDG cycle on a deadlock.
         fabric.static_contract = compute_contract(fabric)
-    fabric.prebind()
     return fabric, programs
 
 
@@ -534,7 +568,8 @@ class SpmvEngine:
         self.options = opts
         self.op = op
         self.fabric, self.programs = build_spmv_fabric(
-            op, np.zeros(op.shape), config, fifo_capacity
+            op, np.zeros(op.shape), config, fifo_capacity,
+            analyze=opts.analyze,
         )
         self.runs = 0
         #: Optional :class:`repro.obs.ObsSession` — attached *before*

@@ -161,7 +161,7 @@ def allreduce_pattern(width: int, height: int) -> Pattern:
     return merge(out, bcast_pattern)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Role:
     """What part a tile plays in the collective (Fig. 6a): accumulate
     the ``n_row`` / ``n_col`` / ``n_gather`` partials it awaits on
@@ -248,7 +248,7 @@ def _reduce_decl(
     decl.launched(*instrs)
     decl.declare_range("__scalar__", *value_range)
     decl.declare_tolerance(tolerance)
-    return decl
+    return decl.freeze()
 
 
 class ReduceCore:
@@ -269,10 +269,18 @@ class ReduceCore:
         value: float,
         value_range: tuple[float, float] = (-64.0, 64.0),
         tolerance: float = 0.05,
+        decls: dict | None = None,
     ):
         self.x, self.y = x, y
         self.role = _role_of(x, y, width, height)
-        self.program_decl = _reduce_decl(self.role, value_range, tolerance)
+        # A collective has a handful of distinct roles; ``decls`` (one
+        # dict per fabric build) makes every tile of a role share one
+        # frozen declaration.
+        decls = {} if decls is None else decls
+        key = (self.role, value_range, tolerance)
+        if key not in decls:
+            decls[key] = _reduce_decl(self.role, value_range, tolerance)
+        self.program_decl = decls[key]
         self.acc = np.float32(value)
         self.result: np.float32 | None = None
         self._inbox: deque = deque()
@@ -467,9 +475,10 @@ class AllReduceEngine:
         self.fabric = Fabric(width, height, queue_capacity)
         compile_to_fabric(allreduce_pattern(width, height), self.fabric)
         self.cores: list[ReduceCore] = []
+        decls: dict = {}
         for y in range(height):
             for x in range(width):
-                core = ReduceCore(x, y, width, height, 0.0)
+                core = ReduceCore(x, y, width, height, 0.0, decls=decls)
                 self.fabric.attach_core(x, y, core)
                 self.cores.append(core)
         self.fabric.prebind()

@@ -37,7 +37,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from .routing import cyclic_sccs, forwarding_graph, routes_by_channel
+from .routing import routing_facts
 from .spec import FabricRef
 from ..fabric import Port
 
@@ -164,17 +164,22 @@ class StaticContract:
 def _declared_injections(fabric) -> dict:
     """``channel -> {(x, y): words}`` from every core's ProgramDecl."""
     inj: dict = {}
+    sends_of: dict[int, list] = {}  # id(decl) -> its transmit FabricRefs
     for y in range(fabric.height):
         for x in range(fabric.width):
             core = fabric.cores[y][x]
             decl = getattr(core, "program_decl", None)
             if not decl:
                 continue
-            for _task, instr in decl.instructions():
-                dst = instr.dst
-                if isinstance(dst, FabricRef) and dst.length > 0:
-                    per = inj.setdefault(dst.channel, {})
-                    per[(x, y)] = per.get((x, y), 0) + dst.length
+            sends = sends_of.get(id(decl))
+            if sends is None:
+                sends = sends_of[id(decl)] = [
+                    instr.dst for _task, instr in decl.instructions()
+                    if isinstance(instr.dst, FabricRef) and instr.dst.length > 0
+                ]
+            for dst in sends:
+                per = inj.setdefault(dst.channel, {})
+                per[(x, y)] = per.get((x, y), 0) + dst.length
     return inj
 
 
@@ -214,19 +219,15 @@ def _delivery_depths(fabric, route_map: dict, graph: dict, order: list) -> dict:
 
 def compute_contract(fabric) -> StaticContract:
     """Derive a :class:`StaticContract` from routes + declarations."""
-    chan_routes = routes_by_channel(fabric)
+    facts = routing_facts(fabric)
     injections = _declared_injections(fabric)
     router_words: dict = {}
     link_words: dict = {}
     cdg_cycles: list = []
     stream_bound = 0
 
-    for channel in sorted(set(chan_routes) | set(injections)):
-        route_map = chan_routes.get(channel, {})
-        if not route_map:
-            continue
-        graph = forwarding_graph(fabric, route_map)
-        sccs = cyclic_sccs(graph)
+    for channel in sorted(facts):
+        route_map, graph, sccs = facts[channel]
         if sccs:
             from .cdg import extract_cycle
 
@@ -286,6 +287,7 @@ def compute_contract(fabric) -> StaticContract:
 def _core_work_bound(fabric) -> int:
     """Max over (core, thread slot) of summed best-case instruction cycles."""
     bound = 0
+    seen: set = set()  # (id(decl), simd): tile classes share declarations
     for y in range(fabric.height):
         for x in range(fabric.width):
             core = fabric.cores[y][x]
@@ -295,6 +297,9 @@ def _core_work_bound(fabric) -> int:
             simd = getattr(
                 getattr(core, "config", None), "simd_width_fp16", None
             ) or _FALLBACK_RATE
+            if (id(decl), simd) in seen:
+                continue
+            seen.add((id(decl), simd))
             slots: dict = {}
             for _task, instr in decl.instructions():
                 length = instr.length

@@ -61,7 +61,7 @@ from operator import itemgetter
 import numpy as np
 
 from .diagnostics import Diagnostic, Severity
-from .routing import cyclic_sccs, forwarding_graph, routes_by_channel
+from .routing import NO_ROUTES, routing_facts
 from .spec import (
     DrainDecl,
     FabricRef,
@@ -274,7 +274,7 @@ class _Deliveries:
 
     def __init__(self, fabric):
         self.fabric = fabric
-        self.chan_routes = routes_by_channel(fabric)
+        self.facts = routing_facts(fabric)
         self._graphs: dict = {}
         self._cache: dict = {}
 
@@ -285,9 +285,8 @@ class _Deliveries:
         if got is None:
             from .contracts import _topo_order
 
-            route_map = self.chan_routes.get(channel, {})
-            graph = forwarding_graph(self.fabric, route_map)
-            rank = None if cyclic_sccs(graph) else \
+            route_map, graph, sccs = self.facts.get(channel, NO_ROUTES)
+            rank = None if sccs else \
                 {node: i for i, node in enumerate(_topo_order(graph))}
             got = self._graphs[channel] = (route_map, graph, rank)
         return got

@@ -16,12 +16,13 @@ section VI mixed-precision hazard.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from math import gcd
 
 import numpy as np
 
 from .diagnostics import Diagnostic, Severity
-from .routing import cyclic_sccs, forwarding_graph, routes_by_channel
+from .routing import NO_ROUTES, routing_facts
 from .spec import (
     BUILD_LAUNCH,
     FabricRef,
@@ -54,6 +55,31 @@ def _decl_of(core) -> ProgramDecl | None:
 def _decl_cores(cores):
     """Subset of ``(pos, core)`` with a non-empty program declaration."""
     return [(pos, core) for pos, core in cores if _decl_of(core) is not None]
+
+
+def _per_class(cores, key_of, findings_of) -> list[Diagnostic]:
+    """Run a per-core check once per tile class.
+
+    ``key_of(core, decl)`` reads off the live core everything the
+    verdict of ``findings_of(core, decl)`` depends on; cores with equal
+    keys get the same findings, re-issued at their own coordinates.  The
+    class is never taken on trust from the builder: a tile mutated after
+    the build has a key of its own.  The memo lives for one pass call —
+    the declaration's identity is part of the key and the cores keep it
+    alive that long.
+    """
+    memo: dict = {}
+    diags: list[Diagnostic] = []
+    for pos, core in cores:
+        decl = _decl_of(core)
+        if decl is None:
+            continue
+        key = (id(decl), key_of(core, decl))
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = findings_of(core, decl)
+        diags.extend(replace(d, where=pos) for d in found)
+    return diags
 
 
 # ----------------------------------------------------------------------
@@ -96,26 +122,32 @@ def flow_pass(fabric: Fabric, cores) -> list[Diagnostic]:
         return []
     core_at = dict(decl_cores)
     diags: list[Diagnostic] = []
-    chan_routes = routes_by_channel(fabric)
+    facts = routing_facts(fabric)
 
-    # Collect per-core tx words and rx lengths per channel.
+    # Collect per-core tx words and rx lengths per channel (each distinct
+    # declaration is scanned once; tile classes share theirs).
     tx: dict[int, dict[tuple[int, int], int]] = {}
     rx: dict[int, dict[tuple[int, int], list[int]]] = {}
+    streams_of: dict[int, tuple[list, list]] = {}
     for pos, core in decl_cores:
-        for _task, instr in _decl_of(core).instructions():
-            if isinstance(instr.dst, FabricRef):
-                ch = tx.setdefault(instr.dst.channel, {})
-                ch[pos] = ch.get(pos, 0) + instr.dst.length
-            for src in instr.srcs:
-                if isinstance(src, FabricRef):
-                    rx.setdefault(src.channel, {}).setdefault(pos, []).append(
-                        src.length
-                    )
+        decl = _decl_of(core)
+        streams = streams_of.get(id(decl))
+        if streams is None:
+            streams = streams_of[id(decl)] = ([], [])
+            for _task, instr in decl.instructions():
+                if isinstance(instr.dst, FabricRef):
+                    streams[0].append(instr.dst)
+                streams[1].extend(
+                    src for src in instr.srcs if isinstance(src, FabricRef))
+        for dst in streams[0]:
+            ch = tx.setdefault(dst.channel, {})
+            ch[pos] = ch.get(pos, 0) + dst.length
+        for src in streams[1]:
+            rx.setdefault(src.channel, {}).setdefault(pos, []).append(src.length)
 
     for channel in sorted(set(tx) | set(rx)):
-        route_map = chan_routes.get(channel, {})
-        graph = forwarding_graph(fabric, route_map)
-        if cyclic_sccs(graph):
+        route_map, graph, sccs = facts.get(channel, NO_ROUTES)
+        if sccs:
             continue  # the routing pass already reported the loop(s)
 
         delivered: dict[tuple[int, int], int] = {}
@@ -211,148 +243,159 @@ def task_graph_pass(fabric: Fabric, cores) -> list[Diagnostic]:
     both directions, so the declarations cannot silently drift from the
     program they describe.
     """
+    return _per_class(cores, _task_graph_key, _task_graph_findings)
+
+
+def _sched_names(scheduler) -> list:
+    names = getattr(scheduler, "names", None)
+    return list(names()) if callable(names) else []
+
+
+def _task_graph_key(core, decl):
+    """The live state :func:`_task_graph_findings` reads: every task's
+    activation/blocking bits and every FIFO's credit wiring."""
+    scheduler = getattr(core, "scheduler", None)
+    return (
+        tuple((n, scheduler.is_activated(n), scheduler.is_blocked(n))
+              for n in _sched_names(scheduler)),
+        tuple((name, getattr(f, "capacity", None), getattr(f, "activates", None))
+              for name, f in (getattr(core, "fifos", None) or {}).items()),
+    )
+
+
+def _task_graph_findings(core, decl) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    for pos, core in _decl_cores(cores):
-        decl = _decl_of(core)
-        scheduler = getattr(core, "scheduler", None)
-        fifos = dict(getattr(core, "fifos", {}) or {})
-        sched_names = set()
-        if scheduler is not None:
-            names = getattr(scheduler, "names", None)
-            if callable(names):
-                sched_names = set(names())
+    scheduler = getattr(core, "scheduler", None)
+    fifos = dict(getattr(core, "fifos", {}) or {})
+    sched_names = set(_sched_names(scheduler))
 
-        # ---- declaration <-> scheduler drift -----------------------------
-        declared = {n for n in decl.tasks if n != BUILD_LAUNCH}
-        for name in sorted(declared - sched_names):
+    # ---- declaration <-> scheduler drift -----------------------------
+    declared = {n for n in decl.tasks if n != BUILD_LAUNCH}
+    for name in sorted(declared - sched_names):
+        diags.append(Diagnostic(
+            Severity.ERROR, "tasks", "unknown-task",
+            f"declared task {name!r} is not registered on the scheduler",
+            hint="declarations must match scheduler.add calls",
+        ))
+    for name in sorted(sched_names - declared):
+        diags.append(Diagnostic(
+            Severity.ERROR, "tasks", "undeclared-task",
+            f"scheduler task {name!r} has no static declaration",
+            hint="add a ProgramDecl.task entry for it",
+        ))
+    if (declared - sched_names) or (sched_names - declared):
+        return diags  # edge construction below needs agreement
+
+    # ---- edges -------------------------------------------------------
+    activate_edges: dict[str, set[str]] = {}
+    unblock_edges: dict[str, set[str]] = {}
+
+    def _edge(source: str, target: str, action: Action) -> None:
+        if target not in decl.tasks and target != BUILD_LAUNCH:
             diags.append(Diagnostic(
-                Severity.ERROR, "tasks", "unknown-task",
-                f"declared task {name!r} is not registered on the scheduler",
-                where=pos, hint="declarations must match scheduler.add calls",
+                Severity.ERROR, "tasks", "unknown-task-ref",
+                f"task {source!r} manipulates unknown task {target!r}",
+                hint="fix the completion/action target name",
             ))
-        for name in sorted(sched_names - declared):
-            diags.append(Diagnostic(
-                Severity.ERROR, "tasks", "undeclared-task",
-                f"scheduler task {name!r} has no static declaration",
-                where=pos, hint="add a ProgramDecl.task entry for it",
-            ))
-        if (declared - sched_names) or (sched_names - declared):
-            continue  # edge construction below needs agreement
+            return
+        if action is Action.ACTIVATE:
+            activate_edges.setdefault(target, set()).add(source)
+        elif action is Action.UNBLOCK:
+            unblock_edges.setdefault(target, set()).add(source)
 
-        # ---- edges -------------------------------------------------------
-        activate_edges: dict[str, set[str]] = {}
-        unblock_edges: dict[str, set[str]] = {}
-
-        def _edge(source: str, target: str, action: Action) -> None:
-            if target not in decl.tasks and target != BUILD_LAUNCH:
-                diags.append(Diagnostic(
-                    Severity.ERROR, "tasks", "unknown-task-ref",
-                    f"task {source!r} manipulates unknown task {target!r}",
-                    where=pos, hint="fix the completion/action target name",
-                ))
-                return
-            if action is Action.ACTIVATE:
-                activate_edges.setdefault(target, set()).add(source)
-            elif action is Action.UNBLOCK:
-                unblock_edges.setdefault(target, set()).add(source)
-
-        pushed: dict[str, list[tuple[str, int]]] = {}  # fifo -> [(task, burst)]
-        drained: dict[str, set[str]] = {}  # fifo -> draining tasks
-        for tname, task in decl.tasks.items():
-            for target, action in task.actions:
+    pushed: dict[str, list[tuple[str, int]]] = {}  # fifo -> [(task, burst)]
+    drained: dict[str, set[str]] = {}  # fifo -> draining tasks
+    for tname, task in decl.tasks.items():
+        for target, action in task.actions:
+            _edge(tname, target, action)
+        for drain in task.drains:
+            drained.setdefault(drain_fifo_name(drain), set()).add(tname)
+        for instr in task.launches:
+            for target, action in instr.completions:
                 _edge(tname, target, action)
-            for drain in task.drains:
-                drained.setdefault(drain_fifo_name(drain), set()).add(tname)
-            for instr in task.launches:
-                for target, action in instr.completions:
-                    _edge(tname, target, action)
-                if isinstance(instr.dst, FifoRef):
-                    pushed.setdefault(instr.dst.fifo, []).append(
-                        (tname, instr.dst.length)
-                    )
-                for src in instr.srcs:
-                    if isinstance(src, FifoRef):
-                        drained.setdefault(src.fifo, set()).add(tname)
+            if isinstance(instr.dst, FifoRef):
+                pushed.setdefault(instr.dst.fifo, []).append(
+                    (tname, instr.dst.length)
+                )
+            for src in instr.srcs:
+                if isinstance(src, FifoRef):
+                    drained.setdefault(src.fifo, set()).add(tname)
 
-        # FIFO on_push wiring contributes activation edges.
-        for fifo_name, pushes in sorted(pushed.items()):
-            fifo = fifos.get(fifo_name)
-            if fifo is None:
+    # FIFO on_push wiring contributes activation edges.
+    for fifo_name, pushes in sorted(pushed.items()):
+        fifo = fifos.get(fifo_name)
+        if fifo is None:
+            diags.append(Diagnostic(
+                Severity.ERROR, "tasks", "unknown-fifo",
+                f"instruction pushes to unknown FIFO {fifo_name!r}",
+                hint="create it with core.make_fifo first",
+            ))
+            continue
+        activates = getattr(fifo, "activates", None)
+        if activates is not None and activates in decl.tasks:
+            for tname, _burst in pushes:
+                activate_edges.setdefault(activates, set()).add(tname)
+
+    # ---- liveness fixpoint (optimistic about blocking) ---------------
+    live: set[str] = {BUILD_LAUNCH}
+    if scheduler is not None:
+        for name in sched_names:
+            if scheduler.is_activated(name):
+                live.add(name)
+    changed = True
+    while changed:
+        changed = False
+        for target, sources in activate_edges.items():
+            if target not in live and sources & live:
+                live.add(target)
+                changed = True
+
+    for name in sorted(declared):
+        if name not in live:
+            diags.append(Diagnostic(
+                Severity.ERROR, "tasks", "never-activated",
+                f"task {name!r} can never be activated: no activation "
+                "chain reaches it from any initially-activated task",
+                hint="activate it at build time or wire a completion "
+                     "trigger / FIFO push to it",
+            ))
+        elif scheduler is not None and scheduler.is_blocked(name):
+            if not (unblock_edges.get(name, set()) & live):
                 diags.append(Diagnostic(
-                    Severity.ERROR, "tasks", "unknown-fifo",
-                    f"instruction pushes to unknown FIFO {fifo_name!r}",
-                    where=pos, hint="create it with core.make_fifo first",
+                    Severity.ERROR, "tasks", "never-unblocked",
+                    f"task {name!r} starts blocked and no live task "
+                    "ever unblocks it",
+                    hint="add an UNBLOCK completion or unblock at build",
                 ))
-                continue
-            activates = getattr(fifo, "activates", None)
-            if activates is not None and activates in decl.tasks:
-                for tname, _burst in pushes:
-                    activate_edges.setdefault(activates, set()).add(tname)
 
-        # ---- liveness fixpoint (optimistic about blocking) ---------------
-        live: set[str] = {BUILD_LAUNCH}
-        if scheduler is not None:
-            for name in sched_names:
-                if scheduler.is_activated(name):
-                    live.add(name)
-        changed = True
-        while changed:
-            changed = False
-            for target, sources in activate_edges.items():
-                if target not in live and sources & live:
-                    live.add(target)
-                    changed = True
-
-        for name in sorted(declared):
-            if name not in live:
+    # ---- FIFO producer/consumer --------------------------------------
+    for fifo_name, pushes in sorted(pushed.items()):
+        fifo = fifos.get(fifo_name)
+        if fifo is None:
+            continue  # reported above
+        drainers = {t for t in drained.get(fifo_name, set()) if t in live}
+        if not drainers:
+            diags.append(Diagnostic(
+                Severity.ERROR, "tasks", "fifo-no-consumer",
+                f"FIFO {fifo_name!r} is pushed "
+                f"({sum(b for _, b in pushes)} word(s)) but no live task "
+                "drains it",
+                hint="add a draining task (declare it via drains=) or "
+                     "a FifoRef source",
+            ))
+            continue
+        capacity = getattr(fifo, "capacity", None)
+        activates = getattr(fifo, "activates", None)
+        for tname, burst in pushes:
+            if capacity is not None and burst > capacity and not activates:
                 diags.append(Diagnostic(
-                    Severity.ERROR, "tasks", "never-activated",
-                    f"task {name!r} can never be activated: no activation "
-                    "chain reaches it from any initially-activated task",
-                    where=pos,
-                    hint="activate it at build time or wire a completion "
-                         "trigger / FIFO push to it",
+                    Severity.ERROR, "tasks", "fifo-overflow",
+                    f"task {tname!r} pushes {burst} word(s) through FIFO "
+                    f"{fifo_name!r} (capacity {capacity}) with no "
+                    "push-triggered drain — the producer wedges",
+                    hint="wire make_fifo(..., activates=<sum task>) so "
+                         "pushes schedule the drain",
                 ))
-            elif scheduler is not None and scheduler.is_blocked(name):
-                if not (unblock_edges.get(name, set()) & live):
-                    diags.append(Diagnostic(
-                        Severity.ERROR, "tasks", "never-unblocked",
-                        f"task {name!r} starts blocked and no live task "
-                        "ever unblocks it",
-                        where=pos,
-                        hint="add an UNBLOCK completion or unblock at build",
-                    ))
-
-        # ---- FIFO producer/consumer --------------------------------------
-        for fifo_name, pushes in sorted(pushed.items()):
-            fifo = fifos.get(fifo_name)
-            if fifo is None:
-                continue  # reported above
-            drainers = {t for t in drained.get(fifo_name, set()) if t in live}
-            if not drainers:
-                diags.append(Diagnostic(
-                    Severity.ERROR, "tasks", "fifo-no-consumer",
-                    f"FIFO {fifo_name!r} is pushed "
-                    f"({sum(b for _, b in pushes)} word(s)) but no live task "
-                    "drains it",
-                    where=pos,
-                    hint="add a draining task (declare it via drains=) or "
-                         "a FifoRef source",
-                ))
-                continue
-            capacity = getattr(fifo, "capacity", None)
-            activates = getattr(fifo, "activates", None)
-            for tname, burst in pushes:
-                if capacity is not None and burst > capacity and not activates:
-                    diags.append(Diagnostic(
-                        Severity.ERROR, "tasks", "fifo-overflow",
-                        f"task {tname!r} pushes {burst} word(s) through FIFO "
-                        f"{fifo_name!r} (capacity {capacity}) with no "
-                        "push-triggered drain — the producer wedges",
-                        where=pos,
-                        hint="wire make_fifo(..., activates=<sum task>) so "
-                             "pushes schedule the drain",
-                    ))
     return diags
 
 
@@ -422,88 +465,105 @@ def dsr_pass(fabric: Fabric, cores) -> list[Diagnostic]:
     Instructions queued on the main thread are sequential among
     themselves and never race each other.
     """
-    diags: list[Diagnostic] = []
-    for pos, core in _decl_cores(cores):
-        decl = _decl_of(core)
+    arrays_of: dict[int, tuple] = {}  # id(decl) -> allocation names it references
+
+    def key_of(core, decl):
+        """The live state :func:`_dsr_findings` reads: the size of every
+        allocation the declaration references (None: not allocated)."""
+        names = arrays_of.get(id(decl))
+        if names is None:
+            names = arrays_of[id(decl)] = tuple(sorted({
+                ref.array for _task, instr in decl.instructions()
+                for ref in (instr.dst, *instr.srcs) if isinstance(ref, MemRef)
+            }))
         memory = getattr(core, "memory", None)
+        if memory is None:
+            return None
+        return tuple(memory.get(a).size if a in memory else None for a in names)
 
-        def _check_ref(ref: MemRef, instr_name: str) -> bool:
-            if memory is None or ref.array not in memory:
-                diags.append(Diagnostic(
-                    Severity.ERROR, "dsr", "unknown-array",
-                    f"instruction {instr_name!r} references allocation "
-                    f"{ref.array!r} which does not exist in tile memory",
-                    where=pos, hint="allocate it, or fix the declared name",
-                ))
-                return False
-            n = memory.get(ref.array).size
-            if ref.length <= 0:
-                return True
-            last = ref.offset + (ref.length - 1) * ref.stride
-            if ref.offset < 0 or not (0 <= last < n):
-                diags.append(Diagnostic(
-                    Severity.ERROR, "dsr", "out-of-bounds",
-                    f"descriptor on {ref.array!r} in {instr_name!r} overruns "
-                    f"its array: offset={ref.offset} stride={ref.stride} "
-                    f"length={ref.length} reaches index {last} of {n}",
-                    where=pos, hint="shrink the extent or fix the offset",
-                ))
-                return False
+    return _per_class(cores, key_of, _dsr_findings)
+
+
+def _dsr_findings(core, decl) -> list[Diagnostic]:
+    diags: list[Diagnostic] = []
+    memory = getattr(core, "memory", None)
+
+    def _check_ref(ref: MemRef, instr_name: str) -> bool:
+        if memory is None or ref.array not in memory:
+            diags.append(Diagnostic(
+                Severity.ERROR, "dsr", "unknown-array",
+                f"instruction {instr_name!r} references allocation "
+                f"{ref.array!r} which does not exist in tile memory",
+                hint="allocate it, or fix the declared name",
+            ))
+            return False
+        n = memory.get(ref.array).size
+        if ref.length <= 0:
             return True
+        last = ref.offset + (ref.length - 1) * ref.stride
+        if ref.offset < 0 or not (0 <= last < n):
+            diags.append(Diagnostic(
+                Severity.ERROR, "dsr", "out-of-bounds",
+                f"descriptor on {ref.array!r} in {instr_name!r} overruns "
+                f"its array: offset={ref.offset} stride={ref.stride} "
+                f"length={ref.length} reaches index {last} of {n}",
+                hint="shrink the extent or fix the offset",
+            ))
+            return False
+        return True
 
-        for tname, task in decl.tasks.items():
-            # (slot, writes?, ref, instr name); dst is a write — a
-            # read-modify-write for addin/mac — and every MemRef source
-            # is a read.
-            accesses: list[tuple[object, bool, MemRef, str]] = []
-            for instr in task.launches:
-                refs = [r for r in (instr.dst, *instr.srcs)
-                        if isinstance(r, MemRef)]
-                ok = all([_check_ref(r, instr.name or instr.op) for r in refs])
-                if not ok:
+    for tname, task in decl.tasks.items():
+        # (slot, writes?, ref, instr name); dst is a write — a
+        # read-modify-write for addin/mac — and every MemRef source
+        # is a read.
+        accesses: list[tuple[object, bool, MemRef, str]] = []
+        for instr in task.launches:
+            refs = [r for r in (instr.dst, *instr.srcs)
+                    if isinstance(r, MemRef)]
+            ok = all([_check_ref(r, instr.name or instr.op) for r in refs])
+            if not ok:
+                continue
+            slot = "main" if instr.thread is None else instr.thread
+            name = instr.name or instr.op
+            if isinstance(instr.dst, MemRef):
+                accesses.append((slot, True, instr.dst, name))
+            for src in instr.srcs:
+                if isinstance(src, MemRef):
+                    accesses.append((slot, False, src, name))
+
+        seen: set[tuple] = set()  # one finding per instr pair + array + kind
+        for i in range(len(accesses)):
+            for j in range(i + 1, len(accesses)):
+                slot_a, w_a, ref_a, name_a = accesses[i]
+                slot_b, w_b, ref_b, name_b = accesses[j]
+                if slot_a == slot_b:  # same thread slot: sequential
                     continue
-                slot = "main" if instr.thread is None else instr.thread
-                name = instr.name or instr.op
-                if isinstance(instr.dst, MemRef):
-                    accesses.append((slot, True, instr.dst, name))
-                for src in instr.srcs:
-                    if isinstance(src, MemRef):
-                        accesses.append((slot, False, src, name))
-
-            seen: set[tuple] = set()  # one finding per instr pair + array + kind
-            for i in range(len(accesses)):
-                for j in range(i + 1, len(accesses)):
-                    slot_a, w_a, ref_a, name_a = accesses[i]
-                    slot_b, w_b, ref_b, name_b = accesses[j]
-                    if slot_a == slot_b:  # same thread slot: sequential
-                        continue
-                    if not (w_a or w_b):  # two reads never race
-                        continue
-                    if ref_a.array != ref_b.array:
-                        continue
-                    witness = strided_overlap_witness(ref_a, ref_b)
-                    if witness is None:
-                        continue
-                    key = (name_a, name_b, ref_a.array, w_a and w_b)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if w_a and w_b:
-                        kind, what = "write-race", "write ranges"
-                    else:
-                        kind = "read-write-race"
-                        what = ("a write range overlapping the other's "
-                                "read range")
-                    diags.append(Diagnostic(
-                        Severity.ERROR, "dsr", kind,
-                        f"task {tname!r} launches {name_a!r} (thread "
-                        f"{slot_a}) and {name_b!r} (thread {slot_b}) with "
-                        f"overlapping {what} on {ref_a.array!r} "
-                        f"(e.g. index {witness})",
-                        where=pos,
-                        hint="serialize them on one thread or split the "
-                             "ranges",
-                    ))
+                if not (w_a or w_b):  # two reads never race
+                    continue
+                if ref_a.array != ref_b.array:
+                    continue
+                witness = strided_overlap_witness(ref_a, ref_b)
+                if witness is None:
+                    continue
+                key = (name_a, name_b, ref_a.array, w_a and w_b)
+                if key in seen:
+                    continue
+                seen.add(key)
+                if w_a and w_b:
+                    kind, what = "write-race", "write ranges"
+                else:
+                    kind = "read-write-race"
+                    what = ("a write range overlapping the other's "
+                            "read range")
+                diags.append(Diagnostic(
+                    Severity.ERROR, "dsr", kind,
+                    f"task {tname!r} launches {name_a!r} (thread "
+                    f"{slot_a}) and {name_b!r} (thread {slot_b}) with "
+                    f"overlapping {what} on {ref_a.array!r} "
+                    f"(e.g. index {witness})",
+                    hint="serialize them on one thread or split the "
+                         "ranges",
+                ))
     return diags
 
 

@@ -59,7 +59,7 @@ from .passes import (
     _delivery_multiplicity,
     strided_overlap_witness,
 )
-from .routing import forwarding_graph, routes_by_channel
+from .routing import NO_ROUTES, routing_facts
 from .spec import BUILD_LAUNCH, FabricRef, FifoRef, MemRef
 from ..dsr import Action
 from ..engines import stepper
@@ -208,10 +208,9 @@ def build_hb_graph(fabric: Fabric, cores) -> HBGraph:
     # Stream delivery: a receive consumes its full extent, so it ends
     # after every transmit whose stream the routing delivers to its
     # tile ends (exact under flow conservation, which `flow` checks).
-    chan_routes = routes_by_channel(fabric)
+    facts = routing_facts(fabric)
     for channel, txs in tx_by_channel.items():
-        route_map = chan_routes.get(channel, {})
-        graph = forwarding_graph(fabric, route_map)
+        route_map, graph, _sccs = facts.get(channel, NO_ROUTES)
         for pos, tx_end in txs:
             start = (pos, Port.CORE)
             if start not in route_map:

@@ -21,7 +21,29 @@ from __future__ import annotations
 from .diagnostics import Diagnostic, Severity
 from ..fabric import Fabric, OPPOSITE, Port
 
-__all__ = ["routing_pass", "routes_by_channel", "forwarding_graph", "cyclic_sccs"]
+__all__ = ["routing_pass", "routing_facts", "routes_by_channel",
+           "forwarding_graph", "cyclic_sccs"]
+
+#: What :func:`routing_facts` answers for a channel nothing is routed on.
+NO_ROUTES = ({}, {}, [])
+
+
+def routing_facts(fabric: Fabric) -> dict[int, tuple]:
+    """channel -> ``(route map, forwarding graph, cyclic SCCs)``.
+
+    Several passes need the same three facts of the same unmodified
+    fabric, so they are computed once per topology version — the token
+    every ``Router.set_route`` (and queue creation) bumps — and kept on
+    the fabric.  Callers must treat them as read-only.
+    """
+    memo = fabric._routing_facts
+    if memo is None or memo[0] != fabric._topology_version:
+        facts = {}
+        for channel, route_map in routes_by_channel(fabric).items():
+            graph = forwarding_graph(fabric, route_map)
+            facts[channel] = (route_map, graph, cyclic_sccs(graph))
+        memo = fabric._routing_facts = (fabric._topology_version, facts)
+    return memo[1]
 
 
 def routes_by_channel(fabric: Fabric) -> dict[int, dict]:
@@ -118,7 +140,8 @@ def _fmt_loop(scc: tuple, limit: int = 6) -> str:
 def routing_pass(fabric: Fabric) -> list[Diagnostic]:
     """Run completeness and cycle checks; returns the findings."""
     diags: list[Diagnostic] = []
-    for channel, route_map in sorted(routes_by_channel(fabric).items()):
+    for channel, (route_map, _graph, sccs) in sorted(
+            routing_facts(fabric).items()):
         # ---- completeness ------------------------------------------------
         for (pos, in_port), outs in route_map.items():
             x, y = pos
@@ -152,8 +175,7 @@ def routing_pass(fabric: Fabric) -> list[Diagnostic]:
                     ))
 
         # ---- cycle detection: one finding per distinct loop -------------
-        graph = forwarding_graph(fabric, route_map)
-        for scc in cyclic_sccs(graph):
+        for scc in sccs:
             (pos, port) = scc[0]
             diags.append(Diagnostic(
                 Severity.ERROR, "routing", "cycle",

@@ -73,6 +73,8 @@ def prove_schedule_deterministic(fabric) -> DeterminismProof:
     data-independent event schedule; see the module docstring for the
     argument."""
     reasons: list[str] = []
+    # Declarations are shared per tile class: scan each distinct one once.
+    bad_extents: dict[int, list] = {}
     for core in _iter_cores(fabric):
         # Duck-typed cores (test drivers, ad-hoc traffic sources) may
         # not even carry coordinates; they are refused, not crashed on.
@@ -85,13 +87,18 @@ def prove_schedule_deterministic(fabric) -> DeterminismProof:
                 "its control flow cannot be proven data-independent"
             )
             continue
-        for task_name, instr in decl.instructions():
-            if not isinstance(instr.length, int) or instr.length < 0:
-                reasons.append(
-                    f"core ({x},{y}) task {task_name!r}: instruction "
-                    f"{instr.name or instr.op!r} has non-static length "
-                    f"{instr.length!r}"
-                )
+        bad = bad_extents.get(id(decl))
+        if bad is None:
+            bad = bad_extents[id(decl)] = [
+                (task_name, instr) for task_name, instr in decl.instructions()
+                if not isinstance(instr.length, int) or instr.length < 0
+            ]
+        for task_name, instr in bad:
+            reasons.append(
+                f"core ({x},{y}) task {task_name!r}: instruction "
+                f"{instr.name or instr.op!r} has non-static length "
+                f"{instr.length!r}"
+            )
     if reasons:
         return DeterminismProof(False, reasons, None)
 
@@ -113,9 +120,22 @@ def program_fingerprint(fabric) -> str:
     program declaration, FIFO specs, and the tile memory plans.
     Deliberately excludes runtime values (array contents, cycle
     counters), which replay is allowed to vary.
+
+    A declaration shared by a whole tile class — like a FIFO spec or an
+    allocation that recurs on every tile — is rendered once; the bytes
+    hashed are the same as if every core had rendered its own.
     """
     h = hashlib.sha256()
     out = h.update
+    texts: dict = {}
+
+    def text(key, render) -> bytes:
+        """``render()``, encoded, once per distinct ``key``."""
+        got = texts.get(key)
+        if got is None:
+            got = texts[key] = render().encode()
+        return got
+
     out(f"fabric {fabric.width}x{fabric.height}\n".encode())
     for row in fabric.routers:
         for router in row:
@@ -128,14 +148,18 @@ def program_fingerprint(fabric) -> str:
         out(f"core {core.x},{core.y} {type(core).__name__}\n".encode())
         decl = getattr(core, "program_decl", None)
         if isinstance(decl, ProgramDecl):
-            for name in sorted(decl.tasks):
-                out(f"  task {decl.tasks[name]!r}\n".encode())
-        for fname in sorted(getattr(core, "fifos", {})):
-            out(f"  fifo {core.fifos[fname].spec()!r}\n".encode())
+            out(text(("decl", id(decl)), lambda: "".join(
+                f"  task {decl.tasks[name]!r}\n" for name in sorted(decl.tasks))))
+        fifos = getattr(core, "fifos", {})
+        for fname in sorted(fifos):
+            fifo = fifos[fname]
+            out(text(("fifo", fifo.name, fifo.capacity, fifo.activates),
+                     lambda: f"  fifo {fifo.spec()!r}\n"))
         memory = getattr(core, "memory", None)
         allocs = getattr(memory, "_allocs", None)
         if allocs:
             for name in sorted(allocs):
                 arr = allocs[name].array
-                out(f"  mem {name} {arr.dtype} {len(arr)}\n".encode())
+                out(text(("mem", name, arr.dtype, len(arr)),
+                         lambda: f"  mem {name} {arr.dtype} {len(arr)}\n"))
     return h.hexdigest()

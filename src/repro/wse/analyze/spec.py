@@ -29,6 +29,7 @@ References resolve against runtime state by name:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from ..dsr import Action
 
@@ -190,9 +191,16 @@ class ProgramDecl:
     analyzer reads it back.  An empty declaration means "this core opted
     out of instruction-level analysis" (routing and SRAM checks still
     apply).
+
+    The wafer runs one program specialised by a handful of boundary
+    cases, so a builder declares each distinct case once, calls
+    :meth:`freeze` and hands the same object to every tile of the
+    class.  A frozen declaration rejects every mutation; :meth:`copy`
+    returns a private, mutable one.
     """
 
     def __init__(self) -> None:
+        self._frozen = False
         self.tasks: dict[str, TaskDecl] = {}
         #: Declared input value ranges: allocation name -> (lo, hi).
         #: The numerics pass seeds these arrays with the declared
@@ -203,6 +211,33 @@ class ProgramDecl:
         #: or None (no tolerance check; bounds are still certified).
         self.tolerance: float | None = None
 
+    def freeze(self) -> "ProgramDecl":
+        """Publish the declaration for sharing between tiles: from here
+        on ``task`` / ``launched`` / ``declare_*`` raise and the task and
+        range tables are read-only.  Returns ``self``."""
+        if not self._frozen:
+            self._frozen = True
+            self.tasks = MappingProxyType(self.tasks)
+            self.ranges = MappingProxyType(self.ranges)
+        return self
+
+    def copy(self) -> "ProgramDecl":
+        """A private, mutable copy (the task declarations themselves are
+        immutable values and are shared)."""
+        out = ProgramDecl()
+        out.tasks.update(self.tasks)
+        out.ranges.update(self.ranges)
+        out.tolerance = self.tolerance
+        return out
+
+    def _check_mutable(self) -> None:
+        if self._frozen:
+            raise TypeError(
+                "this ProgramDecl is frozen: every tile of its class "
+                "shares it; copy() first and assign the copy to the one "
+                "core you mean to change"
+            )
+
     def task(
         self,
         name: str,
@@ -211,6 +246,7 @@ class ProgramDecl:
         drains=(),
     ) -> TaskDecl:
         """Declare one task's contract; returns the :class:`TaskDecl`."""
+        self._check_mutable()
         if name in self.tasks:
             raise ValueError(f"task {name!r} already declared")
         decl = TaskDecl(name, tuple(launches), tuple(actions), tuple(drains))
@@ -219,6 +255,7 @@ class ProgramDecl:
 
     def launched(self, *instrs: InstrDecl) -> TaskDecl:
         """Declare build-time (taskless) instruction launches."""
+        self._check_mutable()
         existing = self.tasks.get(BUILD_LAUNCH)
         if existing is not None:
             del self.tasks[BUILD_LAUNCH]
@@ -232,12 +269,14 @@ class ProgramDecl:
         every run's stored values of ``name`` lying in ``[lo, hi]``;
         the shadow executor checks the precondition at runtime.
         """
+        self._check_mutable()
         if not (float(lo) <= float(hi)):
             raise ValueError(f"empty range [{lo}, {hi}] for {name!r}")
         self.ranges[name] = (float(lo), float(hi))
 
     def declare_tolerance(self, tol: float) -> None:
         """Declare the absolute error tolerance for this core's outputs."""
+        self._check_mutable()
         if not (float(tol) > 0.0):
             raise ValueError(f"tolerance must be positive, got {tol!r}")
         self.tolerance = float(tol)

@@ -339,6 +339,9 @@ class Fabric:
         self._core_version = 0
         #: Sum of every router's ``_version`` (kept by ``_rewired``).
         self._topology_version = 0
+        #: ``(topology version, facts)`` memo of
+        #: :func:`repro.wse.analyze.routing.routing_facts`.
+        self._routing_facts = None
         #: Memoised :meth:`quiescent` proof.  Quiescence only ends by an
         #: event that can add work — a core wake (activation, launch,
         #: injection, re-arm), a queue handle handed out, a core

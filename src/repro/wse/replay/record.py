@@ -192,9 +192,20 @@ class ScheduleRecorder:
         self.fifo_shadow: dict[int, deque] = {}
         self._fifo_refs: dict[int, object] = {}
         # --- instruction plans -------------------------------------------
+        #: id(instr) -> recording plan.  Plans are compiled per
+        #: instruction *shape* (op + operand descriptor kinds — a handful
+        #: for a whole fabric) and read the descriptors from the
+        #: instruction they are handed.
         self._plans: dict[int, object] = {}
-        self._plan_refs: dict[int, object] = {}   # keep instrs alive (id() reuse)
+        self._shape_plans: dict[tuple, object] = {}
+        self._plan_refs: list[object] = []        # keep instrs alive (id() reuse)
         self._marked: list[object] = []           # descriptors carrying _rec
+        #: Tokens of the words the instruction being stepped just read
+        #: from the fabric, and the words it just injected: the live
+        #: step fills them, the instruction's plan drains them right
+        #: after, element by element in the same operand order.
+        self._rx_tokens: deque = deque()
+        self._tx_pend: deque = deque()
         # --- cycle / word accounting (via the obs hook points) -----------
         self.stepped = 0
         self.skipped = 0
@@ -332,6 +343,14 @@ class ScheduleRecorder:
             fabric.obs = self._inner_obs
         for d in self._marked:
             d._rec = None
+        # Drop everything the plans close over, so the recorder and all
+        # it built die by reference count the moment the caller lets go
+        # (the plan closures point back at the recorder).
+        self._marked = []
+        self._plans = {}
+        self._shape_plans = {}
+        self._plan_refs = []
+        self._fifo_refs = {}
         self.attached = False
 
     def fail(self, reason: str) -> None:
@@ -407,7 +426,7 @@ class ScheduleRecorder:
     def on_rx(self, rx, word):
         """FabricRx.read tap: unwrap a traced word, stash its token."""
         if type(word) is TracedWord:
-            rx._rec_tokens.append(word.t)
+            self._rx_tokens.append(word.t)
             return word.v
         # A word the recorder did not see injected (injected before the
         # recording window, or by an un-instrumented producer): keep the
@@ -419,7 +438,7 @@ class ScheduleRecorder:
         dt = _DT_CODE.get(getattr(word, "dtype", None), DT_F64)
         nid = self._new(OP_CONST, dt)
         self.const_vals.append((nid, float(word)))
-        rx._rec_tokens.append(nid)
+        self._rx_tokens.append(nid)
         return word
 
     def on_tx_ok(self, tx, word) -> None:
@@ -429,7 +448,7 @@ class ScheduleRecorder:
         recording plan builds the element's value nodes, and a word
         cannot reach a consumer in the same cycle it was injected, so
         the stamp always lands before the first read."""
-        tx._rec_pend.append(word)
+        self._tx_pend.append(word)
 
     # ------------------------------------------------------------------
     # Instruction hooks (called from Core._step_instrumented)
@@ -441,19 +460,18 @@ class ScheduleRecorder:
         key = id(instr)
         if key in self._plans:
             return
-        for d in list(instr.srcs) + [instr.dst]:
-            if isinstance(d, (FabricRx, FabricTx)) and d._rec is not self:
-                d._rec = self
-                d._rec_tokens = deque()
-                d._rec_pend = deque()
-                self._marked.append(d)
+        dst = instr.dst
+        for d in (*instr.srcs, dst):
+            if isinstance(d, (FabricRx, FabricTx)):
+                if d._rec is not self:
+                    d._rec = self
+                    self._marked.append(d)
             elif isinstance(d, MemCursor):
                 self.snapshot(d.array)
             elif isinstance(d, (FifoPop, FifoPush)):
                 # Create the shadow before the live step pushes/pops, so
                 # the emptiness precondition checks *pre-existing* words.
                 self._shadow(d.fifo)
-        dst = instr.dst
         if isinstance(dst, ScalarAccumulator):
             okey = (id(dst), "value")
             if okey not in self.obj_node:
@@ -461,126 +479,115 @@ class ScheduleRecorder:
                 self.obj_node[okey] = self._const(dst.value, dt)
                 self.obj_info[okey] = (dst, "value", dt)
                 self.obj_writes[id(dst)] = (dst, 0)
-        self._plans[key] = self._build_plan(instr)
-        self._plan_refs[key] = instr
+        shape = (instr.op, *(type(d) for d in instr.srcs), type(dst))
+        plan = self._shape_plans.get(shape)
+        if plan is None:
+            plan = self._shape_plans[shape] = self._build_plan(*shape)
+        self._plans[key] = plan
+        self._plan_refs.append(instr)
 
     def on_instr(self, core, instr, n: int) -> None:
         """Record ``n`` elements just executed by ``instr``."""
         self._plans[id(instr)](instr, n)
 
-    def _build_plan(self, instr):
-        """Compile one per-element recording closure for an instruction.
+    def _build_plan(self, op, *kinds):
+        """Compile the per-element recording closure ``plan(instr, n)``
+        for every instruction of one shape: ``op`` over source
+        descriptors of ``kinds[:-1]`` into a destination of
+        ``kinds[-1]``.
 
         Mirrors :meth:`repro.wse.dsr.Instruction._make_stepfn`: the
         closure re-derives, per element, exactly the scalar dataflow the
         live op performed — sources resolved to nodes, the op lowered to
         ADD/MUL/MULX(+CAST) nodes, the destination's store recorded.
+        All of an instruction's positional descriptors advanced by
+        exactly ``n`` in the step being recorded, so element ``k`` sat
+        at position ``pos - n + k``.
         """
-        def src_reader(s):
-            if isinstance(s, MemCursor):
-                def rd(k, pre=None):
-                    return self._mem_read(s.array, s.offset + (pre[0] + k) * s.stride)
-                rd.kind = "mem"
-                rd.desc = s
-                return rd
-            if isinstance(s, FabricRx):
-                def rd(k, pre=None, q=s._rec_tokens):
-                    return q.popleft()
-                rd.kind = "rx"
-                rd.desc = s
-                return rd
-            if isinstance(s, FifoPop):
-                shadow = self._shadow(s.fifo)
-                def rd(k, pre=None, q=shadow):
-                    return q.popleft()
-                rd.kind = "fifo"
-                rd.desc = s
-                return rd
-            self.fail(f"unsupported source descriptor {type(s).__name__}")
-            def rd(k, pre=None):
-                return self._const(0.0, DT_F64)
-            rd.kind = "opaque"
-            rd.desc = s
-            return rd
+        mem_read, binop = self._mem_read, self._binop
+        tokens, pend, shadows = self._rx_tokens, self._tx_pend, self.fifo_shadow
 
-        readers = [src_reader(s) for s in instr.srcs]
-        dst = instr.dst
-        op = instr.op
+        def mem_cell(d, n, k):
+            return mem_read(d.array, d.offset + (d.pos - n + k) * d.stride)
 
-        def pre_positions(n):
-            """Pre-step position of every positional descriptor (all of
-            an instruction's cursors advance by exactly n per step)."""
-            pres = []
-            for r in readers:
-                d = r.desc
-                pres.append([d.pos - n] if hasattr(d, "pos") else None)
-            dpre = [dst.pos - n] if hasattr(dst, "pos") else None
-            return pres, dpre
+        def reader(kind):
+            if issubclass(kind, MemCursor):
+                return mem_cell
+            if issubclass(kind, FabricRx):
+                return lambda s, n, k: tokens.popleft()
+            if issubclass(kind, FifoPop):
+                return lambda s, n, k: shadows[id(s.fifo)].popleft()
+            self.fail(f"unsupported source descriptor {kind.__name__}")
+            return lambda s, n, k: self._const(0.0, DT_F64)
 
-        def write_node(k, dpre, node):
-            if isinstance(dst, MemCursor):
-                cell = dst.offset + (dpre[0] + k) * dst.stride
-                self._mem_write(dst.array, cell, node)
-            elif isinstance(dst, FabricTx):
-                dst._rec_pend.popleft().t = node
-            elif isinstance(dst, FifoPush):
-                self._shadow(dst.fifo).append(node)
-            elif isinstance(dst, ScalarAccumulator):
-                okey = (id(dst), "value")
-                dt = _DT_CODE.get(dst.dtype, DT_F32)
+        *src_kinds, dst_kind = kinds
+        readers = [reader(kind) for kind in src_kinds]
+        r0 = readers[0]
+        r1 = readers[-1]
+        acc_is_scalar = issubclass(dst_kind, ScalarAccumulator)
+
+        if issubclass(dst_kind, MemCursor):
+            def write(d, n, k, node):
+                cell = d.offset + (d.pos - n + k) * d.stride
+                self._mem_write(d.array, cell, node)
+        elif issubclass(dst_kind, FabricTx):
+            def write(d, n, k, node):
+                pend.popleft().t = node
+        elif issubclass(dst_kind, FifoPush):
+            def write(d, n, k, node):
+                shadows[id(d.fifo)].append(node)
+        elif acc_is_scalar:
+            def write(d, n, k, node):
+                okey = (id(d), "value")
+                dt = _DT_CODE.get(d.dtype, DT_F32)
                 if self.odt[node] != dt:
                     node = self._new(OP_CAST, dt, node)
                 self.obj_node[okey] = node
-                acc, w = self.obj_writes[id(dst)]
-                self.obj_writes[id(dst)] = (acc, w + 1)
-            else:
-                self.fail(f"unsupported destination descriptor {type(dst).__name__}")
+                acc, w = self.obj_writes[id(d)]
+                self.obj_writes[id(d)] = (acc, w + 1)
+        else:
+            def write(d, n, k, node):
+                self.fail(f"unsupported destination descriptor {dst_kind.__name__}")
 
         if op == "copy":
             def plan(instr, n):
-                pres, dpre = pre_positions(n)
+                s0, dst = instr.srcs[0], instr.dst
                 for k in range(n):
-                    write_node(k, dpre, readers[0](k, pres[0]))
+                    write(dst, n, k, r0(s0, n, k))
         elif op in ("mul", "add"):
             code = OP_MUL if op == "mul" else OP_ADD
             def plan(instr, n):
-                pres, dpre = pre_positions(n)
+                (s0, s1), dst = instr.srcs, instr.dst
                 for k in range(n):
-                    a = readers[0](k, pres[0])
-                    b = readers[1](k, pres[1])
-                    write_node(k, dpre, self._binop(code, a, b))
+                    a = r0(s0, n, k)
+                    write(dst, n, k, binop(code, a, r1(s1, n, k)))
         elif op == "addin":
             def plan(instr, n):
-                pres, dpre = pre_positions(n)
+                s0, dst = instr.srcs[0], instr.dst
                 for k in range(n):
-                    a = readers[0](k, pres[0])
-                    cell = dst.offset + (dpre[0] + k) * dst.stride
-                    prev = self._mem_read(dst.array, cell)
-                    write_node(k, dpre, self._binop(OP_ADD, prev, a))
+                    a = r0(s0, n, k)
+                    write(dst, n, k, binop(OP_ADD, mem_cell(dst, n, k), a))
         elif op == "mac":
-            acc_is_scalar = isinstance(dst, ScalarAccumulator)
             def plan(instr, n):
-                pres, dpre = pre_positions(n)
+                (s0, s1), dst = instr.srcs, instr.dst
                 for k in range(n):
-                    a = readers[0](k, pres[0])
-                    b = readers[1](k, pres[1])
+                    a = r0(s0, n, k)
+                    b = r1(s1, n, k)
                     mulop = OP_MULX if self.odt[a] == DT_F16 else OP_MUL
-                    prod = self._binop(mulop, a, b)
+                    prod = binop(mulop, a, b)
                     if acc_is_scalar:
                         prev = self.obj_node[(id(dst), "value")]
                     else:
-                        cell = dst.offset + (dpre[0] + k) * dst.stride
-                        prev = self._mem_read(dst.array, cell)
-                    write_node(k, dpre, self._binop(OP_ADD, prev, prod))
+                        prev = mem_cell(dst, n, k)
+                    write(dst, n, k, binop(OP_ADD, prev, prod))
         elif op == "axpy":
-            scalar = instr.scalar
             def plan(instr, n):
-                pres, dpre = pre_positions(n)
+                (s0, s1), dst = instr.srcs, instr.dst
                 for k in range(n):
-                    y = readers[0](k, pres[0])
-                    x = readers[1](k, pres[1])
-                    a_r = self._const(scalar, self.odt[y])
-                    write_node(k, dpre, self._binop(OP_ADD, y, self._binop(OP_MUL, a_r, x)))
+                    y = r0(s0, n, k)
+                    x = r1(s1, n, k)
+                    a_r = self._const(instr.scalar, self.odt[y])
+                    write(dst, n, k, binop(OP_ADD, y, binop(OP_MUL, a_r, x)))
         else:
             self.fail(f"unsupported op {op!r}")
             def plan(instr, n):

@@ -18,13 +18,18 @@ Six suites:
   re-record, everything on the fabric (tile memory bytes, counters,
   FIFO marks, flags, reduce registers) equals the active engine's;
 * bounded work — the memory ops one replay issues are counted per
-  base buffer, not per tile.
+  base buffer, not per tile;
+* no leftovers — a finished recording leaves nothing on the live
+  program and nothing for the cyclic collector.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -40,7 +45,9 @@ from repro.problems import Stencil7, Stencil9
 from repro.wse import Fabric, Port
 from repro.wse.allreduce import AllReduceEngine
 from repro.wse.analyze import analyze_program
-from repro.wse.replay import RecordingError, ReplaySession
+from repro.wse.dsr import FabricRx, FabricTx
+from repro.wse.replay import RecordingError, ReplaySession, ScheduleRecorder
+from repro.wse.replay.record import TracedWord
 
 
 def _op3d(shape, seed=0):
@@ -522,3 +529,68 @@ class TestReplayWorkIsBoundedByBuffers:
         # One gather per plane read (v, u's carried cell), one scatter
         # (u); the collective lives in registers: no memory ops at all.
         assert counts[8] == ((3, 0, 0), (0, 1, 2))
+
+
+class TestRecorderLeavesNothingBehind:
+    """Everything a recording builds must die by reference count when
+    ``record()`` exits: at 48x48x2 the plan closures, shadows and taps of
+    one recording used to be 0.6 M objects of cyclic garbage that only a
+    full collection could free."""
+
+    def test_descriptors_carry_no_recorder_state(self):
+        shape = (3, 3, 4)
+        eng = SpmvEngine(_op3d(shape, 2), options=RunOptions(engine="replay"))
+        eng.run(np.full(shape, 0.25))
+        assert eng.replay.records == 1
+        # Every fabric descriptor a recorder ever tapped (``_rec`` is a
+        # class default until then): this engine's 7 per interior tile,
+        # one fewer per missing neighbour.
+        tapped = [d for d in gc.get_objects()
+                  if isinstance(d, (FabricRx, FabricTx)) and "_rec" in vars(d)]
+        assert len(tapped) >= sum(
+            7 - (x in (0, 2)) - (y in (0, 2)) for x in range(3) for y in range(3))
+        for d in tapped:
+            assert d._rec is None
+            assert not hasattr(d, "_rec_tokens") and not hasattr(d, "_rec_pend")
+
+    @pytest.mark.parametrize("kernel", ["spmv", "allreduce"])
+    def test_recording_dies_by_reference_count(self, kernel):
+        if kernel == "spmv":
+            shape = (4, 3, 4)
+            eng = SpmvEngine(_op3d(shape, 3), options=RunOptions(engine="replay"))
+
+            def run():
+                eng.run(np.full(shape, 0.5))
+        else:
+            eng = AllReduceEngine(4, 4, options=RunOptions(engine="replay"))
+
+            def run():
+                eng.reduce(np.ones((4, 4), dtype=np.float32))
+        recorders = []
+        real_init = ScheduleRecorder.__init__
+
+        def spy(rec, fabric):
+            real_init(rec, fabric)
+            recorders.append(weakref.ref(rec))
+
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            ScheduleRecorder.__init__ = spy
+            run()
+        finally:
+            ScheduleRecorder.__init__ = real_init
+            leftovers = [
+                o for o in gc.get_objects()
+                if isinstance(o, (ScheduleRecorder, TracedWord))
+                or (isinstance(o, types.FunctionType)
+                    and "_build_plan.<locals>" in o.__qualname__)
+            ]
+            unreachable = gc.collect()
+            if was_enabled:
+                gc.enable()
+        assert eng.replay.records == 1
+        assert len(recorders) == 1 and recorders[0]() is None
+        assert leftovers == []
+        assert unreachable == 0

@@ -545,6 +545,44 @@ class TestBuilderWiring:
         solver = DESBiCGStab(op, options=RunOptions(analyze=True))
         assert solver.report.total_cycles == 0  # probe build ran no cycles
 
+    def test_bicgstab_des_analyze_builds_the_fabric_once(self, monkeypatch):
+        """``analyze=True`` used to build a probe fabric, analyze it,
+        throw it away and build the same program again for the engine."""
+        from repro.kernels import spmv3d
+        from repro.kernels.bicgstab_des import DESBiCGStab
+        from repro.problems import momentum_system
+
+        builds = []
+        real_build = spmv3d.build_spmv_fabric
+
+        def counting_build(*args, **kwargs):
+            builds.append(kwargs.get("analyze"))
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(spmv3d, "build_spmv_fabric", counting_build)
+        system = momentum_system((2, 2, 4), reynolds=50.0, dt=0.02)
+        solver = DESBiCGStab(system.operator, options=RunOptions(analyze=True))
+        assert builds == [True]      # analyzed, and already at construction
+        assert solver.solve(system.b, rtol=5e-3, maxiter=10).converged
+        assert builds == [True]
+
+    def test_bicgstab_des_analyze_raises_at_construction(self, monkeypatch):
+        from repro.kernels import spmv3d
+        from repro.kernels.bicgstab_des import DESBiCGStab
+        from repro.problems import Stencil7
+
+        real_analyze = spmv3d.analyze_program
+
+        def analyze_defective(fabric, **kwargs):
+            # Seed a dead-end route just before the program is analyzed.
+            fabric.router(0, 0).set_route(9, Port.CORE, (Port.EAST,))
+            return real_analyze(fabric, **kwargs)
+
+        monkeypatch.setattr(spmv3d, "analyze_program", analyze_defective)
+        op, _b, _d = Stencil7.from_random((2, 2, 4)).jacobi_precondition()
+        with pytest.raises(AnalysisError, match="dead-end"):
+            DESBiCGStab(op, options=RunOptions(analyze=True))
+
 
 # ----------------------------------------------------------------------
 # Pass 7: channel dependency graph (deadlock freedom)
