@@ -346,6 +346,7 @@ def _build_tile(
     return _TileProgram(core=core, bx=bx, by=by, out=out)
 
 
+@engines.collector_paused
 def build_spmv2d_fabric(
     op: Stencil9,
     v: np.ndarray,

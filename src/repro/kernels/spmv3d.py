@@ -494,6 +494,7 @@ def _build_tile_program(
     return prog
 
 
+@engines.collector_paused
 def build_spmv_fabric(
     op: Stencil7,
     v: np.ndarray,
@@ -554,8 +555,12 @@ class SpmvEngine:
     once at program start and the SpMV task is re-activated per solver
     iteration.  ``run`` updates the local iterate vectors, re-activates
     every tile's ``spmv`` task, and returns the new result.
+
+    The constructor consumes the run over the zero vector the build arms:
+    under ``engine="replay"`` the recorded one, so every ``run`` replays.
     """
 
+    @engines.collector_paused
     def __init__(
         self,
         op: Stencil7,
@@ -588,7 +593,7 @@ class SpmvEngine:
         #: The replay session (``engine="replay"`` only), else None.
         self.replay = self._runner.replay
         # The build activates each tile's spmv task for a first run over
-        # the zero vector; consume it so run() starts clean.
+        # the zero vector; consume it (recorded, under replay).
         warm = self._runner.live()
         if obs is not None:
             obs.tracer.record("spmv.warmup", self.fabric.cycle - warm, warm,

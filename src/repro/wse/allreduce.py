@@ -462,6 +462,7 @@ class AllReduceEngine:
     is identical to a fresh single-shot fabric's.
     """
 
+    @engines.collector_paused
     def __init__(
         self, width: int, height: int, queue_capacity: int = 8,
         options: RunOptions | None = None,

@@ -27,7 +27,8 @@ when an engine that needs them is selected).
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+import gc
+from contextlib import ContextDecorator
 from dataclasses import dataclass
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "ENGINE_TABLE",
     "EngineSpec",
     "Runner",
+    "collector_paused",
     "fabric_until",
     "resolve_options",
     "run_once",
@@ -128,6 +130,35 @@ def resolve_options(options, caller: str):
     return options
 
 
+class _CollectorPaused(ContextDecorator):
+    """Pause the cyclic collector while a program is built or recorded:
+    neither makes cyclic garbage (``tests/test_cold_start.py``), so each
+    pass walks a growing heap for nothing.  The only code that touches
+    ``gc``.  Re-entrant; the outermost exit restores the state found.
+    """
+
+    def __init__(self) -> None:
+        self._found: list[bool] = []    # collector state at each entry
+
+    def __enter__(self) -> None:
+        self._found.append(gc.isenabled())
+        gc.disable()
+
+    def __exit__(self, *exc) -> None:
+        if self._found.pop():
+            gc.enable()
+
+    def forked(self) -> None:
+        """First call in a child forked inside the region: nothing there
+        unwinds the parent's ``with`` blocks, so leave them now."""
+        while self._found:
+            self.__exit__()
+
+
+#: Context manager and decorator; one instance, like the switch it flips.
+collector_paused = _CollectorPaused()
+
+
 # ----------------------------------------------------------------------
 # Completion predicates: one per-tile answer, two shapes
 # ----------------------------------------------------------------------
@@ -185,7 +216,7 @@ def run_once(fabric, options, tile_done, *, label: str,
 
         session = ReplaySession(fabric, label=label)
     if session is not None and session.enabled:
-        with session.record():
+        with collector_paused, session.record():
             fabric.run(max_cycles=max_cycles, until=until)
         if session.schedule is not None:
             bad = session.schedule.check()
@@ -242,7 +273,7 @@ class Runner:
         else:
             self._until = fabric_until(fabric, tile_done)
 
-    def live(self) -> int:
+    def _step(self) -> int:
         """Step the armed program to completion; returns the cycles."""
         fabric = self.fabric
         start = fabric.cycle
@@ -252,6 +283,29 @@ class Runner:
         else:
             fabric.run(max_cycles=self._max_cycles, until=self._until)
         return fabric.cycle - start
+
+    def _record(self, arm) -> int:
+        """One live run under the recorder, compiled on the way out."""
+        with collector_paused, self.replay.record(configure=self._configure):
+            # Inside the recording: re-arming is where a run's fresh
+            # operands enter the tape.
+            if arm is not None:
+                arm(self._executor)
+            return self._step()
+
+    def live(self) -> int:
+        """The owner's constructor run of the program its build armed.
+
+        Recorded when the session can record, so that every :meth:`run`
+        replays: operands are live leaves of the memory planes and a
+        re-arm only rewinds to this state, so this is the tape a
+        re-armed run would give.  Otherwise (engine does not record,
+        proof refused, sanitizer attached) stepped bare.
+        """
+        if self.replay is None or not self.replay.enabled \
+                or self.fabric.sanitizer is not None:
+            return self._step()
+        return self._record(None)
 
     def run(self, arm, externs=None) -> int:
         """One execution; returns the cycles.
@@ -268,17 +322,12 @@ class Runner:
             self.replayed = True
             return session.replay(externs)
         self.replayed = False
-        recording = nullcontext()
         if session is not None:
             if session.enabled:
-                recording = session.record(configure=self._configure)
-            else:
-                session.note_fallback()
-        with recording:
-            # Inside the recording: re-arming is where a run's fresh
-            # operands enter the tape.
-            arm(self._executor)
-            return self.live()
+                return self._record(arm)
+            session.note_fallback()
+        arm(self._executor)
+        return self._step()
 
     def sync(self, now: int) -> None:
         """Fast-forward the idle fabric to wafer cycle ``now``.

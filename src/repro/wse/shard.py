@@ -60,6 +60,7 @@ import weakref
 from multiprocessing import get_context
 from typing import NamedTuple
 
+from .engines import collector_paused
 from .fabric import FabricDeadlockError, OPPOSITE, Port
 
 __all__ = [
@@ -288,6 +289,7 @@ def _worker_main(conn, fabric, rect, until, in_keys, lookahead) -> None:
     the fork is plain picklable data.
     """
     try:
+        collector_paused.forked()   # engines fork inside their constructor
         halos: dict[tuple, _HaloQueue] = {}
 
         def halo_factory(key, _capacity):

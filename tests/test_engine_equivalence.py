@@ -204,7 +204,7 @@ class TestKernelEquivalence:
                     assert c == c_act, name
                     assert u.tobytes() == u_act.tobytes(), name
                     assert tile_state(engines[name]) == want, name
-            assert engines["replay"].replay.replays == 2
+            assert engines["replay"].replay.replays == 3
         finally:
             for eng in engines.values():
                 eng.close()

@@ -13,6 +13,7 @@
 """
 
 import ast
+import functools
 import itertools
 from pathlib import Path
 
@@ -211,8 +212,20 @@ class TestShippedTable:
 
 
 # ----------------------------------------------------------------------
-# Source scan: engine names are interpreted in one place
+# Source scans: engine names are interpreted, and the collector is
+# touched, in one place each
 # ----------------------------------------------------------------------
+SRC = Path(repro.__file__).parent
+ENGINES_PY = SRC / "wse" / "engines.py"
+
+
+@functools.lru_cache(maxsize=None)
+def _source_trees() -> tuple:
+    """``(path, parsed module)`` for every file of the package."""
+    return tuple((path, ast.parse(path.read_text()))
+                 for path in sorted(SRC.rglob("*.py")))
+
+
 def _engine_comparisons(tree):
     """Every ``==`` / ``!=`` / ``in`` whose operands mention an
     engine-name literal."""
@@ -231,20 +244,47 @@ def test_no_engine_name_comparison_outside_engines_module():
     property plus ``Fabric.step``'s two-way stepper switch.  The CLIs'
     ``both`` / ``all`` aggregates are not engine names and expand to
     tuples."""
-    root = Path(repro.__file__).parent
     offenders = []
-    for path in sorted(root.rglob("*.py")):
-        if path == root / "wse" / "engines.py":
+    for path, tree in _source_trees():
+        if path == ENGINES_PY:
             continue
-        tree = ast.parse(path.read_text())
         allowed = set()
-        if path == root / "wse" / "fabric.py":
+        if path == SRC / "wse" / "fabric.py":
             for fn in ast.walk(tree):
                 if isinstance(fn, ast.FunctionDef) \
                         and fn.name in ("engine", "step"):
                     allowed.update(_engine_comparisons(fn))
         offenders += [
-            f"{path.relative_to(root)}:{node.lineno}: {ast.unparse(node)}"
+            f"{path.relative_to(SRC)}:{node.lineno}: {ast.unparse(node)}"
             for node in _engine_comparisons(tree) if node not in allowed
         ]
     assert not offenders, "\n".join(offenders)
+
+
+def test_only_collector_paused_touches_the_collector():
+    """``gc.disable`` / ``enable`` / ``freeze`` / ``set_threshold`` /
+    ``collect`` anywhere else would fight the one pause that set-up
+    relies on (and that restores what it found).  Stronger than a list
+    of names: only the engines module imports ``gc``, and there every
+    ``gc.<name>`` sits inside ``_CollectorPaused``."""
+    for path, tree in _source_trees():
+        imports = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            and any(alias.name == "gc" for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "gc"
+        ]
+        if path != ENGINES_PY:
+            assert not imports, f"{path.relative_to(SRC)}:{imports[0]}"
+            continue
+        assert len(imports) == 1
+        (pause,) = [node for node in tree.body if isinstance(node, ast.ClassDef)
+                    and node.name == "_CollectorPaused"]
+        inside = {id(node) for node in ast.walk(pause)}
+        uses = [node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "gc"]
+        assert {node.attr for node in uses} == {
+            "isenabled", "disable", "enable"}
+        outside = [node.lineno for node in uses if id(node) not in inside]
+        assert not outside, f"wse/engines.py:{outside}"

@@ -130,7 +130,7 @@ class TestReplayBitIdentity:
             )
             assert c_r == c_a
         sess = eng_r.replay
-        assert (sess.records, sess.replays, sess.fallbacks) == (1, 2, 0)
+        assert (sess.records, sess.replays, sess.fallbacks) == (1, 3, 0)
         assert _router_words(eng_r.fabric) == _router_words(eng_a.fabric)
         sa, sr = eng_a.fabric.stats, eng_r.fabric.stats
         for field in ("cycles", "skipped_cycles", "active_router_cycles",
@@ -434,17 +434,18 @@ class TestReplayLeavesLiveState:
             assert (sess.records, sess.replays, sess.invalidations,
                     sess.fallbacks) == expect
 
-        step((1, 0, 0, 0))                      # record
+        # The constructor's run over the zero vector was the recording.
+        assert (sess.records, sess.replays) == (1, 0)
         assert sess.schedule.check() == []
-        for k in (1, 2, 3):
-            step((1, k, 0, 0))                  # replay x3
+        for k in (1, 2, 3, 4):
+            step((1, k, 0, 0))                  # replay x4, first included
         # An unused-channel route cannot change the schedule, but the
         # token must not know that: next run is live and re-records.
         for eng in (eng_r, eng_a):
             eng.fabric.router(2, 1).set_route(15, Port.CORE, (Port.CORE,))
-        step((2, 3, 1, 0))                      # live + re-record
+        step((2, 4, 1, 0))                      # live + re-record
         assert sess.schedule.check() == []
-        step((2, 4, 1, 0))                      # replay again
+        step((2, 5, 1, 0))                      # replay again
 
     def test_allreduce_lifecycle(self):
         nx, ny, _ = self.SHAPE
@@ -555,17 +556,20 @@ class TestRecorderLeavesNothingBehind:
 
     @pytest.mark.parametrize("kernel", ["spmv", "allreduce"])
     def test_recording_dies_by_reference_count(self, kernel):
-        if kernel == "spmv":
-            shape = (4, 3, 4)
-            eng = SpmvEngine(_op3d(shape, 3), options=RunOptions(engine="replay"))
-
-            def run():
+        def run():
+            # Under the spy from the start: a SpmvEngine records in its
+            # constructor (the build-armed run), a collective on its
+            # first reduce.
+            if kernel == "spmv":
+                shape = (4, 3, 4)
+                eng = SpmvEngine(_op3d(shape, 3),
+                                 options=RunOptions(engine="replay"))
                 eng.run(np.full(shape, 0.5))
-        else:
-            eng = AllReduceEngine(4, 4, options=RunOptions(engine="replay"))
-
-            def run():
+            else:
+                eng = AllReduceEngine(4, 4, options=RunOptions(engine="replay"))
                 eng.reduce(np.ones((4, 4), dtype=np.float32))
+            return eng
+
         recorders = []
         real_init = ScheduleRecorder.__init__
 
@@ -578,7 +582,7 @@ class TestRecorderLeavesNothingBehind:
         gc.disable()
         try:
             ScheduleRecorder.__init__ = spy
-            run()
+            eng = run()
         finally:
             ScheduleRecorder.__init__ = real_init
             leftovers = [
