@@ -24,8 +24,6 @@ __all__ = ["main", "build_parser"]
 SUBCOMMANDS = {
     "trace": ".obs.cli:trace_main",
     "profile": ".obs.cli:profile_main",
-    "bench-compare": ".analysis.bench_history:compare_main",
-    "bench-history": ".analysis.bench_history:history_main",
     "lint": ".wse.analyze.lint:lint_main",
     "verify-contracts": ".wse.analyze.verify_contracts:verify_main",
     "sanitize": ".wse.analyze.sanitize:sanitize_main",

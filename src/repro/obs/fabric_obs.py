@@ -4,8 +4,9 @@
 calls back into when observation is attached.  The contract with the
 simulator is deliberately tiny — the *entire* hot-path cost of the
 observability layer when disabled is the ``if self.obs is not None``
-check in ``Fabric.step`` (verified by ``benchmarks/bench_obs_overhead``
-and the <5 % gate against ``BENCH_des.json``):
+check in ``Fabric.step`` (measured as ``obs.detached_solve_s`` against
+``obs.traced_solve_s`` by ``python3 benchmarks/perf/run.py --workload
+bicgstab-observed --trace 1``):
 
 * ``on_cycle(fabric, words, elements)`` after every stepped cycle;
 * ``on_skip(n)`` when the engine fast-forwards ``n`` provably-inert

@@ -362,7 +362,8 @@ class TestKernelEquivalence:
 
     def test_bicgstab_four_way(self):
         """Full BiCGStab solves agree bit-for-bit across all four
-        engines: solution, residual history, per-kernel cycles."""
+        engines: solution, residual history, per-kernel cycles, and the
+        words every router of both persistent fabrics moved."""
         from repro.kernels.bicgstab_des import DESBiCGStab
 
         shape = (3, 3, 6)
@@ -370,18 +371,23 @@ class TestKernelEquivalence:
         op = Stencil7.from_random(shape, rng=rng)
         b = rng.standard_normal(shape)
         pre, bprime, _ = op.jacobi_precondition(b)
-        sols = {}
+        sols, words = {}, {}
         for e in ("active", "reference", "replay", "sharded"):
             workers = 2 if e == "sharded" else 1
             solver = DESBiCGStab(
                 pre, options=RunOptions(engine=e, workers=workers))
             try:
                 sols[e] = solver.solve(bprime, maxiter=8)
+                words[e] = [[[r.words_moved for r in row]
+                             for row in eng.fabric.routers]
+                            for eng in solver.engines()]
             finally:
                 solver.close()
         base = sols["active"]
+        assert sum(map(sum, words["active"][0])) > 0
         for e in ("reference", "replay", "sharded"):
             sol = sols[e]
+            assert words[e] == words["active"], e
             np.testing.assert_array_equal(
                 np.asarray(base.x).view(np.uint64),
                 np.asarray(sol.x).view(np.uint64),

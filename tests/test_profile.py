@@ -1,5 +1,4 @@
-"""Tests for the causal cycle profiler (`repro.obs.profile`) and the
-benchmark history ledger (`repro.analysis.bench_history`).
+"""Tests for the causal cycle profiler (`repro.obs.profile`).
 
 The profiler's contract is *conservation*: every non-busy core cycle is
 classified (``busy + wait_rx + wait_credit + idle == stepped`` on every
@@ -103,10 +102,16 @@ class TestConservation:
         sys_ = momentum_system((6, 6, 8), reynolds=50.0, dt=0.02)
         obs = ObsSession(profile=True)
         solver = DESBiCGStab(sys_.operator, options=RunOptions(obs=obs))
-        solver.solve(sys_.b, rtol=5e-3, maxiter=8)
+        res = solver.solve(sys_.b, rtol=5e-3, maxiter=8)
         assert set(obs.profiles) == {"spmv", "allreduce"}
         for prof in obs.profiles.values():
             _assert_conserved(prof)
+        # Profiling a whole solve never perturbs it.
+        bare = DESBiCGStab(sys_.operator)
+        bare_res = bare.solve(sys_.b, rtol=5e-3, maxiter=8)
+        assert bare_res.x.tobytes() == res.x.tobytes()
+        assert bare_res.residuals == res.residuals
+        assert bare.report == solver.report
 
 
 class TestReplayFold:
@@ -339,117 +344,3 @@ class TestReportsAndExports:
         obs = ObsSession()
         assert "profile=True" in bottleneck_table(obs)
         assert top_bottleneck(obs) is None
-
-
-class TestBenchHistory:
-    def _des_payload(self, cps, mesh=(6, 6, 8)):
-        return {"benchmark": "bicgstab_des_engine",
-                "workload": {"mesh": list(mesh)},
-                "active": {"cycles_per_second": cps}}
-
-    def test_summarize_schemas(self, tmp_path):
-        from repro.analysis.bench_history import summarize
-
-        rec = summarize(self._des_payload(1234.5))
-        assert rec["cycles_per_second"] == 1234.5
-        assert rec["mesh"] == [6, 6, 8]
-        rec = summarize({"benchmark": "obs_overhead", "workload": {},
-                         "off": {"cycles_per_second": 10.0}})
-        assert rec["cycles_per_second"] == 10.0
-        rec = summarize({"benchmark": "profile_overhead", "workload": {},
-                         "off": {"cycles_per_second": 7.5}})
-        assert rec["cycles_per_second"] == 7.5
-        rec = summarize({"benchmark": "bicgstab_replay_engine",
-                         "workload": {},
-                         "replay": {"cycles_per_second": 99.0}})
-        assert rec["cycles_per_second"] == 99.0
-        rec = summarize({"benchmark": "analyze_cost", "programs": [
-            {"program": "a", "all_passes_seconds": 1.5},
-            {"program": "b", "all_passes_seconds": 0.5}]})
-        assert rec["seconds"] == 2.0 and rec["cycles_per_second"] is None
-        assert summarize({"benchmark": "unknown_thing"}) is None
-
-    def test_append_and_compare_ok(self, tmp_path):
-        from repro.analysis.bench_history import append_history, compare
-
-        bench = tmp_path / "BENCH_des.json"
-        ledger = tmp_path / "BENCH_history.jsonl"
-        bench.write_text(json.dumps(self._des_payload(1000.0)))
-        recs = append_history([bench], ledger)
-        assert len(recs) == 1
-        assert len(ledger.read_text().splitlines()) == 1
-        lines, regressions = compare([bench], ledger)
-        assert regressions == 0
-        assert any("OK" in line for line in lines)
-
-    def test_regression_detected(self, tmp_path):
-        from repro.analysis.bench_history import append_history, compare
-
-        bench = tmp_path / "BENCH_des.json"
-        ledger = tmp_path / "BENCH_history.jsonl"
-        bench.write_text(json.dumps(self._des_payload(1000.0)))
-        append_history([bench], ledger)
-        bench.write_text(json.dumps(self._des_payload(850.0)))
-        lines, regressions = compare([bench], ledger)
-        assert regressions == 1
-        assert any("REGRESSION" in line for line in lines)
-        # Within the 10% gate: no failure.
-        bench.write_text(json.dumps(self._des_payload(950.0)))
-        _lines, regressions = compare([bench], ledger)
-        assert regressions == 0
-
-    def test_cross_host_is_advisory(self, tmp_path):
-        from repro.analysis.bench_history import compare
-
-        bench = tmp_path / "BENCH_des.json"
-        ledger = tmp_path / "BENCH_history.jsonl"
-        ledger.write_text(json.dumps({
-            "benchmark": "bicgstab_des_engine", "mesh": [6, 6, 8],
-            "host": "some-other-box", "timestamp": 1.0,
-            "cycles_per_second": 99999.0, "seconds": None}) + "\n")
-        bench.write_text(json.dumps(self._des_payload(100.0)))
-        lines, regressions = compare([bench], ledger)
-        assert regressions == 0
-        assert any("advisory" in line for line in lines)
-
-    def test_earliest_same_host_baseline_wins(self, tmp_path):
-        import socket
-
-        from repro.analysis.bench_history import compare
-
-        host = socket.gethostname()
-        ledger = tmp_path / "BENCH_history.jsonl"
-        rows = [
-            {"benchmark": "bicgstab_des_engine", "mesh": [6, 6, 8],
-             "host": "elsewhere", "timestamp": 1.0,
-             "cycles_per_second": 5.0, "seconds": None},
-            {"benchmark": "bicgstab_des_engine", "mesh": [6, 6, 8],
-             "host": host, "timestamp": 3.0,
-             "cycles_per_second": 1000.0, "seconds": None},
-            {"benchmark": "bicgstab_des_engine", "mesh": [6, 6, 8],
-             "host": host, "timestamp": 2.0,
-             "cycles_per_second": 2000.0, "seconds": None},
-        ]
-        ledger.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-        bench = tmp_path / "BENCH_des.json"
-        bench.write_text(json.dumps(self._des_payload(1900.0)))
-        # Baseline is the earliest same-host entry (2000), not the
-        # foreign 5.0 or the later 1000: 1900 vs 2000 is within 10%.
-        lines, regressions = compare([bench], ledger)
-        assert regressions == 0
-        assert any("2000.0" in line for line in lines)
-
-    def test_cli_round_trip(self, tmp_path, capsys, monkeypatch):
-        from repro.analysis.bench_history import compare_main, history_main
-
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "BENCH_des.json").write_text(
-            json.dumps(self._des_payload(500.0)))
-        assert history_main([]) == 0
-        assert (tmp_path / "BENCH_history.jsonl").exists()
-        assert compare_main([]) == 0
-        out = capsys.readouterr().out
-        assert "BENCH COMPARE OK" in out
-        (tmp_path / "BENCH_des.json").write_text(
-            json.dumps(self._des_payload(100.0)))
-        assert compare_main([]) == 1
