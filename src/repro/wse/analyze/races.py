@@ -125,85 +125,88 @@ def _initial_state(scheduler, name: str) -> tuple[bool, bool]:
         return (False, False)
 
 
+def _core_edges(g: HBGraph, pos, core, decl, tx_by_channel: dict,
+                rx_by_chan_pos: dict) -> None:
+    """Add one core's own edges to ``g`` and record its stream
+    endpoints; reads off the core only what :func:`_class_key` keys."""
+    scheduler = getattr(core, "scheduler", None)
+    fifos = dict(getattr(core, "fifos", {}) or {})
+    activators: dict[str, list] = {}  # task -> [source nodes]
+    unblockers: dict[str, list] = {}
+    fifo_push_ends: dict[str, list] = {}
+    fifo_pop_ends: dict[str, list] = {}
+
+    for tname, task in decl.tasks.items():
+        run = (pos, "t", tname)
+        for target, action in task.actions:
+            if action is Action.ACTIVATE:
+                activators.setdefault(target, []).append(run)
+            elif action is Action.UNBLOCK:
+                unblockers.setdefault(target, []).append(run)
+        last_on_slot: dict = {}
+        for idx, instr in enumerate(task.launches):
+            start = (pos, "i", tname, idx, "s")
+            end = (pos, "i", tname, idx, "e")
+            g.edge(start, end)
+            g.edge(run, start)
+            slot = "main" if instr.thread is None else instr.thread
+            prev = last_on_slot.get(slot)
+            if prev is not None:
+                g.edge(prev, start)
+            last_on_slot[slot] = end
+            for target, action in instr.completions:
+                if action is Action.ACTIVATE:
+                    activators.setdefault(target, []).append(end)
+                elif action is Action.UNBLOCK:
+                    unblockers.setdefault(target, []).append(end)
+            if isinstance(instr.dst, FabricRef):
+                tx_by_channel.setdefault(instr.dst.channel, []).append(
+                    (pos, end))
+            elif isinstance(instr.dst, FifoRef):
+                fifo_push_ends.setdefault(instr.dst.fifo, []).append(end)
+                fifo = fifos.get(instr.dst.fifo)
+                act = getattr(fifo, "activates", None)
+                if act:
+                    # A push can schedule the drain after its first
+                    # word, before the push finishes: only the
+                    # push's *start* precedes the drain's run.
+                    activators.setdefault(act, []).append(start)
+            for src in instr.srcs:
+                if isinstance(src, FabricRef):
+                    rx_by_chan_pos.setdefault((src.channel, pos),
+                                              []).append(end)
+                elif isinstance(src, FifoRef):
+                    fifo_pop_ends.setdefault(src.fifo, []).append(end)
+
+    for tname in decl.tasks:
+        if tname == BUILD_LAUNCH:
+            continue  # build-time launches are always runnable
+        run = (pos, "t", tname)
+        activated, blocked = _initial_state(scheduler, tname)
+        if not activated:
+            acts = activators.get(tname, ())
+            if len(acts) == 1:
+                g.edge(acts[0], run)
+        if blocked:
+            unbs = unblockers.get(tname, ())
+            if len(unbs) == 1:
+                g.edge(unbs[0], run)
+
+    for fname, pops in fifo_pop_ends.items():
+        for push_end in fifo_push_ends.get(fname, ()):
+            for pop_end in pops:
+                g.edge(push_end, pop_end)
+
+
 def build_hb_graph(fabric: Fabric, cores) -> HBGraph:
     """Construct the whole-fabric happens-before graph (see module doc)."""
     g = HBGraph()
-    decl_cores = _decl_cores(cores)
     # Stream endpoints for the cross-core delivery edges.
     tx_by_channel: dict[int, list] = {}     # ch -> [(pos, end node)]
     rx_by_chan_pos: dict[tuple, list] = {}  # (ch, pos) -> [end node]
-
-    for pos, core in decl_cores:
-        decl = _decl_of(core)
-        scheduler = getattr(core, "scheduler", None)
-        fifos = dict(getattr(core, "fifos", {}) or {})
-        activators: dict[str, list] = {}  # task -> [source nodes]
-        unblockers: dict[str, list] = {}
-        fifo_push_ends: dict[str, list] = {}
-        fifo_pop_ends: dict[str, list] = {}
-
-        for tname, task in decl.tasks.items():
-            run = (pos, "t", tname)
-            for target, action in task.actions:
-                if action is Action.ACTIVATE:
-                    activators.setdefault(target, []).append(run)
-                elif action is Action.UNBLOCK:
-                    unblockers.setdefault(target, []).append(run)
-            last_on_slot: dict = {}
-            for idx, instr in enumerate(task.launches):
-                start = (pos, "i", tname, idx, "s")
-                end = (pos, "i", tname, idx, "e")
-                g.edge(start, end)
-                g.edge(run, start)
-                slot = "main" if instr.thread is None else instr.thread
-                prev = last_on_slot.get(slot)
-                if prev is not None:
-                    g.edge(prev, start)
-                last_on_slot[slot] = end
-                for target, action in instr.completions:
-                    if action is Action.ACTIVATE:
-                        activators.setdefault(target, []).append(end)
-                    elif action is Action.UNBLOCK:
-                        unblockers.setdefault(target, []).append(end)
-                if isinstance(instr.dst, FabricRef):
-                    tx_by_channel.setdefault(instr.dst.channel, []).append(
-                        (pos, end)
-                    )
-                elif isinstance(instr.dst, FifoRef):
-                    fifo_push_ends.setdefault(instr.dst.fifo, []).append(end)
-                    fifo = fifos.get(instr.dst.fifo)
-                    act = getattr(fifo, "activates", None)
-                    if act:
-                        # A push can schedule the drain after its first
-                        # word, before the push finishes: only the
-                        # push's *start* precedes the drain's run.
-                        activators.setdefault(act, []).append(start)
-                for src in instr.srcs:
-                    if isinstance(src, FabricRef):
-                        rx_by_chan_pos.setdefault(
-                            (src.channel, pos), []
-                        ).append(end)
-                    elif isinstance(src, FifoRef):
-                        fifo_pop_ends.setdefault(src.fifo, []).append(end)
-
-        for tname in decl.tasks:
-            if tname == BUILD_LAUNCH:
-                continue  # build-time launches are always runnable
-            run = (pos, "t", tname)
-            activated, blocked = _initial_state(scheduler, tname)
-            if not activated:
-                acts = activators.get(tname, ())
-                if len(acts) == 1:
-                    g.edge(acts[0], run)
-            if blocked:
-                unbs = unblockers.get(tname, ())
-                if len(unbs) == 1:
-                    g.edge(unbs[0], run)
-
-        for fname, pops in fifo_pop_ends.items():
-            for push_end in fifo_push_ends.get(fname, ()):
-                for pop_end in pops:
-                    g.edge(push_end, pop_end)
+    for pos, core in _decl_cores(cores):
+        _core_edges(g, pos, core, _decl_of(core), tx_by_channel,
+                    rx_by_chan_pos)
 
     # Stream delivery: a receive consumes its full extent, so it ends
     # after every transmit whose stream the routing delivers to its
@@ -239,6 +242,50 @@ def _collect_accesses(decl) -> list[tuple]:
     return accesses
 
 
+def _class_key(core, decl) -> tuple:
+    """What :func:`_core_edges` reads off the live core besides the
+    declaration: every declared task's initial scheduler state and the
+    ``activates`` wiring of every FIFO the declaration pushes to."""
+    scheduler = getattr(core, "scheduler", None)
+    fifos = dict(getattr(core, "fifos", {}) or {})
+    return (
+        tuple(_initial_state(scheduler, t) for t in decl.tasks),
+        tuple(getattr(fifos.get(instr.dst.fifo), "activates", None)
+              for task in decl.tasks.values() for instr in task.launches
+              if isinstance(instr.dst, FifoRef)),
+    )
+
+
+def _ordered(g: HBGraph, pos, acc_a, acc_b) -> bool:
+    """Does ``g`` order the two accesses at ``pos``, either way round?"""
+    ta, ia, tb, ib = acc_a[0], acc_a[1], acc_b[0], acc_b[1]
+    return (g.reaches((pos, "i", ta, ia, "e"), (pos, "i", tb, ib, "s"))
+            or g.reaches((pos, "i", tb, ib, "e"), (pos, "i", ta, ia, "s")))
+
+
+def _pending_pairs(pos, core, decl) -> list[tuple]:
+    """One tile class's candidate pairs, ``(access_a, access_b,
+    witness)`` in scan order, that its local graph leaves unordered; a
+    subgraph of the whole-fabric graph, it only proves real order."""
+    local = HBGraph()
+    _core_edges(local, pos, core, decl, {}, {})
+    accesses = _collect_accesses(decl)
+    pending = []
+    for i in range(len(accesses)):
+        ta, _ia, sa, ma, ra, _na = accesses[i]
+        for j in range(i + 1, len(accesses)):
+            tb, _ib, sb, mb, rb, _nb = accesses[j]
+            if (ta == tb  # intra-task slot conflicts are dsr's domain
+                    or sa == sb  # same slot (or both main): serialized
+                    or ma == mb == "r" or ra.array != rb.array):
+                continue
+            witness = strided_overlap_witness(ra, rb)
+            if witness is not None and not _ordered(
+                    local, pos, accesses[i], accesses[j]):
+                pending.append((accesses[i], accesses[j], witness))
+    return pending
+
+
 def races_pass(fabric: Fabric, cores) -> list[Diagnostic]:
     """Report may-happen-in-parallel conflicting accesses, per core.
 
@@ -252,60 +299,50 @@ def races_pass(fabric: Fabric, cores) -> list[Diagnostic]:
     — the two accesses, one concrete element index both touch, and the
     happens-before edge whose absence makes them parallel.  Feed it to
     :func:`confirm_race` to validate against the runtime sanitizer.
+
+    Pairs are found once per tile class and ordered on its local graph
+    (:func:`_pending_pairs`); only pairs left unordered there are asked
+    of the whole-fabric graph, built on first need.
     """
-    decl_cores = _decl_cores(cores)
-    if not decl_cores:
-        return []
-    g = build_hb_graph(fabric, cores)
+    memo: dict = {}
+    g = None
     diags: list[Diagnostic] = []
-    for pos, core in decl_cores:
-        accesses = _collect_accesses(_decl_of(core))
+    for pos, core in _decl_cores(cores):
+        decl = _decl_of(core)
+        key = (id(decl), _class_key(core, decl))
+        pending = memo.get(key)
+        if pending is None:
+            pending = memo[key] = _pending_pairs(pos, core, decl)
+        if pending and g is None:
+            g = build_hb_graph(fabric, cores)
         seen: set[tuple] = set()
-        for i in range(len(accesses)):
-            ta, ia, sa, ma, ra, na = accesses[i]
-            for j in range(i + 1, len(accesses)):
-                tb, ib, sb, mb, rb, nb = accesses[j]
-                if ta == tb:
-                    continue  # intra-task slot conflicts are dsr's domain
-                if sa == sb:
-                    continue  # same slot (or both main): serialized
-                if ma == "r" and mb == "r":
-                    continue
-                if ra.array != rb.array:
-                    continue
-                witness = strided_overlap_witness(ra, rb)
-                if witness is None:
-                    continue
-                end_a = (pos, "i", ta, ia, "e")
-                start_b = (pos, "i", tb, ib, "s")
-                end_b = (pos, "i", tb, ib, "e")
-                start_a = (pos, "i", ta, ia, "s")
-                if g.reaches(end_a, start_b) or g.reaches(end_b, start_a):
-                    continue  # ordered: no race
-                key = (ta, na, tb, nb, ra.array)
-                if key in seen:
-                    continue
-                seen.add(key)
-                both_write = "w" in ma and "w" in mb
-                acc_a = (ta, na, sa, ma,
-                         ra.array, ra.offset, ra.length, ra.stride)
-                acc_b = (tb, nb, sb, mb,
-                         rb.array, rb.offset, rb.length, rb.stride)
-                missing = ((ta, na, "end"), (tb, nb, "start"))
-                diags.append(Diagnostic(
-                    Severity.ERROR, "races", "race",
-                    f"instructions {na!r} (task {ta!r}, thread {sa}) and "
-                    f"{nb!r} (task {tb!r}, thread {sb}) may happen in "
-                    "parallel with "
-                    + ("overlapping writes" if both_write
-                       else "a write overlapping a read")
-                    + f" on {ra.array!r} (e.g. element {witness}); no "
-                    "happens-before path orders them in either direction",
-                    where=pos,
-                    hint="order them with a completion trigger or task "
-                         "activation, or make the index sets disjoint",
-                    data=(acc_a, acc_b, witness, missing),
-                ))
+        for a, b, witness in pending:
+            if _ordered(g, pos, a, b):
+                continue  # ordered: no race
+            ta, _ia, sa, ma, ra, na = a
+            tb, _ib, sb, mb, rb, nb = b
+            dup = (ta, na, tb, nb, ra.array)
+            if dup in seen:
+                continue
+            seen.add(dup)
+            both_write = "w" in ma and "w" in mb
+            acc_a = (ta, na, sa, ma, ra.array, ra.offset, ra.length, ra.stride)
+            acc_b = (tb, nb, sb, mb, rb.array, rb.offset, rb.length, rb.stride)
+            missing = ((ta, na, "end"), (tb, nb, "start"))
+            diags.append(Diagnostic(
+                Severity.ERROR, "races", "race",
+                f"instructions {na!r} (task {ta!r}, thread {sa}) and "
+                f"{nb!r} (task {tb!r}, thread {sb}) may happen in "
+                "parallel with "
+                + ("overlapping writes" if both_write
+                   else "a write overlapping a read")
+                + f" on {ra.array!r} (e.g. element {witness}); no "
+                "happens-before path orders them in either direction",
+                where=pos,
+                hint="order them with a completion trigger or task "
+                     "activation, or make the index sets disjoint",
+                data=(acc_a, acc_b, witness, missing),
+            ))
     return diags
 
 
