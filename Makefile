@@ -24,8 +24,8 @@ verify-contracts:
 	PYTHONPATH=src python -m repro verify-contracts
 
 # Numerics certification: the static mixed-precision error bounds of
-# every shipped program held against an fp64 shadow execution on the
-# engine — observed error <= certified bound <= declared tolerance,
+# every shipped program held against each run's recorded schedule
+# re-evaluated in fp64 — observed error <= certified bound <= tolerance,
 # and the unscaled mfix-like variant rejected with a confirmed witness.
 certify-numerics:
 	PYTHONPATH=src python -m repro certify-numerics

@@ -101,7 +101,7 @@ def _tile_decl(
     tile of the class shares it."""
     decl = ProgramDecl()
     # The numerics certificate is conditional on the iterate staying in
-    # this range (checked per run by the shadow executor); the tolerance
+    # this range (checked per run by certify-numerics); the tolerance
     # is the per-output absolute error budget the static bound must meet.
     decl.declare_range("v", *value_range)
     decl.declare_tolerance(tolerance)

@@ -135,9 +135,6 @@ def _drain(_pairs, c: Core) -> None:
     # accumulator array directly (same semantics as
     # pop()/peek()/write(), minus the per-element calls).
     rec = c.recorder
-    # The fp64 shadow executor taps drains the same way the
-    # recorder does (RaceSanitizer has no on_drain → None).
-    shadow = getattr(c.sanitizer, "on_drain", None)
     for fifo, acc in _pairs:
         buf = fifo._buf
         if not buf:
@@ -148,17 +145,10 @@ def _drain(_pairs, c: Core) -> None:
         pos = acc.pos
         length = acc.length
         popleft = buf.popleft
-        if rec is not None or shadow is not None:
+        if rec is not None and (n := min(len(buf), length - pos)):
             # Tape the drain before the adds land so first-touch
             # leaves capture pre-mutation cell values.
-            n = len(buf)
-            if n > length - pos:
-                n = length - pos
-            if n:
-                if rec is not None:
-                    rec.on_drain(fifo, acc, pos, n)
-                if shadow is not None:
-                    shadow(fifo, acc, pos, n)
+            rec.on_drain(fifo, acc, pos, n)
         while buf and pos < length:
             idx = offset + pos * stride
             arr[idx] = arr[idx] + popleft()
@@ -343,7 +333,7 @@ def _tile_decl(
     ``_NEIGHBOUR_LEGS`` order).  Every tile of the class shares it."""
     decl = ProgramDecl()
     # The numerics certificate is conditional on the iterate staying in
-    # this range (the shadow executor checks it per run); the tolerance
+    # this range (certify-numerics checks every run's inputs); the tolerance
     # is the per-output absolute error budget the static bound must meet.
     decl.declare_range("v", *value_range)
     decl.declare_tolerance(tolerance)

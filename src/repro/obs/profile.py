@@ -36,7 +36,7 @@ shim) so :meth:`Fabric.step` needs no new branch, and each
 test when detached.  The per-cycle accounting is the tail of the one
 instrumented stepping body (:meth:`Core._step_instrumented
 <repro.wse.core.Core._step_instrumented>`), so it composes with the
-race sanitizer, the fp64 shadow and the schedule recorder alike.
+race sanitizer and the schedule recorder alike.
 Profiling also composes with the replay engine: the
 :class:`~repro.wse.replay.record.ScheduleRecorder` snapshots the
 profiler at attach and the compiled schedule carries the recorded

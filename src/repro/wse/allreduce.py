@@ -36,7 +36,6 @@ import numpy as np
 from . import engines
 from .config import CS1, MachineConfig
 from .fabric import Fabric
-from .sanitizer import _ShadowWord
 from .patterns import (
     Pattern,
     compile_to_fabric,
@@ -296,9 +295,6 @@ class ReduceCore:
         #: Attached :class:`repro.obs.profile.TileProfile`, or None
         #: (one ``is None`` test in :meth:`step` when detached).
         self.profiler = None
-        #: Attached :class:`repro.wse.sanitizer.ShadowNumerics`, or None
-        #: (same one-test contract); set by ``ShadowNumerics.attach``.
-        self.shadow = None
 
     def reset(self, value: float) -> None:
         """Re-arm the core for another collective on the same fabric."""
@@ -316,9 +312,6 @@ class ReduceCore:
             # "values" extern vector (slots issue in reset-call order,
             # which AllReduceEngine keeps row-major).
             rec.on_obj_init(self, "acc", self.acc, extern="values")
-        sh = self.shadow
-        if sh is not None:
-            sh.on_reduce_reset(self)
         if self.on_wake is not None:
             self.on_wake()
 
@@ -360,90 +353,51 @@ class ReduceCore:
         """Drain the inbox into the fp32 accumulator, then send this
         tile's partial once everything its role awaits has arrived.
 
-        An attached fp64 shadow or schedule recording taps this one
-        body: words then travel tagged (the routers treat words
-        opaquely, so the tag rides along unchanged) — :meth:`_untag`
-        splits an arrival, :meth:`_tap` reports the accumulate or the
-        result it caused, :meth:`_tagged` stamps the outgoing partial.
-        Arithmetic and send schedule are the same either way.  The
-        shadow pre-empts the recorder (which refuses to attach next to
-        it anyway).
+        An attached schedule recording taps this one body: words then
+        travel stamped with their tape node (the routers treat words
+        opaquely, so the stamp rides along unchanged): each arrival, the
+        accumulate or result it causes and the outgoing partial are
+        taped.  Arithmetic and send schedule are the same either way.
         """
-        sh = self.shadow
-        tapped = sh is not None or self.recorder is not None
+        rec = self.recorder
         f32 = np.float32
         work = 0
         inbox = self._inbox
         counts = self._counts
         while inbox:
             channel, value = inbox.popleft()
-            if tapped:
-                value, tag = self._untag(sh, channel, value)
+            if rec is not None:
+                if hasattr(value, "t"):
+                    value, tag = value.v, value.t
+                else:   # un-instrumented producer: run on, void the tape
+                    rec.fail(f"reduce core ({self.x},{self.y}) received an "
+                             f"unattributed word on channel {channel}")
+                    tag = rec.on_obj_init(self, "_stray", np.float32(value))
             if channel == CH_BCAST:
                 self.result = f32(value)
+                if rec is not None:
+                    rec.obj_set(self, "result", tag)
             else:
                 self.acc = f32(self.acc + f32(value))
                 counts[channel] += 1
-            if tapped:
-                self._tap(sh, channel, tag)
+                if rec is not None:
+                    rec.obj_add32(self, "acc", tag)
             work += 1
         r = self.role
         if (not self._sent and counts[CH_ROW] >= r.n_row
                 and counts[CH_COL] >= r.n_col
                 and counts[CH_GATHER] >= r.n_gather):
             word = float(self.acc)
-            if tapped:
-                tag, word = self._tagged(sh)
+            if rec is not None:
+                word = rec.wrap(word)
+                word.t = rec.obj_get(self, "acc")
             if r.root:
                 self.result = f32(self.acc)
-                if tapped:
-                    self._tap(sh, CH_BCAST, tag)
+                if rec is not None:
+                    rec.obj_set(self, "result", word.t)
             self._tx.append((r.send, word))
             self._sent = True
         return work
-
-    def _untag(self, sh, channel: int, word):
-        """Split an arriving word into ``(value, tag)``: the tag is its
-        fp64 shadow value (``sh`` attached) or its tape node."""
-        if sh is not None:
-            if isinstance(word, _ShadowWord):
-                return word.v, word.s
-            # un-instrumented producer: keep running, flag the gap
-            value = float(word)
-            return value, sh.on_stray_word(self, channel, value)
-        rec = self.recorder
-        if hasattr(word, "t"):
-            return word.v, word.t
-        # un-instrumented producer: keep running, void the tape
-        rec.fail(
-            f"reduce core ({self.x},{self.y}) received an "
-            f"unattributed word on channel {channel}"
-        )
-        return word, rec.on_obj_init(self, "_stray", np.float32(word))
-
-    def _tap(self, sh, channel: int, tag) -> None:
-        """Report the word just applied: the result on ``CH_BCAST``, an
-        fp32 accumulation on every other channel."""
-        if sh is not None:
-            if channel == CH_BCAST:
-                sh.on_reduce_result(self, float(self.result), tag)
-            else:
-                sh.on_reduce_add(self, tag)
-        elif channel == CH_BCAST:
-            self.recorder.obj_set(self, "result", tag)
-        else:
-            self.recorder.obj_add32(self, "acc", tag)
-
-    def _tagged(self, sh):
-        """``(tag, word)`` for the outgoing partial: the accumulator
-        paired with its fp64 shadow, or stamped with its tape node."""
-        if sh is not None:
-            tag = sh.reduce_shadow(self)
-            return tag, _ShadowWord(float(self.acc), tag)
-        rec = self.recorder
-        word = rec.wrap(float(self.acc))
-        word.t = rec.obj_get(self, "acc")
-        return word.t, word
 
     @property
     def idle(self) -> bool:

@@ -6,11 +6,12 @@ every shipped program it
 1. runs the full static analysis and extracts the
    :class:`~repro.wse.analyze.numerics.NumericsContract` — the certified
    per-output worst-case rounding-error bounds;
-2. re-runs the program under the fp64 shadow executor
-   (:class:`repro.wse.sanitizer.ShadowNumerics`) and asserts the
-   *realized* error of every certified target never exceeds its static
-   bound (and that the run's inputs stayed inside their declared
-   ranges — the certificate's precondition);
+2. measures the *realized* error of every executed run on its own
+   recorded schedule re-evaluated in float64
+   (:class:`~repro.wse.analyze.numerics.RealizedError`), and asserts
+   every certified target was observed within its static bound, and
+   every input a run consumed inside its declared range (the
+   certificate's precondition);
 3. for programs the pass *rejects* (the unscaled mfix-like system of the
    paper's Fig. 9 study), synthesizes a minimal witness program from the
    ERROR diagnostic and confirms it on the real engine
@@ -28,13 +29,22 @@ from __future__ import annotations
 
 import json
 import sys
+import warnings
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 from .analyzer import analyze_program
 from .diagnostics import Severity
-from .numerics import confirm_numerics_witness, synthesize_numerics_witness
+from .numerics import (
+    RealizedError,
+    confirm_numerics_witness,
+    record_run,
+    synthesize_numerics_witness,
+    trusted,
+)
 from .shipped import build_fig9_program, shipped
-from ..engines import unsupported
+from ..engines import ENGINE_TABLE, unsupported
+from ..replay import RecordingError
 from ...api import RunOptions, add_engine_arguments
 
 __all__ = [
@@ -53,8 +63,8 @@ class NumericsCheck:
 
     ``expect_reject`` programs pass when the static pass flags an ERROR
     *and* the synthesized witness is confirmed on the real engine; all
-    others pass when the static pass is clean and every shadow-observed
-    error stays within its certified bound.
+    others pass when the static pass is clean and every certified
+    target's observed error stays within its bound.
     """
 
     name: str
@@ -79,33 +89,69 @@ class NumericsCheck:
         }
 
 
-def _build_and_run(name: str, engine: str):
-    """Start the named shipped program under ``engine``, attach the
-    fp64 shadow executor and run it; returns ``(fabric, shadow)``."""
-    import warnings
+@contextmanager
+def _replays_of(schedule, leaves: list):
+    """Within the block, every replay of ``schedule`` first appends the
+    leaf buffer it gathers to ``leaves``."""
+    execute = schedule.execute
 
-    from ..sanitizer import ShadowNumerics
+    def gathering(externs=None):
+        leaves.append(schedule._gather(externs))
+        return execute(externs)
 
-    program = {p.name: p for p in shipped("certify")}[name]
-    started = program.start(RunOptions(engine=engine))
+    schedule.execute = gathering
+    try:
+        yield
+    finally:
+        del schedule.execute
+
+
+def _session_runs(started, runs: int):
+    """``(schedule, leaves)`` of each of ``runs`` executions under a
+    recording engine: a recorded run is measured on the session's new
+    schedule as recorded, a replayed one on the leaves it gathered."""
+    session = started.replay
+    schedule = session.schedule if session is not None else None
+    if schedule is not None:
+        # Recorded by the program's constructor run; nothing ran since.
+        trusted(schedule)
+    for _ in range(runs):
+        leaves: list = []
+        with _replays_of(schedule, leaves) if schedule else nullcontext():
+            started.execute()
+        if leaves:
+            yield schedule, leaves[0]
+            continue
+        session = started.replay
+        if session is None or session.schedule in (None, schedule):
+            raise RecordingError("a run was neither recorded nor replayed")
+        schedule = trusted(session.schedule)
+        yield schedule, schedule._gather(recorded_leaves=True)
+
+
+def _observe(started, engine: str):
+    """Execute a program ``started`` under ``engine`` (twice when
+    persistent: the re-arm path), measuring every executed run on its
+    trusted schedule, and close it; returns ``(fabric, RealizedError)``."""
     try:
         (kernel,) = started.kernels()
         fabric = kernel.fabric
-        shadow = ShadowNumerics(fabric)
-        fabric.attach_sanitizer(shadow)
-        try:
-            # The expected-reject program overflows fp16 by design; keep
-            # numpy's cast warnings out of the report.
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                started.execute()
-                if started.persistent:
-                    started.execute()  # re-arm path: certify across runs
-        finally:
-            fabric.detach_sanitizer()
+        realized = RealizedError(fabric)
+        runs = 2 if started.persistent else 1
+        if ENGINE_TABLE[engine].records:
+            observed = _session_runs(started, runs)
+        else:
+            observed = (record_run(fabric, started.execute)
+                        for _ in range(runs))
+        # The expected-reject program overflows fp16 by design; keep
+        # numpy's cast warnings out of the report.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for schedule, leaves in observed:
+                realized.add(schedule, leaves)
     finally:
         started.close()
-    return fabric, shadow
+    return fabric, realized
 
 
 def certified_programs() -> list[tuple[str, bool]]:
@@ -119,16 +165,22 @@ def certified_programs() -> list[tuple[str, bool]]:
 def certify_program(
     name: str, expect_reject: bool, engine: str = "active"
 ) -> NumericsCheck:
-    """Certify one program: static bounds vs fp64 shadow observation."""
+    """Certify one program: static bounds vs realized error on tape."""
     check = NumericsCheck(name=name, expect_reject=expect_reject)
-    fabric, shadow = _build_and_run(name, engine)
+    program = {p.name: p for p in shipped("certify")}[name]
+    try:
+        fabric, realized = _observe(
+            program.start(RunOptions(engine=engine)), engine)
+    except RecordingError as err:
+        check.failures.append({"kind": "untrusted-schedule",
+                               "detail": str(err)})
+        return check
     report = analyze_program(fabric)
     numerics_errors = [
         d for d in report.by_pass("numerics")
         if d.severity is Severity.ERROR
     ]
     check.errors = len(numerics_errors)
-    contract = report.numerics
 
     if expect_reject:
         if not numerics_errors:
@@ -161,45 +213,38 @@ def certify_program(
             "detail": str(d),
         } for d in numerics_errors)
         return check
+    return _hold(check, report.numerics, realized)
 
-    if not shadow.range_ok:
-        check.failures.extend({
-            "kind": "range-violation",
-            "detail": v,
-        } for v in shadow.range_violations)
 
-    entries = {
-        (x, y, ename): (err, tol)
-        for x, y, _kind, ename, _dt, _lo, _hi, err, _mag, tol
-        in (contract.entries if contract is not None else ())
-    }
-    worst_b = max((e[7] for e in contract.entries), default=None) \
-        if contract is not None else None
-    check.worst_bound = worst_b
-    worst_obs = None
-    for rec in shadow.report():
-        (x, y), ename, observed = rec["pos"], rec["name"], rec["error"]
-        got = entries.get((x, y, ename))
-        if got is None:
-            continue  # inputs and untracked targets carry no bound
-        bound, tol = got
-        if worst_obs is None or observed > worst_obs:
-            worst_obs = observed
+def _hold(check: NumericsCheck, contract, realized) -> NumericsCheck:
+    """Hold every certified target of ``contract`` to its observed
+    error.  A target no run observed — or a program with no certified
+    target at all — fails: a certificate nothing measured is vacuous."""
+    check.failures.extend({"kind": "range-violation", "detail": v}
+                          for v in realized.violations)
+    entries = contract.entries if contract is not None else ()
+    if not entries:
+        check.failures.append({
+            "kind": "unobserved-target",
+            "detail": "no NumericsContract: the program certifies nothing",
+        })
+    check.worst_bound = max((e[7] for e in entries), default=None)
+    for x, y, _kind, ename, _dt, _lo, _hi, bound, _mag, tol in entries:
+        target = [x, y, ename]
+        observed = realized.errors.get(((x, y), ename))
+        if observed is None:
+            check.failures.append({"kind": "unobserved-target",
+                                   "target": target})
+            continue
+        if check.worst_observed is None or observed > check.worst_observed:
+            check.worst_observed = observed
         if observed > bound:
-            check.failures.append({
-                "kind": "bound-violation",
-                "target": [x, y, ename],
-                "observed": observed,
-                "bound": bound,
-            })
+            check.failures.append({"kind": "bound-violation", "target": target,
+                                   "observed": observed, "bound": bound})
         if tol is not None and observed > tol:
-            check.failures.append({
-                "kind": "tolerance-violation",
-                "target": [x, y, ename],
-                "observed": observed,
-                "tolerance": tol,
-            })
-    check.worst_observed = worst_obs
+            check.failures.append({"kind": "tolerance-violation",
+                                   "target": target, "observed": observed,
+                                   "tolerance": tol})
     check.ok = not check.failures
     return check
 
@@ -217,12 +262,15 @@ def certify_main(argv=None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="repro certify-numerics",
-        description="Certify static numerics bounds against fp64 shadow "
-                    "execution on every shipped program.",
+        description="Certify static numerics bounds against the realized "
+                    "error of every shipped program's runs, measured on "
+                    "their recorded schedules re-evaluated in float64.",
     )
     add_engine_arguments(parser, workers=False, json_flag=True)
     args = parser.parse_args(argv)
-    why = unsupported(args.engine, "shadow")
+    # Certify measures on the run's whole-fabric tape in-process: the
+    # engines that can carry the profiler are exactly those.
+    why = unsupported(args.engine, "profile")
     if why:
         print(f"certify-numerics: {why}")
         return 2

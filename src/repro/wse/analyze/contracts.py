@@ -75,8 +75,8 @@ class StaticContract:
         Certified per-output value-range and rounding-error bounds
         (:class:`~repro.wse.analyze.numerics.NumericsContract`), or None
         when the numerics pass has not run for this fabric.  Attached by
-        the analyzer; ``verify-contracts --numerics`` checks the shadow
-        executor's realized error against these bounds.
+        the analyzer; ``verify-contracts --numerics`` checks every run's
+        realized error, measured on its tape, against these bounds.
     """
 
     total_words: int = 0

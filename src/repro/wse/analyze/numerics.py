@@ -43,9 +43,10 @@ and attaches the certified per-output bounds to the program's
 :class:`NumericsContract`.  Each ERROR carries a machine-readable
 witness; :func:`synthesize_numerics_witness` cuts a minimal
 feeder-driven single-tile program from it and
-:func:`confirm_numerics_witness` validates it under the fp64 shadow
-executor (:class:`repro.wse.sanitizer.ShadowNumerics`), which runs the
-program on the live engine and measures the realized error.
+:func:`confirm_numerics_witness` validates it on the engine: the run is
+taped by a schedule recorder, and :class:`RealizedError` re-evaluates
+that tape in float64 to measure the realized error (the same
+measurement ``certify-numerics`` holds every certified bound to).
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from .spec import (
     ScalarRef,
     drain_fifo_name,
 )
-from ..engines import stepper
+from ..engines import collector_paused, stepper
 from ..fabric import Port
 
 __all__ = [
@@ -85,11 +86,14 @@ __all__ = [
     "compose_error_bounds",
     "synthesize_numerics_witness",
     "confirm_numerics_witness",
+    "record_run",
+    "trusted",
+    "RealizedError",
     "SCALAR_NAME",
 ]
 
 #: Pseudo-allocation name for a core's scalar accumulator register in
-#: declared ranges, contract entries and shadow reports (a
+#: declared ranges, contract entries and realized errors (a
 #: :class:`~repro.wse.analyze.spec.ScalarRef` carries no name — one
 #: scalar register per core is the model's granularity).
 SCALAR_NAME = "__scalar__"
@@ -98,7 +102,7 @@ _INF = math.inf
 
 # Unit roundoff (half ULP at 1.0), largest finite value, and smallest
 # positive subnormal per supported dtype.  One table — the precision
-# lint pass and the shadow executor both read these.
+# lint pass and this pass both read these.
 _UNIT = {"float16": 2.0 ** -11, "float32": 2.0 ** -24, "float64": 2.0 ** -53}
 _FMAX = {"float16": 65504.0,
          "float32": float(np.finfo(np.float32).max),
@@ -144,7 +148,7 @@ def compose_error_bounds(bounds) -> float:
     axpy/dot) through host memory; to first order the absolute error of
     the chain is bounded by the sum of the per-stage certified bounds
     (each stage's bound is conditional on its declared input range, which
-    the shadow executor checks at runtime)."""
+    ``certify-numerics`` checks on every run)."""
     return float(sum(bounds))
 
 
@@ -269,64 +273,6 @@ class NumericsContract:
 # ---------------------------------------------------------------------------
 # Stream delivery (forwarding-graph composition)
 # ---------------------------------------------------------------------------
-class _Deliveries:
-    """Per-channel core-delivery resolution over the forwarding DAG."""
-
-    def __init__(self, fabric):
-        self.fabric = fabric
-        self.facts = routing_facts(fabric)
-        self._graphs: dict = {}
-        self._cache: dict = {}
-
-    def _graph(self, channel):
-        """``(route map, forwarding graph, node -> topological rank)`` of
-        one channel, computed once; the rank is None for a cyclic graph."""
-        got = self._graphs.get(channel)
-        if got is None:
-            from .contracts import _topo_order
-
-            route_map, graph, sccs = self.facts.get(channel, NO_ROUTES)
-            rank = None if sccs else \
-                {node: i for i, node in enumerate(_topo_order(graph))}
-            got = self._graphs[channel] = (route_map, graph, rank)
-        return got
-
-    def resolve(self, channel: int, srcpos) -> list | None:
-        """``[(pos, copies), ...]`` core deliveries of a stream injected
-        at ``srcpos``; None when the channel's forwarding graph is cyclic
-        (CDG pass owns).  ``copies`` > 1 means the forwarding DAG fans
-        out and rejoins, delivering the same word multiple times."""
-        key = (channel, srcpos)
-        got = self._cache.get(key)
-        if got is not None:
-            return got
-        route_map, graph, rank = self._graph(channel)
-        if rank is None:
-            return None
-        node0 = (srcpos, Port.CORE)
-        if node0 not in route_map:
-            self._cache[key] = []
-            return []
-        counts = {node0: 1}
-        stack = [node0]
-        while stack:    # the nodes the stream reaches
-            for s in graph[stack.pop()]:
-                if s not in counts:
-                    counts[s] = 0
-                    stack.append(s)
-        out = []
-        for node in sorted(counts, key=rank.__getitem__):
-            c = counts[node]
-            (x, y), _in = node
-            if Port.CORE in route_map[node] and \
-                    self.fabric.cores[y][x] is not None:
-                out.append(((x, y), c))
-            for s in graph[node]:
-                counts[s] += c
-        self._cache[key] = out
-        return out
-
-
 # ---------------------------------------------------------------------------
 # Abstract evaluation: resolve the dataflow once, execute it per sweep
 # ---------------------------------------------------------------------------
@@ -465,7 +411,9 @@ class _Eval:
     """
 
     def __init__(self, fabric, cores):
-        self.deliveries = _Deliveries(fabric)
+        self.fabric = fabric
+        self.facts = routing_facts(fabric)
+        self._deliveries: dict = {}
         self.states: list[_CoreState] = []
         for pos, core in cores:
             decl = getattr(core, "program_decl", None)
@@ -652,23 +600,49 @@ class _Eval:
         vals[idx] = new
         st.written.add(name)
 
+    def _delivered(self, channel: int, srcpos) -> list | None:
+        """Positions of the cores a stream injected at ``srcpos`` reaches,
+        one per delivering route node; None when the channel's forwarding
+        graph is cyclic (CDG pass owns)."""
+        key = (channel, srcpos)
+        got = self._deliveries.get(key)
+        if got is not None:
+            return got
+        route_map, graph, sccs = self.facts.get(channel, NO_ROUTES)
+        if sccs:
+            return None
+        node0 = (srcpos, Port.CORE)
+        reached = {node0: None} if node0 in route_map else {}
+        stack = list(reached)
+        while stack:
+            for s in graph[stack.pop()]:
+                if s not in reached:
+                    reached[s] = None
+                    stack.append(s)
+        cores = self.fabric.cores
+        got = self._deliveries[key] = [
+            (x, y) for (x, y), port in reached
+            if Port.CORE in route_map[((x, y), port)]
+            and cores[y][x] is not None
+        ]
+        return got
+
     def _emit_words(self, st: _CoreState, ref, words, fired: set) -> None:
         if not words:
             return
         if isinstance(ref, FifoRef):
             st.fifo_words.setdefault(ref.fifo, []).extend(words)
             return
-        dests = self.deliveries.resolve(ref.channel, st.pos)
+        dests = self._delivered(ref.channel, st.pos)
         if dests is None:
             self._note_once(
                 ("cyclic", ref.channel),
                 f"numerics: channel {ref.channel} forwards cyclically; "
                 "its stream values are not propagated (see cdg findings)")
             return
-        # One abstract word per delivered position: the value model is
-        # duplication-insensitive (multiplicity only matters for the
-        # runtime shadow's word alignment).
-        for pos, _copies in dests:
+        # One abstract word per delivering route node: the value model
+        # is duplication-insensitive (a copy changes no bound).
+        for pos in dests:
             self.streams.setdefault((ref.channel, pos), []).extend(words)
             fired.add((ref.channel, pos))
 
@@ -1028,7 +1002,7 @@ def _tolerance_diag(st: _CoreState, name: str, err: float,
 
 
 # ---------------------------------------------------------------------------
-# Witness synthesis and shadow-executor confirmation
+# Witness synthesis and confirmation on the engine
 # ---------------------------------------------------------------------------
 def _witness_data(diag_or_data):
     data = getattr(diag_or_data, "data", diag_or_data)
@@ -1095,55 +1069,168 @@ def synthesize_numerics_witness(diag_or_data):
 
 
 def confirm_numerics_witness(diag_or_data, engine: str = "active") -> dict:
-    """Validate a numerics ERROR under the fp64 shadow executor.
+    """Validate a numerics ERROR on ``engine``'s stepper.
 
-    Runs the synthesized feeder program on the live ``engine`` with
-    :class:`~repro.wse.sanitizer.ShadowNumerics` attached and measures
-    the realized error.  The witness is *confirmed* when the primary
-    output is non-finite while the shadow stays finite (a realized
-    overflow), or the realized error exceeds the declared tolerance.
-    Raises RuntimeError when the run does not reproduce the hazard
-    (static bounds are conservative; confirmation is sound, not
-    complete).
+    Runs the synthesized feeder program and measures its realized error
+    on the run's tape (:func:`record_run`, :class:`RealizedError`).  The
+    witness is *confirmed* when the primary output is non-finite (a
+    realized overflow) or the error exceeds the declared tolerance;
+    otherwise RuntimeError (static bounds are conservative:
+    confirmation is sound, not complete).
     """
-    from ..sanitizer import ShadowNumerics
-
     fabric, handles = synthesize_numerics_witness(diag_or_data)
     fabric.engine = stepper(engine)
-    shadow = ShadowNumerics(fabric)
-    fabric.attach_sanitizer(shadow)
-    try:
-        # Overflow in the primary fp16 stores is the very hazard being
-        # reproduced — don't let numpy warn about it.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            fabric.run(max_cycles=100_000,
-                       until=lambda f: handles["instr"].finished)
-    finally:
-        fabric.detach_sanitizer()
-    if handles["dst_kind"] == "scalar":
-        primary = float(handles["out"].value)
-        key_name = handles["out"].name or SCALAR_NAME
-    else:
-        primary = float(np.abs(np.asarray(
-            handles["out"], dtype=np.float64)).max())
-        key_name = "out"
-    realized = 0.0
+    realized = RealizedError(fabric)
+    # Overflow in the primary fp16 stores is the very hazard being
+    # reproduced — don't let numpy warn about it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        realized.add(*record_run(fabric, lambda: fabric.run(
+            max_cycles=100_000, until=lambda f: handles["instr"].finished)))
+    out = handles["out"]
+    primary = float(out.value if handles["dst_kind"] == "scalar"
+                    else np.abs(np.asarray(out, dtype=np.float64)).max())
+    error = max(realized.errors.values(), default=0.0)
     finite_primary = math.isfinite(primary)
-    for rec in shadow.report():
-        if rec["name"] in (key_name, SCALAR_NAME, "out"):
-            realized = max(realized, rec["error"])
     tol = handles["tolerance"]
-    confirmed = (not finite_primary) or (tol is not None and realized > tol)
-    if not confirmed:
+    if finite_primary and (tol is None or error <= tol):
         raise RuntimeError(
             f"numerics witness did not reproduce the hazard: realized "
-            f"error {realized:.6g} (primary finite={finite_primary}, "
+            f"error {error:.6g} (primary finite={finite_primary}, "
             f"tolerance={tol})"
         )
     return {
-        "realized_error": realized,
+        "realized_error": error,
         "primary_finite": finite_primary,
         "tolerance": tol,
         "engine": engine,
     }
+
+
+# ---------------------------------------------------------------------------
+# Realized error: a run's own tape, re-typed to fp64
+# ---------------------------------------------------------------------------
+def trusted(schedule):
+    """``schedule``, once ``check()`` proves it bit-identical to the live
+    run it just recorded (:class:`~repro.wse.replay.RecordingError`
+    otherwise)."""
+    from ..replay import RecordingError
+
+    bad = schedule.check()
+    if bad:
+        raise RecordingError("recorded schedule diverges from the live "
+                             "run: " + "; ".join(bad[:3]))
+    return schedule
+
+
+def record_run(fabric, run):
+    """Call ``run()``, one live run of ``fabric``, under a bare schedule
+    recorder; returns its trusted schedule and the leaves it consumed."""
+    from ..replay import ScheduleRecorder, compile_tape
+
+    recorder = ScheduleRecorder(fabric)
+    with collector_paused:
+        recorder.attach()
+        try:
+            run()
+        except BaseException:
+            recorder.detach()
+            raise
+        schedule = compile_tape(recorder.finalize(), fabric)
+    return trusted(schedule), schedule._gather(recorded_leaves=True)
+
+
+def _address(a) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def _addresses(flat, idx) -> list:
+    """Byte addresses of the cells ``flat[idx]``."""
+    return (_address(flat) + idx * flat.strides[0]).tolist()
+
+
+def _abs_err(got, ref) -> list:
+    """``|got - ref|``, saturating to inf where either is non-finite (an
+    overflow is an infinite error, even against an overflowed ``ref``)."""
+    with np.errstate(invalid="ignore"):
+        err = np.abs(got - ref)
+    err[~(np.isfinite(got) & np.isfinite(ref))] = _INF
+    return err.tolist()
+
+
+class RealizedError:
+    """Realized rounding error of a program's runs, measured on tape.
+
+    :meth:`add` evaluates one run's trusted schedule twice on the leaves
+    the run consumed: as recorded (the run's own values, bit for bit)
+    and re-typed to float64 — the same dataflow in the same order on the
+    same *stored* inputs, the "exact" result the static pass bounds.
+    :attr:`errors` keeps the largest ``|recorded - fp64|`` per
+    ``((x, y), name)``: the tile array a written cell belongs to, or
+    :data:`SCALAR_NAME` for a scalar accumulator's final value and an
+    AllReduce core's result.  :attr:`violations` lists consumed memory
+    and extern leaves outside their declared range (the certificate's
+    precondition).
+    """
+
+    @collector_paused
+    def __init__(self, fabric):
+        #: Byte address of every tile-memory cell -> (core, array name).
+        self._cells = {}
+        for row in fabric.cores:
+            for core in row:
+                allocs = getattr(getattr(core, "memory", None), "_allocs", {})
+                for name, alloc in allocs.items():
+                    a = alloc.array
+                    start, step = _address(a), a.strides[0]
+                    cells = range(start, start + a.size * step, step)
+                    self._cells.update(dict.fromkeys(cells, (core, name)))
+        self.errors: dict = {}
+        self.violations: list[dict] = []
+        self.runs = 0
+
+    @collector_paused
+    def add(self, schedule, leaves) -> None:
+        """Measure one run: ``schedule`` evaluated on ``leaves``."""
+        got = schedule._eval(leaves.copy())
+        ref = schedule._eval(leaves.copy(), fp64=True)
+        for flat, idx, nids in schedule.scatters:
+            errs = _abs_err(got[nids], ref[nids])
+            for addr, err in zip(_addresses(flat, idx), errs):
+                if addr in self._cells:
+                    self._note(*self._cells[addr], err)
+        for attr, _dtype, objs, nids in schedule.obj_finals:
+            if attr == "value":           # a ScalarAccumulator
+                cores = [schedule.acc_cores[id(obj)] for obj in objs]
+            elif attr == "result":        # a ReduceCore's broadcast sum
+                cores = objs
+            else:                         # a ReduceCore's running partial
+                continue
+            for core, err in zip(cores, _abs_err(got[nids], ref[nids])):
+                self._note(core, SCALAR_NAME, err)
+        consumed: dict = {}               # (core, name) -> [leaf values]
+        for flat, idx, nids, _rec in schedule.mem_gathers:
+            for addr, v in zip(_addresses(flat, idx), leaves[nids].tolist()):
+                if addr in self._cells:
+                    consumed.setdefault(self._cells[addr], []).append(v)
+        for _name, _idxs, nids, _rec in schedule.ext_gathers:
+            for nid, v in zip(nids.tolist(), leaves[nids].tolist()):
+                consumed.setdefault(
+                    (schedule.ext_cores[nid], SCALAR_NAME), []).append(v)
+        for (core, name), values in consumed.items():
+            if name not in core.program_decl.ranges:
+                continue
+            lo, hi = core.program_decl.ranges[name]
+            vmin, vmax = float(np.min(values)), float(np.max(values))
+            if not (lo <= vmin and vmax <= hi and math.isfinite(vmin)
+                    and math.isfinite(vmax)):
+                self.violations.append({
+                    "pos": (core.x, core.y), "name": name,
+                    "declared": (lo, hi), "observed": (vmin, vmax),
+                    "run": self.runs,
+                })
+        self.runs += 1
+
+    def _note(self, core, name: str, err: float) -> None:
+        key = ((core.x, core.y), name)
+        self.errors[key] = max(err, self.errors.get(key, err))

@@ -9,8 +9,8 @@ program, says which gates consume it, and knows two things about it:
   analyzes);
 * ``start(options)`` — construct it under a
   :class:`~repro.api.RunOptions` and hand back a :class:`Started` whose
-  fabrics the gate may instrument (observer, sanitizer, fp64 shadow)
-  before calling ``execute()``.
+  fabrics the gate may instrument (observer, sanitizer, schedule
+  recorder) before calling ``execute()``.
 
 A gate is then a loop over the table plus its own check.  Like the gate
 modules, this one imports the kernel builders and must only be imported
@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from ...api import RunOptions
-from ..engines import run_once
+from ..engines import ENGINE_TABLE, run_once
 from ..fabric import Fabric
 
 __all__ = ["SHIPPED", "Kernel", "Shipped", "Started", "build_fig9_program",
@@ -59,6 +59,8 @@ class Started:
     """
 
     persistent = False
+    #: The :class:`~repro.wse.replay.ReplaySession` of a recording engine.
+    replay = None
 
     def execute(self) -> dict:
         raise NotImplementedError
@@ -88,8 +90,13 @@ class _OneShot(Started):
 
     def execute(self) -> dict:
         k = self._kernel
+        if ENGINE_TABLE[self._options.engine].records:
+            from ..replay import ReplaySession
+
+            self.replay = ReplaySession(k.fabric, label=k.obs_name)
         cycles = run_once(k.fabric, self._options, self._tile_done,
-                          label=k.obs_name, max_cycles=self._max_cycles)
+                          label=k.obs_name, max_cycles=self._max_cycles,
+                          session=self.replay)
         return {k.obs_name: (cycles, 1)}
 
     def kernels(self) -> list[Kernel]:
@@ -106,6 +113,7 @@ class _SpmvStarted(Started):
         from ...kernels.spmv3d import SpmvEngine
 
         self._eng = SpmvEngine(op, options=options)
+        self.replay = self._eng.replay
         self._v = v
         self._u = None
 
@@ -133,6 +141,7 @@ class _AllReduceStarted(Started):
         height, width = values.shape
         self._eng = AllReduceEngine(width, height,
                                     options=options.detached())
+        self.replay = self._eng.replay
         self._values = values
         self._total = None
         if options.obs is not None:

@@ -267,7 +267,7 @@ class ProgramDecl:
 
         The certificate the numerics pass derives is conditional on
         every run's stored values of ``name`` lying in ``[lo, hi]``;
-        the shadow executor checks the precondition at runtime.
+        ``certify-numerics`` checks it on the values each run consumed.
         """
         self._check_mutable()
         if not (float(lo) <= float(hi)):

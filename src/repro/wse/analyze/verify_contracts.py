@@ -267,12 +267,11 @@ def verify_report_text(engine: str = "active", profile: bool = False,
 
 
 def verify_numerics(engine: str = "active") -> int:
-    """Hold the numerics certificates to fp64 shadow observation.
+    """Hold the numerics certificates to the realized error.
 
-    Runs every certified program (the lint seven plus the Fig. 9 pair)
-    under ``engine`` with :class:`~repro.wse.sanitizer.ShadowNumerics`
-    attached and asserts observed error <= certified static bound on
-    each target.  Prints one summary line per program, plus one
+    Runs :func:`~.certify.certify_all` under ``engine`` (the lint seven
+    plus the Fig. 9 pair: observed error <= certified static bound on
+    every target).  Prints one summary line per program, plus one
     machine-readable JSON line per failure; returns the failure count.
     """
     import json
@@ -325,7 +324,7 @@ def verify_main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--numerics", action="store_true",
         help="additionally certify the static numerics bounds against "
-        "fp64 shadow execution (implied by --engine all)",
+        "the realized error of every run (implied by --engine all)",
     )
     args = parser.parse_args(argv if argv is not None else [])
     if args.engine == "both":
@@ -348,9 +347,10 @@ def verify_main(argv: list[str] | None = None) -> int:
         if not text.endswith("VERIFY OK"):
             status = 1
     # --engine all always covers the numerics certificates, under every
-    # engine that can run the fp64 shadow executor.
+    # engine that holds the whole fabric in-process (as the profiler
+    # needs it, so does certify's whole-fabric tape).
     if args.numerics or args.engine == "all":
         for engine in engines:
-            if not unsupported(engine, "shadow") and verify_numerics(engine):
+            if not unsupported(engine, "profile") and verify_numerics(engine):
                 status = 1
     return status

@@ -18,7 +18,7 @@ runs on and which instruments it can carry.  ``RunOptions`` validates
 against it, the CLIs turn an unsupported combination into exit status 2
 through :func:`unsupported`, and the two drivers below — :func:`run_once`
 for a program that runs one time, :class:`Runner` for a persistent one —
-are the only code that records, replays or forks.
+are the only code that replays, forks, or records for an engine.
 
 This module imports nothing from the rest of the package at import time
 (``repro.api`` imports it, and the replay and shard layers load only
@@ -55,10 +55,9 @@ class EngineSpec:
     stepper: str
     #: Can run with the race sanitizer attached.
     sanitize: bool
-    #: Can carry the cycle profiler.
+    #: Holds the whole fabric in-process, as the cycle profiler and
+    #: ``certify-numerics`` need.
     profile: bool
-    #: Can run under the fp64 shadow executor.
-    shadow: bool
     #: Fast-forwards a quiescent fabric in O(1) (``Runner.sync``); the
     #: reference sweep has no such notion and keeps its own clock.
     skip_idle: bool
@@ -71,13 +70,13 @@ class EngineSpec:
 #: Engine name -> meaning, in fidelity order.
 ENGINE_TABLE = {
     "reference": EngineSpec("reference", sanitize=True, profile=True,
-                            shadow=False, skip_idle=False),
+                            skip_idle=False),
     "active": EngineSpec("active", sanitize=True, profile=True,
-                         shadow=True, skip_idle=True),
+                         skip_idle=True),
     "replay": EngineSpec("active", sanitize=False, profile=True,
-                         shadow=True, skip_idle=True, records=True),
+                         skip_idle=True, records=True),
     "sharded": EngineSpec("active", sanitize=False, profile=False,
-                          shadow=False, skip_idle=True, forks=True),
+                          skip_idle=True, forks=True),
 }
 
 ENGINES = tuple(ENGINE_TABLE)
@@ -86,8 +85,6 @@ ENGINES = tuple(ENGINE_TABLE)
 _NEEDS = {
     "sanitize": "the race sanitizer instruments live whole-fabric stepping",
     "profile": "the cycle profiler needs the whole fabric in-process",
-    "shadow": "the fp64 shadow executor drives the live instruction "
-              "stepper in-process",
 }
 
 
@@ -189,7 +186,7 @@ def shard_until_factory(tile_done):
 # One-shot driver
 # ----------------------------------------------------------------------
 def run_once(fabric, options, tile_done, *, label: str,
-             max_cycles: int) -> int:
+             max_cycles: int, session=None) -> int:
     """Run a freshly built program to completion under ``options``.
 
     Returns the cycles it took.  Per engine: the two steppers call
@@ -198,7 +195,9 @@ def run_once(fabric, options, tile_done, *, label: str,
     reproduces it bit-for-bit — or, when the determinism proof or the
     recorder refuses (a sanitizer is attached), just runs live;
     ``"sharded"`` steps the program through ``options.workers``
-    processes and harvests the state back.
+    processes and harvests the state back.  A recording engine records
+    into ``session`` (a fresh :class:`~repro.wse.replay.ReplaySession`
+    when None), where a caller can read the checked schedule back.
     """
     spec = ENGINE_TABLE[options.engine]
     fabric.engine = spec.stepper
@@ -210,8 +209,7 @@ def run_once(fabric, options, tile_done, *, label: str,
                     workers=options.workers, max_cycles=max_cycles)
         return fabric.cycle - start
     until = fabric_until(fabric, tile_done)
-    session = None
-    if spec.records:
+    if spec.records and session is None:
         from .replay import ReplaySession
 
         session = ReplaySession(fabric, label=label)

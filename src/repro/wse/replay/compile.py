@@ -33,6 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .record import (
+    DT_F32,
     DTYPES,
     OP_ADD,
     OP_CAST,
@@ -46,6 +47,9 @@ from .record import (
 )
 
 __all__ = ["CompiledSchedule", "compile_tape"]
+
+#: :data:`DTYPES` re-typed to float64: ``certify-numerics``' reference.
+_FP64 = (np.dtype(np.float64),) * len(DTYPES)
 
 
 def _flat_base(array: np.ndarray, flats: dict) -> tuple[np.ndarray, int, int]:
@@ -224,6 +228,8 @@ def compile_tape(tape: RecordedTape, fabric) -> "CompiledSchedule":
                 for core, flags in tape.flag_finals)
         ],
         extern_lengths=tape.extern_lengths,
+        acc_cores=tape.acc_cores,
+        ext_cores=tape.ext_cores,
         profile=getattr(tape, "profile", None),
     )
 
@@ -248,7 +254,10 @@ class CompiledSchedule:
         self.obj_written: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
-    def _eval(self, externs=None, recorded_leaves: bool = False) -> np.ndarray:
+    def _gather(self, externs=None, recorded_leaves: bool = False):
+        """A node-value buffer holding every constant and leaf: memory
+        leaves from the live arrays (or as recorded), extern leaves from
+        ``externs`` (or as recorded)."""
         vals = np.empty(self.n_nodes, dtype=np.float64)
         if len(self.const_idx):
             vals[self.const_idx] = self.const_val
@@ -261,28 +270,34 @@ class CompiledSchedule:
                 if externs is None or name not in externs:
                     raise KeyError(f"replay requires extern operand {name!r}")
                 vals[nids] = np.asarray(externs[name], dtype=np.float64)[idxs]
-        f32 = np.float32
+        return vals
+
+    def _eval(self, vals: np.ndarray, fp64: bool = False) -> np.ndarray:
+        """Evaluate every op group into the gathered buffer ``vals`` (in
+        place; returned).  ``fp64`` re-types every dtype to float64."""
+        dtypes = _FP64 if fp64 else DTYPES
+        f32 = dtypes[DT_F32]
         for op, dta, dtb, dto, ia, ib, io in self.groups:
             if op == OP_CAST:
-                r = vals[ia].astype(DTYPES[dto])
+                r = vals[ia].astype(dtypes[dto])
             else:
                 a = vals[ia]
                 b = vals[ib]
                 if op == OP_MULX:
                     r = a.astype(f32) * b.astype(f32)
                 else:
-                    a = a.astype(DTYPES[dta])
-                    b = b.astype(DTYPES[dtb])
+                    a = a.astype(dtypes[dta])
+                    b = b.astype(dtypes[dtb])
                     r = a + b if op == OP_ADD else a * b
-                if r.dtype != DTYPES[dto]:
-                    r = r.astype(DTYPES[dto])
+                if r.dtype != dtypes[dto]:
+                    r = r.astype(dtypes[dto])
             vals[io] = r
         return vals
 
     # ------------------------------------------------------------------
     def execute(self, externs=None) -> int:
         """Replay the schedule; returns the cycle delta applied."""
-        vals = self._eval(externs)
+        vals = self._eval(self._gather(externs))
         for flat, idx, nids in self.scatters:
             flat[idx] = vals[nids]
         written = self.obj_written = {}
@@ -352,7 +367,7 @@ class CompiledSchedule:
         empty means the replay is proven bit-identical to the live run
         it recorded.
         """
-        vals = self._eval(recorded_leaves=True)
+        vals = self._eval(self._gather(recorded_leaves=True))
         bad: list[str] = []
         for flat, idx, nids in self.scatters:
             got = vals[nids].astype(flat.dtype)

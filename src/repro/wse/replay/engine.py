@@ -125,6 +125,10 @@ class ReplaySession:
         rec = ScheduleRecorder(self.fabric)
         if configure is not None:
             configure(rec)
+        if not self.fabric._prebound:
+            # The stepper's lazy first-step bind creates router queues,
+            # which would read as a mutation of the program mid-recording.
+            self.fabric.prebind()
         token_before = self._mutation_token()
         try:
             rec.attach()

@@ -191,6 +191,11 @@ class ScheduleRecorder:
         self.obj_writes: dict[int, tuple[object, int]] = {}  # id(acc) -> (acc, writes delta)
         self.fifo_shadow: dict[int, deque] = {}
         self._fifo_refs: dict[int, object] = {}
+        #: The core each scalar accumulator (by ``id``) and each extern
+        #: leaf (by node id) belongs to: the tile ``certify-numerics``
+        #: keys a realized error or a consumed input by.
+        self.acc_cores: dict[int, object] = {}
+        self.ext_cores: dict[int, object] = {}
         # --- instruction plans -------------------------------------------
         #: id(instr) -> recording plan.  Plans are compiled per
         #: instruction *shape* (op + operand descriptor kinds — a handful
@@ -479,6 +484,7 @@ class ScheduleRecorder:
                 self.obj_node[okey] = self._const(dst.value, dt)
                 self.obj_info[okey] = (dst, "value", dt)
                 self.obj_writes[id(dst)] = (dst, 0)
+                self.acc_cores[id(dst)] = core
         shape = (instr.op, *(type(d) for d in instr.srcs), type(dst))
         plan = self._shape_plans.get(shape)
         if plan is None:
@@ -633,6 +639,7 @@ class ScheduleRecorder:
         if extern is not None:
             nid = self._new(OP_EXTERN, dt)
             self.ext_leaves.append((nid, extern, self.extern_scalar(extern), float(value)))
+            self.ext_cores[nid] = obj
         else:
             nid = self._const(value, dt)
         key = (id(obj), attr)
@@ -745,6 +752,8 @@ class ScheduleRecorder:
             fifo_deltas=fifo_deltas,
             flag_finals=flag_finals,
             extern_lengths=dict(self._extern_counters),
+            acc_cores=self.acc_cores,
+            ext_cores=self.ext_cores,
             profile=(
                 (self._prof, self._prof.window_payload(self._prof_mark))
                 if self._prof is not None and self._prof_mark is not None

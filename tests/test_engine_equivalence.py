@@ -45,7 +45,6 @@ from repro.wse.allreduce import AllReduceEngine, simulate_allreduce
 from repro.wse.dsr import FabricRx, Instruction, MemCursor
 from repro.wse.engines import fabric_until
 from repro.wse.replay import ReplaySession
-from repro.wse.sanitizer import ShadowNumerics
 from repro.wse.shard import run_sharded
 
 RNG = np.random.default_rng(7)
@@ -117,13 +116,11 @@ def _run_instrumented(program, instruments):
     """Run a fresh ``program`` with ``instruments`` attached; returns
     everything an instrument must leave exactly as the bare run has it."""
     fabric, arm, tile_done, output = _PROGRAMS[program]()
-    prof = san = shadow = session = None
+    prof = san = session = None
     if "profile" in instruments:
         prof = CycleProfiler(program, fabric).attach()
     if "sanitize" in instruments:
         san = fabric.attach_sanitizer()
-    if "shadow" in instruments:
-        shadow = fabric.attach_sanitizer(ShadowNumerics(fabric))
     if "record" in instruments:
         session = ReplaySession(fabric, label=program)
     start = fabric.cycle
@@ -137,8 +134,6 @@ def _run_instrumented(program, instruments):
                    for t in prof.taxonomy().values())
     if san is not None and program != "allreduce":  # no vector instructions
         assert san.instructions_tracked > 0
-    if shadow is not None:
-        assert shadow.elements_shadowed > 0 and shadow.stream_gaps == 0
     if session is not None:
         assert session.records == 1, session.diagnostics
         assert session.schedule.check() == []
@@ -337,7 +332,7 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("program", list(_PROGRAMS))
     @pytest.mark.parametrize("instruments", [
         "sanitize", "profile", "sanitize+profile", "record",
-        "record+profile", "shadow",
+        "record+profile",
     ])
     def test_instrument_composition(self, program, instruments):
         """Instruments tap one stepping body per core type, so any

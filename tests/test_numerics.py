@@ -6,7 +6,8 @@ Covers every layer of the certification loop:
 * :class:`NumericsContract` serialization (including infinities),
 * the ``numerics`` pass on the Fig. 9 safe/unsafe pair,
 * witness synthesis + engine confirmation for rejected programs,
-* the fp64 shadow executor (:class:`ShadowNumerics`),
+* realized error measured on a run's tape re-typed to fp64
+  (:class:`RealizedError`),
 * ``certify-numerics`` end to end (library + CLI),
 * a committed golden (``tests/data/numerics_golden.json``) that pins the
   pass's full output — every contract entry, note and diagnostic — on
@@ -27,8 +28,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.wse.analyze import analyze_program
+from repro.api import RunOptions
 from repro.wse.analyze.certify import (
-    _build_and_run,
+    _hold,
+    _observe,
+    NumericsCheck,
     build_fig9_program,
     certified_programs,
     certify_program,
@@ -36,16 +40,18 @@ from repro.wse.analyze.certify import (
 from repro.wse.analyze.diagnostics import Severity
 from repro.wse.analyze.numerics import (
     NumericsContract,
+    RealizedError,
     Val,
     accumulation_error_bound,
     compose_error_bounds,
     confirm_numerics_witness,
     finite_max,
+    record_run,
     smallest_subnormal,
     synthesize_numerics_witness,
     unit_roundoff,
 )
-from repro.wse.sanitizer import ShadowNumerics
+from repro.wse.analyze.shipped import shipped
 
 INF = math.inf
 
@@ -168,47 +174,42 @@ class TestFig9Pair:
         assert fabric.static_contract.numerics is not None
 
 
-class TestShadowNumerics:
-    def _run_fig9_shadowed(self, scaled=True):
-        fabric, out, instrs = build_fig9_program(scaled=scaled)
-        shadow = ShadowNumerics(fabric)
-        fabric.attach_sanitizer(shadow)
-        try:
-            fabric.run(max_cycles=10_000,
-                       until=lambda f: all(i.finished for i in instrs))
-        finally:
-            fabric.detach_sanitizer()
-        return fabric, out, shadow
+def _measured(fabric, instrs, max_cycles=10_000):
+    """Run ``fabric`` to completion of ``instrs`` under a schedule
+    recorder; the run's :class:`RealizedError`."""
+    realized = RealizedError(fabric)
+    realized.add(*record_run(fabric, lambda: fabric.run(
+        max_cycles=max_cycles,
+        until=lambda f: all(i.finished for i in instrs))))
+    return realized
 
+
+class TestTapeNumerics:
     def test_observed_error_within_static_bound(self):
-        fabric, _out, shadow = self._run_fig9_shadowed(scaled=True)
-        report = analyze_program(fabric)
-        bound = report.numerics.bound_for(0, 0, "out")
-        recs = [r for r in shadow.report() if r["name"] == "out"]
-        assert recs and recs[0]["runs"] == 1
-        assert recs[0]["error"] <= bound
+        fabric, _out, instrs = build_fig9_program(scaled=True)
+        realized = _measured(fabric, instrs)
+        bound = analyze_program(fabric).numerics.bound_for(0, 0, "out")
+        assert realized.runs == 1
+        assert 0.0 < realized.errors[((0, 0), "out")] <= bound
 
     def test_range_precondition_checked(self):
         fabric, _out, instrs = build_fig9_program(scaled=True)
-        # Violate the declared range (-2, 2) before the shadow attaches.
-        mem = fabric.core(0, 0).memory
-        mem.get("x")[:] = np.float16(100.0)
-        shadow = ShadowNumerics(fabric)
-        fabric.attach_sanitizer(shadow)
-        try:
-            fabric.run(max_cycles=10_000,
-                       until=lambda f: all(i.finished for i in instrs))
-        finally:
-            fabric.detach_sanitizer()
-        assert not shadow.range_ok
-        assert shadow.range_violations
+        # Violate the declared range (-2, 2) before the run.
+        fabric.core(0, 0).memory.get("x")[:] = np.float16(100.0)
+        realized = _measured(fabric, instrs)
+        (violation,) = realized.violations
+        assert violation["pos"] == (0, 0) and violation["name"] == "x"
+        assert violation["observed"] == (100.0, 100.0)
+        check = _hold(NumericsCheck("fig9-x100"),
+                      analyze_program(fabric).numerics, realized)
+        assert not check.ok
+        assert [f["kind"] for f in check.failures] == ["range-violation"]
 
-    def test_detach_restores_instructions(self):
+    def test_recording_detaches(self):
         fabric, _out, instrs = build_fig9_program(scaled=True)
-        shadow = ShadowNumerics(fabric)
-        fabric.attach_sanitizer(shadow)
-        fabric.detach_sanitizer()
-        assert all(i._stepfn is None for i in instrs)
+        _measured(fabric, instrs)
+        assert fabric.core(0, 0).recorder is None
+        assert fabric.obs is None and fabric.sanitizer is None
 
 
 class TestCertify:
@@ -340,19 +341,10 @@ class TestRandomProgramProperties:
         bound = contract.bound_for(0, 0, "out")
         assert bound is not None and math.isfinite(bound)
 
-        shadow = ShadowNumerics(fabric)
-        fabric.attach_sanitizer(shadow)
-        try:
-            fabric.run(max_cycles=50_000,
-                       until=lambda f: all(i.finished for i in instrs))
-        finally:
-            fabric.detach_sanitizer()
+        realized = _measured(fabric, instrs, max_cycles=50_000)
         assert all(i.finished for i in instrs)
-        assert shadow.range_ok
-
-        recs = [r for r in shadow.report() if r["name"] == "out"]
-        assert recs
-        assert recs[0]["error"] <= bound + 1e-12
+        assert not realized.violations
+        assert realized.errors[((0, 0), "out")] <= bound + 1e-12
 
     @given(_chain_ops, _content, _content)
     @settings(max_examples=25, deadline=None)
@@ -427,11 +419,13 @@ def _underflow_fabric(rng):
 
 def _golden_programs():
     """``(name, build)`` for every pinned program: the nine certified
-    programs after their shadowed run (as ``certify-numerics`` analyzes
+    programs after their measured runs (as ``certify-numerics`` analyzes
     them), seeded rejects for the two diagnostics they never raise, and
     the two ``analyze-large`` programs of ``benchmarks/perf``."""
     for name, _reject in certified_programs():
-        yield name, lambda name=name: _build_and_run(name, "active")[0]
+        yield name, lambda name=name: _observe(
+            {p.name: p for p in shipped("certify")}[name].start(
+                RunOptions(engine="active")), "active")[0]
     rng = lambda: np.random.default_rng(_GOLDEN_SEED)  # noqa: E731
     yield "tolerance-spmv3d-3x3x4", lambda: _spmv_fabric(
         (3, 3, 4), rng(), tolerance=1e-4)

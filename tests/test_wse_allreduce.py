@@ -16,7 +16,6 @@ from repro.wse import (
 )
 from repro.wse.allreduce import CH_BCAST, AllReduceEngine, ReduceCore
 from repro.wse.patterns import Pattern
-from repro.wse.sanitizer import ShadowNumerics
 
 RNG = np.random.default_rng(41)
 
@@ -87,10 +86,10 @@ class TestSimulation:
 
 
 class _UntappedCore(ReduceCore):
-    """A producer no instrument taps: it refuses the shadow and the
-    recorder, strips the tag off what it receives and sends plain floats."""
+    """A producer no instrument taps: it refuses the recorder, strips the
+    tag off what it receives and sends plain floats."""
 
-    shadow = recorder = property(lambda self: None, lambda self, _v: None)
+    recorder = property(lambda self: None, lambda self, _v: None)
 
     def deliver(self, channel, value):
         super().deliver(channel, getattr(value, "v", value))
@@ -113,16 +112,6 @@ class TestUninstrumentedProducer:
 
     def _expected(self, values):
         return AllReduceEngine(self.W, self.H).reduce(values)
-
-    def test_shadowed_core_counts_a_stream_gap(self):
-        values = RNG.uniform(-4, 4, size=(self.H, self.W))
-        eng = self._engine("active")
-        shadow = ShadowNumerics(eng.fabric)
-        eng.fabric.attach_sanitizer(shadow)
-        assert eng.reduce(values) == self._expected(values)
-        assert shadow.stream_gaps == 1
-        # Every tapped tile still reported its realized error.
-        assert len(shadow.report()) == self.W * self.H - 1
 
     def test_recording_is_voided_and_falls_back_live(self):
         values = RNG.uniform(-4, 4, size=(self.H, self.W))
