@@ -8,6 +8,15 @@ is executed, not modeled.  AXPY updates are core-local by construction
 (no fabric traffic) and are computed functionally with their cycle cost
 charged from the SIMD model.
 
+The recurrence is :func:`repro.solver.bicgstab`, driven by this module's
+simulated SpMV, dot and cycle-charged AXPY.  Against the functional
+solver every dot and AXPY is bit-equal (one :func:`repro.precision.tree_sum`
+order); the SpMV is the same fp16 arithmetic under a different
+association — the sum task adds each output's terms in FIFO-arrival
+order, which depends on Z and on FIFO batching, where
+:meth:`Stencil7.apply` adds the legs in one fixed order — so solutions
+agree to fp16 noise, not bit for bit.
+
 This mode exists to *validate* the functional solver and the analytic
 model (tests assert all three agree); it is usable for meshes up to a
 few thousand points.
@@ -39,13 +48,15 @@ skip/fold boundaries land on the same clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from ..api import RunOptions
-from ..precision import Precision, spec_for
+from ..precision import Precision, dot_partials, spec_for, tree_sum
 from ..problems.stencil7 import Stencil7
+from ..solver.bicgstab import bicgstab
 from ..solver.result import SolveResult
 from ..wse.allreduce import AllReduceEngine
 from ..wse.config import CS1, MachineConfig
@@ -123,6 +134,7 @@ class DESBiCGStab:
                 "DES BiCGStab requires a Jacobi-preconditioned operator"
             )
         self.report = DESCycleReport()
+        self._it_start: int | None = None
         self._spmv_eng: SpmvEngine | None = None
         self._ar_eng: AllReduceEngine | None = None
         if self.obs is not None and self.obs.tracer.clock is None:
@@ -143,10 +155,12 @@ class DESBiCGStab:
             name, start, self.report.total_cycles - start, cat="phase"
         )
 
-    def _iter_obs(self, it: int, start: int, residual=None, **fields) -> None:
-        """Record one iteration's span, residual sample, and telemetry."""
+    def _on_iteration(self, it: int, residual, **scalars) -> None:
+        """``bicgstab``'s per-iteration callback: record the iteration's
+        span (opened by its first SpMV), residual sample and telemetry."""
+        start, self._it_start = self._it_start, None
         now = self.report.total_cycles
-        args = {"residual": residual, **fields}
+        args = {"residual": residual, **scalars}
         self.obs.tracer.record(
             f"iteration[{it}]", start, now - start,
             track="solver", cat="iteration", args=args,
@@ -198,6 +212,9 @@ class DESBiCGStab:
     # ------------------------------------------------------------------
     def _spmv(self, v: np.ndarray) -> np.ndarray:
         start = self.report.total_cycles
+        if self._it_start is None:
+            # Each iteration opens with its first SpMV (s = A p).
+            self._it_start = start
         eng = self._spmv_engine()
         # Both persistent fabrics live on one wafer clock: catch this
         # one up on the cycles the other kernels took (Runner.sync).
@@ -211,11 +228,11 @@ class DESBiCGStab:
 
     def _dot(self, a: np.ndarray, b: np.ndarray) -> float:
         """fp16-multiply / fp32-accumulate local dot, then the simulated
-        Fig. 6 AllReduce over the per-tile partials."""
+        Fig. 6 AllReduce over the per-tile partials (bit-equal to
+        :func:`repro.solver.wafer_bicgstab.fabric_tree_dot`)."""
         nz = self.operator.shape[2]
         start = self.report.total_cycles
-        prod = a.astype(np.float32) * b.astype(np.float32)
-        partials = np.add.reduce(prod, axis=2, dtype=np.float32)  # (nx, ny)
+        partials = dot_partials(a, b)  # (ny, nx): rows=y, cols=x
         self.report.dot_local_cycles += int(
             np.ceil(nz / self.config.mixed_fmacs_per_cycle)
         )
@@ -223,11 +240,11 @@ class DESBiCGStab:
             self._phase("dot_local", start)
         eng = self._allreduce_engine()
         if eng is None:
-            # Degenerate fabrics (1 x N) fall back to a tree-ordered sum.
-            return float(np.add.reduce(partials.ravel(), dtype=np.float32))
+            # Degenerate fabrics (1 x N) reduce on the host.
+            return tree_sum(partials)
         start = self.report.total_cycles
         eng.sync(start)
-        total, cycles = eng.reduce(partials.T)  # (rows=y, cols=x)
+        total, cycles = eng.reduce(partials)
         self.report.allreduce_cycles += cycles
         self.report.allreduce_runs += 1
         if self.obs is not None:
@@ -248,90 +265,41 @@ class DESBiCGStab:
     def solve(
         self, b: np.ndarray, rtol: float = 5e-3, maxiter: int = 30
     ) -> SolveResult:
-        """Run BiCGStab with every SpMV and AllReduce simulated.
-
-        Returns a :class:`SolveResult` whose ``info`` carries the
+        """Run :func:`repro.solver.bicgstab` (mixed) with every SpMV and
+        AllReduce simulated; ``info`` carries the
         :class:`DESCycleReport` and derived per-iteration cycles.
         """
-        spec = spec_for(Precision.MIXED)
-        shape = self.operator.shape
-        b16 = np.asarray(b, dtype=np.float64).reshape(shape).astype(np.float16)
-        bnorm = float(np.sqrt(max(self._dot(b16, b16), 0.0)))
-        if bnorm == 0.0:
-            return SolveResult(
-                x=np.zeros(shape), converged=True, iterations=0,
-                residuals=[0.0], precision="mixed(des)",
-            )
-        x = np.zeros(shape, dtype=np.float16)
-        r = b16.copy()
-        r0 = r.copy()
-        p = r.copy()
-        rho = np.float32(self._dot(r0, r))
-        residuals: list[float] = []
-        converged = False
-        breakdown = None
-        obs = self.obs
-        it = 0
-        for it in range(1, maxiter + 1):
-            it_start = self.report.total_cycles
-            if abs(float(rho)) < np.finfo(np.float64).tiny:
-                breakdown = "rho"
-                it -= 1
-                break
-            s = self._spmv(p)
-            r0s = np.float32(self._dot(r0, s))
-            if abs(float(r0s)) < np.finfo(np.float64).tiny:
-                breakdown = "rho"
-                if obs is not None:
-                    self._iter_obs(it, it_start, rho=float(rho),
-                                   breakdown="rho")
-                it -= 1
-                break
-            alpha = np.float32(rho / r0s)
-            q = self._axpy(-float(alpha), s, r)
-            y = self._spmv(q)
-            qy = np.float32(self._dot(q, y))
-            yy = np.float32(self._dot(y, y))
-            omega = np.float32(0.0) if abs(float(yy)) < np.finfo(np.float64).tiny \
-                else np.float32(qy / yy)
-            x = self._axpy(float(alpha), p, x)
-            x = self._axpy(float(omega), q, x)
-            r = self._axpy(-float(omega), y, q)
-            rho_new = np.float32(self._dot(r0, r))
-            res = float(np.sqrt(max(self._dot(r, r), 0.0))) / bnorm
-            residuals.append(res)
-            if obs is not None:
-                self._iter_obs(
-                    it, it_start, residual=res, rho=float(rho),
-                    alpha=float(alpha), omega=float(omega), breakdown=None,
-                )
-            if res <= rtol:
-                converged = True
-                break
-            if abs(float(omega)) < np.finfo(np.float64).tiny:
-                breakdown = "omega"
-                if obs is not None:
-                    obs.telemetry[-1]["breakdown"] = "omega"
-                break
-            beta = np.float32((alpha / omega) * (rho_new / rho))
-            rho = rho_new
-            p = self._axpy(float(beta), self._axpy(-float(omega), s, p), r)
-
+        res = bicgstab(
+            _SimulatedOperator(self.operator.shape, self._spmv), b,
+            precision=Precision.MIXED, rtol=rtol, maxiter=maxiter,
+            callback=None if self.obs is None else self._on_iteration,
+            dot_fn=self._dot, axpy=self._axpy,
+        )
         # Close out the unified timeline: both fabrics end the solve at
         # the same wafer cycle, idle tails skipped in O(1).
         for eng in (self._spmv_eng, self._ar_eng):
             if eng is not None:
                 eng.sync(self.report.total_cycles)
-        return SolveResult(
-            x=x.astype(np.float64),
-            converged=converged,
-            iterations=it,
-            residuals=residuals,
-            breakdown=breakdown,
-            precision="mixed(des)",
+        return replace(
+            res, precision="mixed(des)",
             info={
                 "report": self.report,
-                "cycles_per_iteration": self.report.per_iteration(it),
-                "storage_epsilon": spec.epsilon,
+                "cycles_per_iteration": self.report.per_iteration(
+                    res.iterations),
+                "storage_epsilon": spec_for(Precision.MIXED).epsilon,
             },
         )
+
+
+@dataclass(frozen=True)
+class _SimulatedOperator:
+    """The operator :func:`repro.solver.bicgstab` drives: ``apply`` is
+    the simulated SpMV, mixed precision only."""
+
+    shape: tuple[int, int, int]
+    spmv: Callable[[np.ndarray], np.ndarray]
+
+    def apply(self, v: np.ndarray, precision=None) -> np.ndarray:
+        if precision is None or Precision.parse(precision) is not Precision.MIXED:
+            raise ValueError("the simulated SpMV runs in mixed precision only")
+        return self.spmv(v)

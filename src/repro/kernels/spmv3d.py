@@ -653,8 +653,12 @@ def run_spmv_des(
 def spmv_functional(op: Stencil7, v: np.ndarray, precision="mixed") -> np.ndarray:
     """The vectorized functional equivalent of the wafer SpMV.
 
-    Same arithmetic class (fp16 products, fp16 leg-by-leg accumulation
-    under mixed/half precision); used by the functional wafer solver and
-    cross-checked against :func:`run_spmv_des` in the tests.
+    Same arithmetic class (fp16 products, fp16 adds) but a different
+    association, so an output can differ by an fp16 ulp: the simulated
+    kernel adds each output's terms in FIFO-arrival order, which depends
+    on Z and on FIFO batching; this adds the legs in one fixed order.
+    (Dots, by contrast, are bit-equal between the two solvers.)  Used by
+    the functional wafer solver and cross-checked against
+    :func:`run_spmv_des` in the tests.
     """
     return op.apply(v, precision=precision)

@@ -151,9 +151,9 @@ def measured_counts(iterations: int = 3) -> dict[str, float]:
         dot_fn=counting_dot,
     )
     iters = max(res.iterations, 1)
-    # Dots: 1 for ||b||, 1 initial-residual check, 1 initial rho, then
-    # per iteration 4 algorithmic + 1 convergence-norm check.
-    algorithmic_dots = dots["n"] - 3 - iters
+    # Dots: 1 for ||b||, 1 initial rho, then per iteration 4
+    # algorithmic + 1 convergence-norm check.
+    algorithmic_dots = dots["n"] - 2 - iters
     return {
         "matvec_mul": counting.muls_per_point / iters,
         "matvec_add": counting.adds_per_point / iters,

@@ -18,6 +18,7 @@ from .ops import (
     axpy,
     dot,
     dot_fp16_fp32,
+    dot_partials,
     fmac,
     norm2,
     scale,
@@ -39,6 +40,7 @@ __all__ = [
     "axpy",
     "dot",
     "dot_fp16_fp32",
+    "dot_partials",
     "fmac",
     "norm2",
     "scale",

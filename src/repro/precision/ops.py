@@ -19,6 +19,9 @@ Hardware semantics emulated (paper sections II.A, IV.3):
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 
 from .types import Precision, PrecisionSpec, spec_for
@@ -35,6 +38,7 @@ __all__ = [
     "dot",
     "norm2",
     "dot_fp16_fp32",
+    "dot_partials",
     "tree_sum",
 ]
 
@@ -159,23 +163,7 @@ def dot_fp16_fp32(x: np.ndarray, y: np.ndarray) -> np.float32:
     """
     xf = np.asarray(x, dtype=np.float16).astype(np.float32)
     yf = np.asarray(y, dtype=np.float16).astype(np.float32)
-    prod = xf * yf
-    return np.float32(_sequential_sum_f32(prod))
-
-
-def _sequential_sum_f32(values: np.ndarray) -> np.float32:
-    """Sum at true fp32 precision.
-
-    ``np.sum`` on float32 uses pairwise summation, which is *more*
-    accurate than the hardware's sequential fp32 accumulator.  We emulate
-    the sequential order in moderate-size chunks: within a chunk we rely
-    on float32 pairwise error being below half an ulp of the running sum
-    for the sizes used here; across chunks we accumulate sequentially.
-    For library purposes the observable property is that accumulation
-    error stays O(n * eps_32), far below the fp16 data noise, which both
-    orders satisfy.
-    """
-    return np.float32(np.add.reduce(values.ravel(), dtype=np.float32))
+    return np.float32(np.add.reduce((xf * yf).ravel(), dtype=np.float32))
 
 
 def dot(
@@ -221,41 +209,63 @@ def norm2(
     return float(np.sqrt(max(d, 0.0)))
 
 
+def dot_partials(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-tile fp32 partials of the mixed dot over an ``(X, Y, Z)`` mesh.
+
+    Each tile multiplies its Z column in fp16 (products exact in fp32)
+    and accumulates at fp32.  Returned as ``(Y, X)`` — rows by columns,
+    the layout :func:`tree_sum` and the simulated AllReduce take.
+    """
+    xf = np.asarray(x, dtype=np.float16).astype(np.float32)
+    yf = np.asarray(y, dtype=np.float16).astype(np.float32)
+    return np.add.reduce(xf * yf, axis=2, dtype=np.float32).T
+
+
 def tree_sum(values: np.ndarray, dtype=np.float32) -> float:
-    """Sum scalars in the AllReduce tree order of Fig. 6.
+    """Sum per-tile scalars in the simulated Fig. 6 AllReduce's order.
 
-    The wafer reduces each row toward two centre columns (sequential
-    accumulation from the edges inward), then reduces the two centre
-    columns vertically, then 4:1 to a single core.  For reproducibility
-    of the *rounding order* we emulate: sequential accumulation within
-    each row half, then pairwise for the final combines.
-
-    Parameters
-    ----------
-    values:
-        2D array of per-tile partial values, shape ``(Y, X)`` (rows by
-        columns), or any array which is then treated as one row.
+    ``values`` is ``(Y, X)`` (rows by columns; any other array is one
+    row).  Each addition rounds to ``dtype`` in the order
+    :class:`repro.wse.allreduce.AllReduceEngine` performs it, so at fp32
+    the result is bit-equal to the engine's: each row's centre tiles
+    ``cx-1`` and ``cx`` start from their own value and add their
+    half-row nearest-first; the two centre columns do the same with the
+    row sums; the root ``(cx-1, cy-1)`` adds the other three centre sums
+    one per cycle in arrival order, its E port winning ties over N.
+    Below 2x2 there is no collective, and the host's fp32 reduction (the
+    DES solver's fallback on such fabrics) is used.
     """
     arr = np.asarray(values, dtype=dtype)
     if arr.ndim != 2:
         arr = arr.reshape(1, -1)
-    y, x = arr.shape
-    cx = x // 2
-    dt = np.dtype(dtype).type
-    row_sums = np.empty(y, dtype=dtype)
-    for j in range(y):
-        left = dt(0.0)
-        for v in arr[j, :cx]:
-            left = dt(left + v)
-        right = dt(0.0)
-        for v in arr[j, cx:][::-1]:
-            right = dt(right + v)
-        row_sums[j] = dt(left + right)
-    cy = y // 2
-    top = dt(0.0)
-    for v in row_sums[:cy]:
-        top = dt(top + v)
-    bottom = dt(0.0)
-    for v in row_sums[cy:][::-1]:
-        bottom = dt(bottom + v)
-    return float(dt(top + bottom))
+    h, w = arr.shape
+    if h < 2 or w < 2:
+        return float(np.add.reduce(arr.ravel(), dtype=dtype))
+    cx, cy = w // 2, h // 2
+
+    def inward(vals):   # a sink: its own value first, then arrivals
+        return functools.reduce(operator.add, vals)
+
+    left = inward(arr[:, cx - 1::-1].T)    # every row's sink at cx-1
+    right = inward(arr[:, cx:].T)          # ... and at cx
+    east_own = inward(right[cy - 1::-1])   # from (cx, cy-1)
+    east_fwd = inward(right[cy:])          # from (cx, cy), via (cx, cy-1)
+    north = inward(left[cy:])              # from (cx-1, cy)
+
+    def c(n: int, m: int) -> int:
+        """Cycle a sink awaiting n row words, then m column words, is done."""
+        r = n + 1 if n else 0
+        return r + m + 1 if m else r
+
+    # The cycle each gather word is ready at the root.
+    nlo, nhi, mlo, mhi = cx - 1, w - 1 - cx, cy - 1, h - 1 - cy
+    t_own = c(nhi, mlo) + 2
+    t_fwd = max(c(nhi, mhi) + 3, t_own + 1)
+    t_north = c(nlo, mhi) + 2
+    if t_north < t_own:
+        order = (north, east_own, east_fwd)
+    elif t_fwd <= max(t_north, t_own + 1):
+        order = (east_own, east_fwd, north)
+    else:
+        order = (east_own, north, east_fwd)
+    return float(inward((inward(left[cy - 1::-1]), *order)))

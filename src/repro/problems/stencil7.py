@@ -172,12 +172,13 @@ class Stencil7:
     ) -> np.ndarray:
         """Matrix-vector product ``u = A v``.
 
-        Under fp16-storage precisions this mirrors the wafer kernel's
-        arithmetic: each leg's elementwise product is formed in fp16 and
-        the seven partial vectors are accumulated with fp16 adds (one
-        rounding per accumulation, as the sum task performs fp16 vector
-        adds from the FIFOs).  Under fp32/fp64 everything is at that
-        width.
+        Under fp16-storage precisions this is the wafer kernel's
+        arithmetic class — fp16 leg products accumulated with fp16 adds —
+        but not its association: the simulated sum task adds each
+        output's terms in FIFO-arrival order, which depends on Z and on
+        FIFO batching, where this adds the legs in one fixed order, so an
+        output can differ by an fp16 ulp (the solvers' dots, by contrast,
+        are bit-equal).  Under fp32/fp64 everything is at that width.
 
         Parameters
         ----------

@@ -4,8 +4,10 @@ The stabilized biconjugate gradient method of van der Vorst solves
 nonsymmetric systems ``A x = b`` with two SpMVs, four inner products, and
 six AXPY-class vector updates per iteration (paper Table I).  This module
 provides the *reference* implementation used everywhere in the library:
-the functional wafer solver and the cluster-simulator solver both
-reproduce its arithmetic, and the tests cross-check them against it.
+the functional wafer solver runs it directly, the DES solver
+(:class:`repro.kernels.DESBiCGStab`) drives it with simulated kernels
+through ``operator``, ``dot_fn`` and ``axpy``, and the cluster-simulator
+solver reproduces its arithmetic and is cross-checked against it.
 
 Arithmetic follows :mod:`repro.precision`: with ``Precision.MIXED`` all
 vector data and elementwise updates are fp16 while the four dot products
@@ -15,11 +17,14 @@ instruction) — exactly the paper's production configuration.
 
 from __future__ import annotations
 
+import functools
+import inspect
 from typing import Any, Callable
 
 import numpy as np
 
 from ..precision import Precision, dot, spec_for
+from ..precision import axpy as elementwise_axpy
 from .result import SolveResult
 
 __all__ = ["bicgstab", "operation_counts"]
@@ -45,8 +50,9 @@ def bicgstab(
     rtol: float = 1e-8,
     maxiter: int = 1000,
     record_true_residual: bool = False,
-    callback: Callable[[int, float], None] | None = None,
+    callback: Callable[..., None] | None = None,
     dot_fn: Callable[[np.ndarray, np.ndarray], float] | None = None,
+    axpy: Callable[[Any, np.ndarray, np.ndarray], np.ndarray] | None = None,
     residual_replacement_every: int | None = None,
 ) -> SolveResult:
     """Solve ``A x = b`` with BiCGStab (paper Algorithm 1).
@@ -73,11 +79,20 @@ def bicgstab(
         SpMV per iteration; used by the Fig. 9 reproduction).
     callback:
         Called as ``callback(iteration, relative_residual)`` after each
-        iteration.
+        iteration.  A callback that also accepts the keywords ``rho``,
+        ``alpha``, ``omega`` and ``breakdown`` receives the iteration's
+        scalars (``rho`` as the iteration began) and is also called when
+        an iteration breaks down at ``(r0, s) == 0``, with a residual of
+        None and only ``rho`` and ``breakdown``.
     dot_fn:
         Override for the global inner product (the wafer and cluster
         solvers inject their AllReduce here); defaults to the precision
         mode's dot.
+    axpy:
+        Override for the vector update ``axpy(a, x, y) = y + a*x``, with
+        ``a`` a scalar of the mode's scalar type; defaults to the
+        precision mode's :func:`repro.precision.axpy`.  The DES solver
+        injects its cycle-charged update here.
     residual_replacement_every:
         When set, every N iterations the recurrence residual is replaced
         by the directly computed ``b - A x`` (one extra SpMV) — the
@@ -101,6 +116,10 @@ def bicgstab(
     b_store = b_arr.astype(st)
     if dot_fn is None:
         dot_fn = lambda u, v: dot(u, v, prec)  # noqa: E731
+    if axpy is None:
+        axpy = functools.partial(elementwise_axpy, precision=spec)
+    if callback is not None:
+        callback = _widened(callback)
 
     bnorm = float(np.sqrt(max(dot_fn(b_store, b_store), 0.0)))
     if bnorm == 0.0:
@@ -111,15 +130,17 @@ def bicgstab(
         )
 
     if x0 is None:
+        # r == b, so the initial residual is exactly ||b|| / ||b||.
         x = np.zeros(shape, dtype=st)
         r = b_store.copy()
+        init_res = 1.0
     else:
         x = np.asarray(x0, dtype=np.float64).reshape(shape).astype(st)
         r = (b_arr - operator.apply(x.astype(np.float64))).astype(st)
+        init_res = float(np.sqrt(max(dot_fn(r, r), 0.0))) / bnorm
 
     # Converged initial guess: nothing to do (also avoids a spurious
     # rho-breakdown on an exactly-zero residual).
-    init_res = float(np.sqrt(max(dot_fn(r, r), 0.0))) / bnorm
     if init_res <= rtol:
         return SolveResult(
             x=x.astype(np.float64), converged=True, iterations=0,
@@ -137,27 +158,26 @@ def bicgstab(
     converged = False
     it = 0
 
-    def _elem(x_):
-        return x_.astype(st, copy=False)
-
     for it in range(1, maxiter + 1):
         if abs(float(rho)) < np.finfo(np.float64).tiny:
             breakdown = "rho"
             it -= 1
             break
         # line 4: s_i := A p_i
-        s = _elem(operator.apply(p, precision=prec))
+        s = operator.apply(p, precision=prec).astype(st, copy=False)
         # line 5: alpha_i := (r0, r_i) / (r0, s_i)
         r0s = sc.type(dot_fn(r0, s))
         if abs(float(r0s)) < np.finfo(np.float64).tiny:
             breakdown = "rho"
+            if callback is not None:
+                callback(it, None, rho=float(rho), breakdown=breakdown)
             it -= 1
             break
         alpha = sc.type(rho / r0s)
         # line 6: q_i := r_i - alpha_i s_i   (AXPY)
-        q = _elem(r - st.type(alpha) * s)
+        q = axpy(-alpha, s, r)
         # line 7: y_i := A q_i
-        y = _elem(operator.apply(q, precision=prec))
+        y = operator.apply(q, precision=prec).astype(st, copy=False)
         # line 8: omega_i := (q_i, y_i) / (y_i, y_i)
         qy = sc.type(dot_fn(q, y))
         yy = sc.type(dot_fn(y, y))
@@ -167,11 +187,11 @@ def bicgstab(
         half_step_exact = abs(float(yy)) < np.finfo(np.float64).tiny
         omega = sc.type(0.0) if half_step_exact else sc.type(qy / yy)
         # line 9: x_i := x_i + alpha p_i + omega q_i   (2 AXPYs)
-        x = _elem(x + st.type(alpha) * p)
-        x = _elem(x + st.type(omega) * q)
+        x = axpy(alpha, p, x)
+        x = axpy(omega, q, x)
         # line 10: r_{i+1} := q_i - omega y_i   (AXPY; reuses q's storage
         # on the wafer -- section IV's 10Z-words-per-core budget)
-        r = _elem(q - st.type(omega) * y)
+        r = axpy(-omega, y, q)
         # Residual replacement (van der Vorst/Sleijpen safeguard).
         if (
             residual_replacement_every
@@ -188,18 +208,18 @@ def bicgstab(
             true_residuals.append(
                 float(np.linalg.norm(tr.ravel()) / np.linalg.norm(b_arr.ravel()))
             )
-        if callback is not None:
-            callback(it, res)
-        if res <= rtol:
-            converged = True
-            break
-        if abs(float(omega)) < np.finfo(np.float64).tiny:
+        converged = res <= rtol
+        if not converged and abs(float(omega)) < np.finfo(np.float64).tiny:
             breakdown = "omega"
+        if callback is not None:
+            callback(it, res, rho=float(rho), alpha=float(alpha),
+                     omega=float(omega), breakdown=breakdown)
+        if converged or breakdown:
             break
         beta = sc.type((alpha / omega) * (rho_new / rho))
         rho = rho_new
         # line 12: p_{i+1} := r_{i+1} + beta (p_i - omega s_i)  (2 AXPYs)
-        p = _elem(r + st.type(beta) * _elem(p - st.type(omega) * s))
+        p = axpy(beta, axpy(-omega, s, p), r)
 
     return SolveResult(
         x=x.astype(np.float64),
@@ -210,3 +230,14 @@ def bicgstab(
         breakdown=breakdown,
         precision=prec.value,
     )
+
+
+def _widened(callback: Callable[..., None]) -> Callable[..., None]:
+    """``callback``, or for a plain ``callback(iteration, residual)`` a
+    wrapper passing it completed iterations only."""
+    try:
+        inspect.signature(callback).bind(
+            0, 0.0, rho=0.0, alpha=0.0, omega=0.0, breakdown=None)
+    except (TypeError, ValueError):
+        return lambda it, res, **_: None if res is None else callback(it, res)
+    return callback

@@ -10,7 +10,8 @@ the stencil slicing, and the arithmetic follows the paper exactly:
 * all elementwise arithmetic fp16;
 * the four inner products use the hardware mixed instruction: fp16
   multiplies accumulated per-tile at fp32, then reduced across the
-  fabric at fp32 in the Fig. 6 tree order;
+  fabric at fp32 in the Fig. 6 AllReduce's exact addition order, so
+  every dot is bit-equal to the DES solver's;
 * the unit main diagonal is required (Jacobi preconditioning applied by
   :meth:`WaferBiCGStab.solve` when needed).
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..perfmodel.wafer import WaferPerfModel
-from ..precision import Precision
+from ..precision import Precision, dot_partials, tree_sum
 from ..problems.stencil7 import Stencil7
 from ..problems.system import LinearSystem
 from .bicgstab import bicgstab
@@ -35,40 +36,11 @@ from .result import SolveResult
 __all__ = ["WaferBiCGStab", "WaferCG", "WaferSolveResult", "fabric_tree_dot"]
 
 
-def fabric_tree_sum_f32(partials: np.ndarray) -> np.float32:
-    """Reduce per-tile fp32 partials in the Fig. 6 tree structure.
-
-    Each half-row accumulates toward the centre pair, the centre columns
-    reduce toward the middle, then 4:1.  Accumulation is fp32
-    throughout; within a half-row NumPy's fp32 reduction stands in for
-    the hardware's sequential accumulator (both have error far below the
-    fp16 data noise; the exact sequential order is available in
-    :func:`repro.precision.ops.tree_sum` and used in the unit tests).
-    """
-    p = np.asarray(partials, dtype=np.float32)
-    w = p.shape[0]
-    cx = w // 2
-    left = np.add.reduce(p[:cx, :], axis=0, dtype=np.float32)
-    right = np.add.reduce(p[cx:, :], axis=0, dtype=np.float32)
-    rows = (left + right).astype(np.float32)
-    h = rows.shape[0]
-    cy = h // 2
-    top = np.add.reduce(rows[:cy], dtype=np.float32)
-    bottom = np.add.reduce(rows[cy:], dtype=np.float32)
-    return np.float32(top + bottom)
-
-
 def fabric_tree_dot(u: np.ndarray, v: np.ndarray) -> float:
-    """The wafer's global inner product.
-
-    Per tile: fp16 multiplies with exact (fp32) products accumulated at
-    fp32 along the local Z column (the hardware mixed dot instruction);
-    across tiles: the fp32 AllReduce tree.
-    """
-    uf = np.asarray(u, dtype=np.float16).astype(np.float32)
-    vf = np.asarray(v, dtype=np.float16).astype(np.float32)
-    partial = np.add.reduce(uf * vf, axis=2, dtype=np.float32)
-    return float(fabric_tree_sum_f32(partial))
+    """The wafer's global inner product: per-tile mixed-dot partials
+    summed in the simulated AllReduce's order, bit-equal to the dot of
+    :class:`repro.kernels.DESBiCGStab`."""
+    return tree_sum(dot_partials(u, v))
 
 
 @dataclass

@@ -160,8 +160,9 @@ class TestDotInjection:
         res = bicgstab(sys_.operator, sys_.b, rtol=1e-8, maxiter=50,
                        dot_fn=spy_dot)
         assert res.converged
-        # 1 (bnorm) + 1 (initial check) + 1 (rho) + 5/iter (4 + norm).
-        assert calls["n"] == 3 + 5 * res.iterations
+        # 1 (bnorm) + 1 (rho) + 5/iter (4 + norm); with x0 omitted the
+        # initial residual is exactly 1 and costs no dot.
+        assert calls["n"] == 2 + 5 * res.iterations
 
 
 class TestOperationCounts:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.api import RunOptions
 from repro.kernels import DESBiCGStab
+from repro.obs import ObsSession
 from repro.perfmodel import WaferPerfModel
 from repro.problems import Stencil7, momentum_system
 from repro.solver import WaferBiCGStab
@@ -47,6 +49,33 @@ class TestDESSolve:
         op = Stencil7.identity((4, 4, 4))
         res = DESBiCGStab(op).solve(np.zeros(op.shape))
         assert res.converged and res.iterations == 0
+
+
+class TestBreakdown:
+    def test_rho_breakdown_at_zero_iterations(self):
+        """Two x-neighbours coupled -1 both ways and b = c (e_i + e_j):
+        A b == 0 exactly in fp16, so (r0, A r0) == 0 in the first
+        iteration, functionally and on every engine."""
+        shape = (2, 2, 2)
+        xp, xm, b = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+        xp[0, 0, 0] = xm[1, 0, 0] = -1.0
+        b[0, 0, 0] = b[1, 0, 0] = np.float16(RNG.uniform(0.5, 2.0))
+        op = Stencil7({"xp": xp, "xm": xm})
+        fres = WaferBiCGStab().solve(op, b, rtol=5e-3, maxiter=10)
+        assert (fres.breakdown, fres.iterations) == ("rho", 0)
+        for engine in ("active", "reference", "replay"):
+            obs = ObsSession()
+            solver = DESBiCGStab(op, options=RunOptions(engine=engine, obs=obs))
+            res = solver.solve(b, rtol=5e-3, maxiter=10)
+            assert (res.breakdown, res.iterations) == ("rho", 0), engine
+            assert obs.telemetry[-1]["breakdown"] == "rho"
+            spans = sorted((s for s in obs.tracer.spans if s.cat == "phase"),
+                           key=lambda s: s.start)
+            pos = 0
+            for span in spans:
+                assert span.start == pos
+                pos = span.end
+            assert pos == solver.report.total_cycles > 0
 
 
 class TestCycleAccounting:

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from repro.perfmodel import WaferPerfModel
+from repro.api import RunOptions
+from repro.kernels import DESBiCGStab
 from repro.problems import (
+    Stencil7,
     convection_diffusion_system,
     momentum_system,
     poisson_system,
 )
 from repro.solver import WaferBiCGStab, bicgstab
-from repro.solver.wafer_bicgstab import fabric_tree_dot, fabric_tree_sum_f32
+from repro.solver.wafer_bicgstab import fabric_tree_dot
 from repro.precision import tree_sum
+from repro.wse.allreduce import AllReduceEngine
 
 RNG = np.random.default_rng(53)
 
@@ -23,12 +27,41 @@ class TestFabricTreeDot:
         ref = float(np.dot(x.astype(np.float64).ravel(), x.astype(np.float64).ravel()))
         assert got == pytest.approx(ref, rel=1e-4)
 
-    def test_tree_sum_matches_exact_order_on_small(self):
-        partial = RNG.standard_normal((5, 4)).astype(np.float32)
-        fast = float(fabric_tree_sum_f32(partial))
-        # tree_sum expects (rows=Y, cols=X); partial here is (X, Y).
-        exact = tree_sum(partial.T, dtype=np.float32)
-        assert fast == pytest.approx(exact, rel=1e-5)
+    def test_sum_and_dot_bit_equal_to_the_simulated_allreduce(self):
+        """``tree_sum`` adds in the simulated Fig. 6 collective's order
+        (the host's fp32 reduction below 2x2), so the functional dot and
+        the DES dot agree bit for bit."""
+        rng = np.random.default_rng(36)
+
+        def bits(x) -> str:
+            return float(x).hex()
+
+        def spread(shape):   # magnitudes 1e-3..1e3: every order rounds
+            mag = 10.0 ** rng.integers(-3, 4, shape)
+            return (rng.standard_normal(shape) * mag).astype(np.float32)
+
+        # Under replay each shape's first reduce is stepped live and
+        # recorded; the other seven replay that schedule.
+        replay = RunOptions(engine="replay")
+        shapes = [(w, h) for w in range(2, 10) for h in range(2, 10)]
+        for w, h in shapes + [(16, 8), (32, 16), (48, 48)]:
+            eng = AllReduceEngine(w, h, options=replay)
+            for _ in range(8):
+                v = spread((h, w))
+                assert bits(tree_sum(v)) == bits(eng.reduce(v)[0]), (w, h)
+        for h, w in [(1, 4), (4, 1)]:
+            for _ in range(8):
+                v = spread((h, w))
+                host = np.add.reduce(v.ravel(), dtype=np.float32)
+                assert bits(tree_sum(v)) == bits(host)
+        for engine in ("active", "replay"):
+            for shape in [(5, 4, 3), (6, 6, 2), (3, 7, 5), (1, 4, 3), (4, 1, 3)]:
+                des = DESBiCGStab(Stencil7.identity(shape),
+                                  options=RunOptions(engine=engine))
+                for _ in range(3):
+                    a = rng.standard_normal(shape).astype(np.float16)
+                    b = rng.standard_normal(shape).astype(np.float16)
+                    assert bits(fabric_tree_dot(a, b)) == bits(des._dot(a, b))
 
     def test_fp32_accumulation_beats_fp16(self):
         n = 4096
