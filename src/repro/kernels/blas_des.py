@@ -13,7 +13,8 @@ instruction programs on the core model:
   instruction into a fp32 :class:`ScalarAccumulator` at the hardware's
   2-FMAC-per-cycle rate (ceil(Z/2) cycles).
 
-Both programs carry static declarations and can be built without being
+Both programs are declared once and instantiated from the declaration
+(:func:`repro.wse.program.instantiate`); they can be built without being
 run (:func:`build_axpy_fabric` / :func:`build_dot_fabric`), which is
 how ``python -m repro lint`` verifies them cycle-free.
 
@@ -38,8 +39,9 @@ from ..wse.analyze import (
 )
 from ..wse.config import CS1, MachineConfig
 from ..wse.core import Core
-from ..wse.dsr import Instruction, MemCursor, ScalarAccumulator
+from ..wse.dsr import Instruction, ScalarAccumulator
 from ..wse.fabric import Fabric
+from ..wse.program import instantiate
 
 __all__ = [
     "run_axpy_des",
@@ -49,11 +51,36 @@ __all__ = [
 ]
 
 
-def _single_core_fabric(config: MachineConfig) -> tuple[Fabric, Core]:
+def _single_tile(x, y, config: MachineConfig, analyze: bool,
+                 tolerance: float, launch,
+                 out: bool) -> tuple[Fabric, Instruction]:
+    """The one-tile program over stored fp16 ``x`` and ``y`` (plus an
+    fp16 ``out`` allocation when ``out``) running the single build-time
+    instruction ``launch(n)`` declares."""
+    x16 = np.asarray(x, dtype=np.float16).ravel()
+    y16 = np.asarray(y, dtype=np.float16).ravel()
+    if x16.shape != y16.shape:
+        raise ValueError("x and y must have the same length")
+    n = x16.size
     fabric = Fabric(1, 1)
     core = Core(0, 0, config)
     fabric.attach_core(0, 0, core)
-    return fabric, core
+    core.memory.store("x", x16)
+    core.memory.store("y", y16)
+    if out:
+        core.memory.alloc("out", n, np.float16)
+    decl = core.program_decl
+    decl.launched(launch(n))
+    if n:
+        decl.declare_range("x", float(x16.min()), float(x16.max()))
+        decl.declare_range("y", float(y16.min()), float(y16.max()))
+    decl.declare_tolerance(tolerance)
+    instr = instantiate(decl, core).instrs[0]
+    if analyze:
+        analyze_program(fabric).raise_on_error()
+    else:
+        fabric.static_contract = compute_contract(fabric)
+    return fabric, instr
 
 
 def build_axpy_fabric(
@@ -69,42 +96,15 @@ def build_axpy_fabric(
     Returns ``(fabric, out array, instruction)``; the instruction is
     already launched on thread 0 of the single core.
     """
-    x16 = np.asarray(x, dtype=np.float16).ravel()
-    y16 = np.asarray(y, dtype=np.float16).ravel()
-    if x16.shape != y16.shape:
-        raise ValueError("x and y must have the same length")
-    n = x16.size
-    fabric, core = _single_core_fabric(config)
-    xa = core.memory.store("x", x16)
-    ya = core.memory.store("y", y16)
-    out = core.memory.alloc("out", n, np.float16)
     a16 = float(np.float16(np.float32(a)))
-    instr = Instruction(
-        op="axpy",
-        dst=MemCursor(out, 0, n, name="out"),
-        srcs=[MemCursor(ya, 0, n, name="y"), MemCursor(xa, 0, n, name="x")],
-        length=n,
-        scalar=a16,
-        rate=config.simd_width_fp16,
-        name="axpy",
-    )
-    core.launch(instr, thread=0)
-    decl = core.program_decl
-    decl.launched(InstrDecl(
-        "axpy", MemRef("out", 0, n),
-        (MemRef("y", 0, n), MemRef("x", 0, n)),
-        length=n, thread=0, name="axpy", scalar=a16,
-        rate=config.simd_width_fp16,
-    ))
-    if n:
-        decl.declare_range("x", float(x16.min()), float(x16.max()))
-        decl.declare_range("y", float(y16.min()), float(y16.max()))
-    decl.declare_tolerance(tolerance)
-    if analyze:
-        analyze_program(fabric).raise_on_error()
-    else:
-        fabric.static_contract = compute_contract(fabric)
-    return fabric, out, instr
+    fabric, instr = _single_tile(
+        x, y, config, analyze, tolerance, lambda n: InstrDecl(
+            "axpy", MemRef("out", 0, n),
+            (MemRef("y", 0, n), MemRef("x", 0, n)),
+            length=n, thread=0, name="axpy", scalar=a16,
+            rate=config.simd_width_fp16,
+        ), out=True)
+    return fabric, fabric.core(0, 0).memory.get("out"), instr
 
 
 def build_dot_fabric(
@@ -118,40 +118,14 @@ def build_dot_fabric(
 
     Returns ``(fabric, accumulator, instruction)``.
     """
-    x16 = np.asarray(x, dtype=np.float16).ravel()
-    y16 = np.asarray(y, dtype=np.float16).ravel()
-    if x16.shape != y16.shape:
-        raise ValueError("x and y must have the same length")
-    n = x16.size
-    fabric, core = _single_core_fabric(config)
-    xa = core.memory.store("x", x16)
-    ya = core.memory.store("y", y16)
-    acc = ScalarAccumulator(np.float32, name="dot_acc")
-    instr = Instruction(
-        op="mac",
-        dst=acc,
-        srcs=[MemCursor(xa, 0, n, name="x"), MemCursor(ya, 0, n, name="y")],
-        length=n,
-        rate=config.mixed_fmacs_per_cycle,
-        name="dot",
-    )
-    core.launch(instr, thread=0)
-    decl = core.program_decl
-    decl.launched(InstrDecl(
-        "mac", ScalarRef("float32"),
-        (MemRef("x", 0, n), MemRef("y", 0, n)),
-        length=n, thread=0, name="dot",
-        rate=config.mixed_fmacs_per_cycle,
-    ))
-    if n:
-        decl.declare_range("x", float(x16.min()), float(x16.max()))
-        decl.declare_range("y", float(y16.min()), float(y16.max()))
-    decl.declare_tolerance(tolerance)
-    if analyze:
-        analyze_program(fabric).raise_on_error()
-    else:
-        fabric.static_contract = compute_contract(fabric)
-    return fabric, acc, instr
+    fabric, instr = _single_tile(
+        x, y, config, analyze, tolerance, lambda n: InstrDecl(
+            "mac", ScalarRef("float32"),
+            (MemRef("x", 0, n), MemRef("y", 0, n)),
+            length=n, thread=0, name="dot",
+            rate=config.mixed_fmacs_per_cycle,
+        ), out=False)
+    return fabric, instr.dst, instr
 
 
 def _run_kernel(fabric, instr, n: int, label: str,

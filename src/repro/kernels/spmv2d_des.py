@@ -20,7 +20,9 @@ mesh and all nine column coefficients of its points.  One SpMV:
 
 The program uses four channels (E/W/N/S sends), per-round completion
 barriers built from the same two-way activate/unblock joins as the 3D
-kernel, and the ``mac`` instruction for the FMA accumulation.
+kernel, and the ``mac`` instruction for the FMA accumulation.  It is
+written once, as the per-class declaration :func:`_tile_decl`, and
+instantiated onto every tile (:func:`repro.wse.program.instantiate`).
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ from ..wse.analyze import (
 )
 from ..wse.config import CS1, MachineConfig
 from ..wse.core import Core
-from ..wse.dsr import Action, Completion, FabricRx, FabricTx, Instruction, MemCursor
+from ..wse.dsr import Action
 from ..wse.fabric import Fabric, Port
+from ..wse.program import Bindings, instantiate
 from .spmv2d import _column_coefficient
 
 __all__ = ["run_spmv2d_des", "build_spmv2d_fabric"]
@@ -55,6 +58,11 @@ CH_E, CH_W, CH_N, CH_S = 20, 21, 22, 23
 #: x-round legs: (channel, out_port, arrival_port).
 _X_LEGS = ((CH_E, Port.EAST, Port.WEST), (CH_W, Port.WEST, Port.EAST))
 _Y_LEGS = ((CH_N, Port.NORTH, Port.SOUTH), (CH_S, Port.SOUTH, Port.NORTH))
+
+#: ``local`` starts the SpMV; the two round barriers start blocked, and
+#: the y-round's raises the flag the host polls.
+_BINDINGS = Bindings(active=("local",), blocked=("x_done", "y_done"),
+                     flags={"y_done": "spmv2d_done"})
 
 
 @dataclass
@@ -73,22 +81,6 @@ class _TileProgram:
         return padded[1:-1, 1:-1].astype(np.float64)
 
 
-def _col_cursor(arr: np.ndarray, by: int, x: int, y0: int, length: int,
-                name: str = "") -> MemCursor:
-    """Cursor over column ``x`` (fixed x, varying y) of a padded array."""
-    stride_row = by + 2
-    return MemCursor(arr, offset=x * stride_row + y0, length=length,
-                     stride=1, name=name)
-
-
-def _row_cursor(arr: np.ndarray, by: int, y: int, x0: int, length: int,
-                name: str = "") -> MemCursor:
-    """Cursor over row ``y`` (fixed y, varying x) of a padded array."""
-    stride_row = by + 2
-    return MemCursor(arr, offset=x0 * stride_row + y, length=length,
-                     stride=stride_row, name=name)
-
-
 def _tile_decl(
     has: dict,
     bx: int,
@@ -96,15 +88,19 @@ def _tile_decl(
     value_range: tuple[float, float],
     tolerance: float,
 ) -> ProgramDecl:
-    """The static declaration of one tile *class* — a ``bx x by`` block
-    whose neighbours exist per ``has`` (send channel -> bool).  Every
-    tile of the class shares it."""
+    """The program of one tile *class* — a ``bx x by`` block whose
+    neighbours exist per ``has`` (send channel -> bool).  Every tile of
+    the class shares it, and every tile's task bodies are instantiated
+    from it."""
     decl = ProgramDecl()
     # The numerics certificate is conditional on the iterate staying in
     # this range (checked per run by certify-numerics); the tolerance
     # is the per-output absolute error budget the static bound must meet.
     decl.declare_range("v", *value_range)
     decl.declare_tolerance(tolerance)
+    # Nine FMAs, queued on the main thread (strictly ordered — the
+    # single-datapath FMAC loop the paper credits with efficiency):
+    # out[1+di : 1+di+bx, 1+dj : 1+dj+by] += coeff * v, column by column.
     last_leg = list(OFFSETS_9PT)[-1]
     decl.task("local", launches=tuple(
         InstrDecl(
@@ -122,6 +118,8 @@ def _tile_decl(
         for xk in range(bx)
     ))
 
+    # x-round sends: the east (x = bx+1) and west (x = 0) halo columns,
+    # full height by+2 (corners ride along).
     sx_launches: list[InstrDecl] = []
     sx_actions: list[tuple] = []
     for ch, col in ((CH_E, bx + 1), (CH_W, 0)):
@@ -132,7 +130,10 @@ def _tile_decl(
                 length=by + 2, thread=0 if ch == CH_E else 1,
                 name=f"send_x_{ch}",
             ))
-    # A stream arrives from the side opposite to the one it is sent to.
+    # A stream arrives from the side opposite to the one it is sent to,
+    # and lands on our interior boundary column (the neighbour's padded
+    # column 0 is our interior column bx).  No neighbour: the barrier
+    # arm fires at once.
     for arrives, ch, col, trig in (
         (has[CH_W], CH_E, 1, ("x_done", Action.ACTIVATE)),
         (has[CH_E], CH_W, bx, ("x_done", Action.UNBLOCK)),
@@ -150,6 +151,8 @@ def _tile_decl(
     decl.task("x_done", actions=(
         ("x_done", Action.BLOCK), ("start_y", Action.ACTIVATE)))
 
+    # y-round sends: the north (y = by+1) and south (y = 0) halo rows,
+    # interior columns only (the x-round moved the corners inward).
     sy_launches: list[InstrDecl] = []
     sy_actions: list[tuple] = []
     for ch, row in ((CH_N, by + 1), (CH_S, 0)):
@@ -192,18 +195,16 @@ def _build_tile(
     value_range: tuple[float, float] = (-2.0, 2.0),
     tolerance: float = 0.25,
 ) -> _TileProgram:
-    """Build one block's tile program; ``decls`` interns the static
-    declaration per tile class across one fabric build."""
+    """Load one block's tile program; ``decls`` interns the declaration
+    per tile class across one fabric build."""
     mem = core.memory
     px = op.shape[0] // bx
     py = op.shape[1] // by
     sl = (slice(bi * bx, (bi + 1) * bx), slice(bj * by, (bj + 1) * by))
 
-    vb = mem.store("v", v_global[sl].astype(np.float16))
-    coeff = {
-        leg: mem.store(f"c_{leg}", cols[leg][sl].astype(np.float16))
-        for leg in OFFSETS_9PT
-    }
+    mem.store("v", v_global[sl].astype(np.float16))
+    for leg in OFFSETS_9PT:
+        mem.store(f"c_{leg}", cols[leg][sl].astype(np.float16))
     out = mem.alloc("out", (bx + 2) * (by + 2), np.float16)
 
     has = {
@@ -223,126 +224,10 @@ def _build_tile(
         fabric.router(core.x, core.y).set_route(CH_N, Port.SOUTH, (Port.CORE,))
     if has[CH_N]:
         fabric.router(core.x, core.y).set_route(CH_S, Port.NORTH, (Port.CORE,))
-    rx_e = core.subscribe(CH_E) if has[CH_W] else None  # from the west
-    rx_w = core.subscribe(CH_W) if has[CH_E] else None  # from the east
-    rx_n = core.subscribe(CH_N) if has[CH_S] else None  # from the south
-    rx_s = core.subscribe(CH_S) if has[CH_N] else None  # from the north
-
-    # ---- tasks -----------------------------------------------------------
-    def local_compute(c: Core) -> None:
-        # Nine FMAs, queued on the main thread (strictly ordered — the
-        # single-datapath FMAC loop the paper credits with efficiency).
-        last_leg = list(OFFSETS_9PT)[-1]
-        for leg, (di, dj) in OFFSETS_9PT.items():
-            # out[1+di : 1+di+bx, 1+dj : 1+dj+by] += coeff * v, row by row
-            # as one strided pass: iterate x-major over the block.
-            for xk in range(bx):
-                dst = _col_cursor(out, by, 1 + di + xk, 1 + dj, by,
-                                  name=f"{leg}_out")
-                c.launch(Instruction(
-                    op="mac",
-                    dst=dst,
-                    srcs=[
-                        MemCursor(coeff[leg], xk * by, by, name=f"{leg}_c"),
-                        MemCursor(vb, xk * by, by, name="v"),
-                    ],
-                    length=by,
-                    completions=(
-                        [Completion("start_x", Action.ACTIVATE)]
-                        if (leg == last_leg and xk == bx - 1) else []
-                    ),
-                    name=f"mac_{leg}_{xk}",
-                ), thread=None)
-
-    core.scheduler.add("local", local_compute)
-    core.scheduler.activate("local")
-
-    # ---- x-round ---------------------------------------------------------
-    def start_x(c: Core) -> None:
-        # Sends: east halo column (x = bx+1) and west halo column (x = 0),
-        # full height by+2 (corners ride along).
-        for ch, col in ((CH_E, bx + 1), (CH_W, 0)):
-            if not has[ch]:
-                continue
-            c.launch(Instruction(
-                op="copy",
-                dst=FabricTx(c, by + 2, ch, name=f"tx_{ch}"),
-                srcs=[_col_cursor(out, by, col, 0, by + 2, name=f"halo_{ch}")],
-                length=by + 2,
-                name=f"send_x_{ch}",
-            ), thread=0 if ch == CH_E else 1)
-        # Receive-adds: neighbour's halo column lands on our interior
-        # boundary column (their padded col 0 == our interior col bx).
-        arms = [
-            (rx_e, CH_E, 1, Completion("x_done", Action.ACTIVATE)),
-            (rx_w, CH_W, bx, Completion("x_done", Action.UNBLOCK)),
-        ]
-        for queue, ch, col, trig in arms:
-            if queue is None:
-                c.scheduler.apply(trig.task, trig.action)
-                continue
-            c.launch(Instruction(
-                op="addin",
-                dst=_col_cursor(out, by, col, 0, by + 2, name=f"add_{ch}"),
-                srcs=[FabricRx(queue, by + 2, ch, name=f"rx_{ch}")],
-                length=by + 2,
-                completions=[trig],
-                name=f"recv_x_{ch}",
-            ), thread=2 if ch == CH_E else 3)
-
-    core.scheduler.add("start_x", start_x, blocked=True)
-    core.scheduler.unblock("start_x")
-
-    def x_done(c: Core) -> None:
-        c.scheduler.block("x_done")
-        c.scheduler.activate("start_y")
-
-    core.scheduler.add("x_done", x_done, blocked=True)
-
-    # ---- y-round ---------------------------------------------------------
-    def start_y(c: Core) -> None:
-        # Sends: north halo row (y = by+1) and south halo row (y = 0),
-        # interior columns only (corners were consumed by the x-round).
-        for ch, row in ((CH_N, by + 1), (CH_S, 0)):
-            if not has[ch]:
-                continue
-            c.launch(Instruction(
-                op="copy",
-                dst=FabricTx(c, bx, ch, name=f"tx_{ch}"),
-                srcs=[_row_cursor(out, by, row, 1, bx, name=f"halo_{ch}")],
-                length=bx,
-                name=f"send_y_{ch}",
-            ), thread=4 if ch == CH_N else 5)
-        arms = [
-            (rx_n, CH_N, 1, Completion("y_done", Action.ACTIVATE)),
-            (rx_s, CH_S, by, Completion("y_done", Action.UNBLOCK)),
-        ]
-        for queue, ch, row, trig in arms:
-            if queue is None:
-                c.scheduler.apply(trig.task, trig.action)
-                continue
-            c.launch(Instruction(
-                op="addin",
-                dst=_row_cursor(out, by, row, 1, bx, name=f"add_{ch}"),
-                srcs=[FabricRx(queue, bx, ch, name=f"rx_{ch}")],
-                length=bx,
-                completions=[trig],
-                name=f"recv_y_{ch}",
-            ), thread=6 if ch == CH_N else 7)
-
-    core.scheduler.add("start_y", start_y, blocked=True)
-    core.scheduler.unblock("start_y")
-
-    def y_done(c: Core) -> None:
-        c.scheduler.block("y_done")
-        c.flags["spmv2d_done"] = True
-
-    core.scheduler.add("y_done", y_done, blocked=True)
-
     key = tuple(has.values())
     if key not in decls:
         decls[key] = _tile_decl(has, bx, by, value_range, tolerance)
-    core.program_decl = decls[key]
+    instantiate(decls[key], core, _BINDINGS)
     return _TileProgram(core=core, bx=bx, by=by, out=out)
 
 

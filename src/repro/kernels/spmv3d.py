@@ -34,12 +34,17 @@ Index conventions (the listing's padded arrays, made explicit):
 (The listing labels these two legs ``zm``/``zp`` with the opposite
 orientation; the observable contract — the 7-point matvec — is checked
 against the CSR ground truth either way.)
+
+The program is written once, as the per-class declaration
+:func:`_tile_decl`; :func:`_build_tile_program` allocates the arrays,
+makes the FIFOs, sets the routes and instantiates the tile's class
+declaration (:func:`repro.wse.program.instantiate`), which builds every
+task body from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from types import MethodType
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,8 +64,9 @@ from ..wse.analyze import (
 from ..wse.channels import tile_channel
 from ..wse.config import CS1, MachineConfig
 from ..wse.core import Core
-from ..wse.dsr import Action, Completion, FabricRx, FabricTx, FifoPush, Instruction, MemCursor
+from ..wse.dsr import Action
 from ..wse.fabric import Fabric, Port
+from ..wse.program import Bindings, instantiate
 
 __all__ = [
     "SpmvEngine",
@@ -78,7 +84,6 @@ _NEIGHBOUR_LEGS = (
     ("yp", (0, 1), Port.NORTH),
     ("ym", (0, -1), Port.SOUTH),
 )
-_LEG_OFFSET = {name: offset for name, offset, _port in _NEIGHBOUR_LEGS}
 
 #: Thread-slot assignment (listing 1's ``.thr`` fields); the z-init
 #: multiply runs on the synchronous main thread.
@@ -87,13 +92,13 @@ _THREAD = {"xp": 0, "xm": 1, "yp": 2, "ym": 3, "z": 4, "c_tx": 5, "c_add": 6,
 
 #: Completion trigger per leg thread: (task, action).
 _TRIGGERS = {
-    "xp": Completion("xdone", Action.ACTIVATE),
-    "xm": Completion("xdone", Action.UNBLOCK),
-    "yp": Completion("ydone", Action.ACTIVATE),
-    "ym": Completion("ydone", Action.UNBLOCK),
-    "z": Completion("cdone", Action.ACTIVATE),
-    "c_add": Completion("cdone", Action.UNBLOCK),
-    "zinit": Completion("launch_rest", Action.ACTIVATE),
+    "xp": ("xdone", Action.ACTIVATE),
+    "xm": ("xdone", Action.UNBLOCK),
+    "yp": ("ydone", Action.ACTIVATE),
+    "ym": ("ydone", Action.UNBLOCK),
+    "z": ("cdone", Action.ACTIVATE),
+    "c_add": ("cdone", Action.UNBLOCK),
+    "zinit": ("launch_rest", Action.ACTIVATE),
 }
 
 #: The five FIFO legs in drain order.  "The production code used two
@@ -105,79 +110,32 @@ _FIFO_LEGS = ("xp", "xm", "z", "yp", "ym")
 
 #: The completion tree: each task blocks itself and hands on.
 _TREE = {
-    "xdone": ((Action.BLOCK, "xdone"), (Action.UNBLOCK, "xydone")),
-    "ydone": ((Action.BLOCK, "ydone"), (Action.ACTIVATE, "xydone")),
-    "xydone": ((Action.BLOCK, "xydone"), (Action.UNBLOCK, "xycdone")),
-    "cdone": ((Action.BLOCK, "cdone"), (Action.ACTIVATE, "xycdone")),
-    "xycdone": ((Action.BLOCK, "xycdone"), (Action.ACTIVATE, "spmv_exit")),
+    "xdone": (("xdone", Action.BLOCK), ("xydone", Action.UNBLOCK)),
+    "ydone": (("ydone", Action.BLOCK), ("xydone", Action.ACTIVATE)),
+    "xydone": (("xydone", Action.BLOCK), ("xycdone", Action.UNBLOCK)),
+    "cdone": (("cdone", Action.BLOCK), ("xycdone", Action.ACTIVATE)),
+    "xycdone": (("xycdone", Action.BLOCK), ("spmv_exit", Action.ACTIVATE)),
 }
 
 
-def _tree_body(ops):
-    def body(c: Core) -> None:
-        for action, target in ops:
-            c.scheduler.apply(target, action)
-    return body
-
-
-#: The tree bodies touch nothing but the scheduler of the core they run
-#: on, so every tile registers these same five functions.
-_TREE_BODIES = {name: _tree_body(ops) for name, ops in _TREE.items()}
-
-
-def _spmv_exit(c: Core) -> None:
-    c.flags["spmv_done"] = True
-
-
-def _drain(_pairs, c: Core) -> None:
-    # Drain the FIFOs into their accumulators; fp16 adds, in
-    # arrival order.  Hot path: operate on the FIFO buffer and
-    # accumulator array directly (same semantics as
-    # pop()/peek()/write(), minus the per-element calls).
-    rec = c.recorder
-    for fifo, acc in _pairs:
-        buf = fifo._buf
-        if not buf:
-            continue
-        arr = acc.array
-        offset = acc.offset
-        stride = acc.stride
-        pos = acc.pos
-        length = acc.length
-        popleft = buf.popleft
-        if rec is not None and (n := min(len(buf), length - pos)):
-            # Tape the drain before the adds land so first-touch
-            # leaves capture pre-mutation cell values.
-            rec.on_drain(fifo, acc, pos, n)
-        while buf and pos < length:
-            idx = offset + pos * stride
-            arr[idx] = arr[idx] + popleft()
-            pos += 1
-        acc.pos = pos
+#: ``spmv`` starts a run, the completion tree starts blocked, the FIFO
+#: drains outrank it (listing 1's ``__priority__`` sum task) and
+#: ``spmv_exit`` raises the flag the host polls.
+_BINDINGS = Bindings(
+    active=("spmv",), blocked=tuple(_TREE),
+    priority={"sumtask": 1, "sumtask2": 1}, flags={"spmv_exit": "spmv_done"},
+)
 
 
 @dataclass
 class SpmvProgram:
-    """Handle to one tile's SpMV program: its memory arrays, plus the
-    per-tile state its ``spmv`` and ``launch_rest`` task bodies (bound
-    methods of this handle) run on."""
+    """Handle to one tile's SpMV program: its core and the memory
+    arrays the host arms and reads back."""
 
     core: Core
     z: int
     v: np.ndarray
     u: np.ndarray
-    #: leg -> arrival queue, for each neighbour this tile has.
-    _rx: dict = field(default_factory=dict, repr=False)
-    #: Loopback arrival queues of the z-leg and the diagonal thread.
-    _loop: tuple = field(default=(), repr=False)
-    #: (FIFO, accumulator descriptor) per leg, in ``_FIFO_LEGS`` order.
-    #: The descriptors persist across sum-task runs within one SpMV.
-    _pairs: list = field(default_factory=list, repr=False)
-    #: Instruction cache: a persistent program re-issues the same thread
-    #: instructions every run.  Descriptor bindings never change between
-    #: runs (the arrays are updated in place), so each Instruction is
-    #: built at its first issue and rewound thereafter.
-    _instrs: dict = field(default_factory=dict, repr=False)
 
     def result(self) -> np.ndarray:
         """The local SpMV result (fp16, length Z)."""
@@ -186,86 +144,6 @@ class SpmvProgram:
     @property
     def done(self) -> bool:
         return bool(self.core.flags.get("spmv_done"))
-
-    def _issue(self, key: str) -> None:
-        instr = self._instrs.get(key)
-        if instr is None:
-            self._instrs[key] = instr = self._make(key)
-        else:
-            instr.rewind()
-        self.core.launch(instr, thread=_THREAD[key])
-
-    def _make(self, key: str) -> Instruction:
-        core, Z = self.core, self.z
-        own_ch = tile_channel(core.x, core.y)
-        if key == "c_tx":
-            # c_tx[] = v1[] : broadcast the local vector.
-            return Instruction(
-                op="copy", dst=FabricTx(core, Z, own_ch, name="c_tx"),
-                srcs=[MemCursor(self.v, 0, Z, name="v1")],
-                length=Z, name="c_tx_thread",
-            )
-        if key == "zinit":
-            # zm_acc[] = v0[] * zm_a[] : the synchronous multiply that
-            # initializes the result; its completion launches the rest.
-            return Instruction(
-                op="mul", dst=MemCursor(self.u, 0, Z + 1, name="zinit_acc"),
-                srcs=[
-                    MemCursor(self.v, 0, Z + 1, name="v0"),
-                    MemCursor(core.memory.get("zinit_a"), 0, Z + 1,
-                              name="zinit_a"),
-                ],
-                length=Z + 1, completions=[_TRIGGERS[key]],
-                name="zinit_thread",
-            )
-        if key == "c_add":
-            # The unit main diagonal: the looped-back stream added
-            # straight into the result (no multiply, no FIFO).
-            return Instruction(
-                op="addin", dst=MemCursor(self.u, 1, Z, name="c_acc"),
-                srcs=[FabricRx(self._loop[1], Z, own_ch, name="c_rx")],
-                length=Z, completions=[_TRIGGERS[key]], name="c_add_thread",
-            )
-        # A FIFO-feeding multiply: a neighbour's stream, or ("z") the
-        # looped-back own stream, times the stored diagonal.
-        if key == "z":
-            queue, channel, coeff = self._loop[0], own_ch, "zloop_a"
-        else:
-            dx, dy = _LEG_OFFSET[key]
-            queue = self._rx[key]
-            channel, coeff = tile_channel(core.x + dx, core.y + dy), f"{key}_a"
-        return Instruction(
-            op="mul",
-            dst=FifoPush(core.fifos[f"{key}_fifo"], Z, name=f"{key}_fifo_push"),
-            srcs=[
-                FabricRx(queue, Z, channel, name=f"{key}_rx"),
-                MemCursor(core.memory.get(coeff), 0, Z, name=coeff),
-            ],
-            length=Z, completions=[_TRIGGERS[key]], name=f"{key}_thread",
-        )
-
-    def _spmv_task(self, c: Core) -> None:
-        # Re-runnable: rewind the persistent accumulator descriptors
-        # (they track progress across sum-task invocations within one
-        # SpMV and must restart for the next).
-        for _fifo, acc in self._pairs:
-            acc.reset()
-        self._issue("c_tx")
-        self._issue("zinit")
-
-    def _launch_rest(self, c: Core) -> None:
-        # The five FIFO-writing threads plus the diagonal add, launched
-        # after the synchronous z-leg completes (listing order).
-        for name in ("xp", "xm", "yp", "ym"):
-            if name in self._rx:
-                self._issue(name)
-            else:
-                # A missing neighbour behaves as an instantly-complete,
-                # zero-length stream: fire its trigger now.
-                trig = _TRIGGERS[name]
-                c.scheduler.apply(trig.task, trig.action)
-        self._issue("z")
-        self._issue("c_add")
 
 
 class SpmvPrograms(list):
@@ -328,9 +206,10 @@ def _tile_decl(
     value_range: tuple[float, float],
     tolerance: float,
 ) -> ProgramDecl:
-    """The static declaration of one tile *class*: listing 1 for a tile
-    of colour ``own_ch`` whose neighbours exist per ``present`` (in
-    ``_NEIGHBOUR_LEGS`` order).  Every tile of the class shares it."""
+    """The program of one tile *class*: listing 1 for a tile of colour
+    ``own_ch`` whose neighbours exist per ``present`` (in
+    ``_NEIGHBOUR_LEGS`` order).  Every tile of the class shares it, and
+    every tile's task bodies are instantiated from it."""
     decl = ProgramDecl()
     # The numerics certificate is conditional on the iterate staying in
     # this range (certify-numerics checks every run's inputs); the tolerance
@@ -339,8 +218,9 @@ def _tile_decl(
     decl.declare_tolerance(tolerance)
 
     def drains(names):
-        # DrainDecl (not bare names): the numerics pass needs to know
-        # where the popped words land to propagate error bounds.
+        # DrainDecl (not bare names): the popped words are added, in
+        # arrival order, into the result through per-leg cursors that
+        # track their progress across sum-task runs within one SpMV.
         return tuple(
             DrainDecl(f"{n}_fifo", MemRef("u", 2 if n == "z" else 1, Z))
             for n in names
@@ -351,15 +231,15 @@ def _tile_decl(
         decl.task("sumtask2", drains=drains(_FIFO_LEGS[3:]))
     else:
         decl.task("sumtask", drains=drains(_FIFO_LEGS))
-    for name, ops in _TREE.items():
-        decl.task(name, actions=tuple((t, a) for a, t in ops))
+    for name, actions in _TREE.items():
+        decl.task(name, actions=actions)
     decl.task("spmv_exit")
 
     def thread(name, op, dst, srcs, length=Z):
         trig = _TRIGGERS.get(name)
         return InstrDecl(
             op, dst, srcs, length=length, thread=_THREAD[name],
-            completions=((trig.task, trig.action),) if trig else (),
+            completions=(trig,) if trig else (),
             name=f"{name}_thread",
         )
 
@@ -373,8 +253,12 @@ def _tile_decl(
                  MemRef(f"{name}_a", 0, Z)),
             ))
         else:
-            trig = _TRIGGERS[name]
-            actions.append((trig.task, trig.action))
+            # A missing neighbour behaves as an instantly-complete,
+            # zero-length stream: its trigger fires when the task runs.
+            actions.append(_TRIGGERS[name])
+    # The looped-back own stream times the z diagonal, into its FIFO;
+    # the unit main diagonal adds the same stream straight into the
+    # result (no multiply, no FIFO).
     launches.append(thread(
         "z", "mul", FifoRef("z_fifo", Z),
         (FabricRef(own_ch, Z), MemRef("zloop_a", 0, Z)),
@@ -382,6 +266,9 @@ def _tile_decl(
     launches.append(thread(
         "c_add", "addin", MemRef("u", 1, Z), (FabricRef(own_ch, Z),)))
     decl.task("launch_rest", launches=launches, actions=actions)
+    # c_tx[] = v1[] broadcasts the local vector; zm_acc[] = v0[] * zm_a[]
+    # initializes the result synchronously (re-initialising ``u``, which
+    # restarts the drains) and its completion launches the rest.
     decl.task("spmv", launches=(
         thread("c_tx", "copy", FabricRef(own_ch, Z), (MemRef("v", 0, Z),)),
         thread("zinit", "mul", MemRef("u", 0, Z + 1),
@@ -404,10 +291,10 @@ def _build_tile_program(
     value_range: tuple[float, float] = (-2.0, 2.0),
     tolerance: float = 0.25,
 ) -> SpmvProgram:
-    """Construct listing 1 on one core for mesh column (i, j, :).
+    """Load listing 1 onto one core for mesh column (i, j, :).
 
-    ``decls`` interns the static declaration per tile class (own colour
-    x which neighbours exist) across one fabric build."""
+    ``decls`` interns the declaration per tile class (own colour x which
+    neighbours exist) across one fabric build."""
     Z = op.shape[2]
     mem = core.memory
 
@@ -426,21 +313,13 @@ def _build_tile_program(
     # FIFO circular-buffer backing store (term[5][20] in the listing).
     mem.alloc("term", 5 * fifo_capacity, np.float16)
 
-    prog = SpmvProgram(core=core, z=Z, v=v, u=u)
-
-    # --- FIFOs (pushes activate the sum task(s)) and their accumulator
-    # descriptors ---------------------------------------------------------
+    # --- FIFOs (pushes activate the sum task(s)) ------------------------
     for name in ("xp", "xm", "yp", "ym", "z"):
         core.make_fifo(
             f"{name}_fifo", fifo_capacity,
             activates="sumtask2" if two_sum_tasks and name[0] == "y"
             else "sumtask",
         )
-    prog._pairs = [
-        (core.fifos[f"{name}_fifo"],
-         MemCursor(u, 2 if name == "z" else 1, Z, name=f"{name}_acc"))
-        for name in _FIFO_LEGS
-    ]
 
     # --- Routing: broadcast own colour to neighbours + loopback ---------
     own_ch = tile_channel(i, j)
@@ -454,34 +333,14 @@ def _build_tile_program(
     # Incoming neighbour streams: deliver each to this core.
     for (name, (dx, dy), port), has in zip(_NEIGHBOUR_LEGS, present):
         if has:
-            nb_ch = tile_channel(i + dx, j + dy)
-            router.set_route(nb_ch, port, (Port.CORE,))
-            prog._rx[name] = core.subscribe(nb_ch)
-    # Loopback subscriptions: the z-leg thread and the diagonal thread.
-    prog._loop = (core.subscribe(own_ch), core.subscribe(own_ch))
-
-    # --- Tasks -----------------------------------------------------------
-    # The drain body binds its (FIFO, accumulator) pairs as a method
-    # binds self: one object per task, no closure.
-    add = core.scheduler.add
-    if two_sum_tasks:
-        add("sumtask", MethodType(_drain, prog._pairs[:3]), priority=1)
-        add("sumtask2", MethodType(_drain, prog._pairs[3:]), priority=1)
-    else:
-        add("sumtask", MethodType(_drain, prog._pairs), priority=1)
-    for name, body in _TREE_BODIES.items():
-        add(name, body, blocked=True)
-    add("spmv_exit", _spmv_exit)
-    add("launch_rest", prog._launch_rest)
-    add("spmv", prog._spmv_task)
-    core.scheduler.activate("spmv")
+            router.set_route(tile_channel(i + dx, j + dy), port, (Port.CORE,))
 
     key = (own_ch, present)
     if key not in decls:
         decls[key] = _tile_decl(
             own_ch, present, Z, two_sum_tasks, value_range, tolerance)
-    core.program_decl = decls[key]
-    return prog
+    instantiate(decls[key], core, _BINDINGS)
+    return SpmvProgram(core=core, z=Z, v=v, u=u)
 
 
 @engines.collector_paused

@@ -29,20 +29,7 @@ import numpy as np
 from ..precision import Precision, dot, spec_for
 from .result import SolveResult
 
-__all__ = ["bicgstab_grouped", "GroupedReduceCounter"]
-
-
-class GroupedReduceCounter:
-    """Counts synchronization points and scalars reduced (for ablations)."""
-
-    def __init__(self) -> None:
-        self.calls = 0
-        self.scalars = 0
-
-    def __call__(self, fn, pairs):
-        self.calls += 1
-        self.scalars += len(pairs)
-        return fn(pairs)
+__all__ = ["bicgstab_grouped"]
 
 
 def _default_grouped_dot(precision: Precision) -> Callable:
@@ -73,9 +60,11 @@ def bicgstab_grouped(
     grouped_dot:
         Callable receiving a list of ``(u, v)`` pairs and returning
         their inner products; one call = one global synchronization.
-        The wafer/cluster ablations inject counters and latency models
-        here.  Defaults to the precision mode's dot per pair (no real
-        transport, but the call structure is preserved).
+        Tests inject a spy here to observe the grouping; the ablation
+        bench (``benchmarks/bench_ablation_comm.py``) uses the default
+        and reads the counts from ``info``.  Defaults to the precision
+        mode's dot per pair (no real transport, but the call structure
+        is preserved).
 
     Returns
     -------

@@ -52,7 +52,6 @@ from .patterns import (
     vrep,
     vstack,
 )
-from .validate import RoutingIssue, check_routing, validate_routing
 from .analyze import (
     AnalysisError,
     AnalysisReport,
@@ -120,9 +119,6 @@ __all__ = [
     "allreduce_latency_seconds",
     "allreduce_pattern",
     "simulate_allreduce",
-    "RoutingIssue",
-    "check_routing",
-    "validate_routing",
     "AnalysisError",
     "AnalysisReport",
     "Diagnostic",

@@ -1023,9 +1023,9 @@ def synthesize_numerics_witness(diag_or_data):
     """
     from ..config import CS1
     from ..core import Core
-    from ..dsr import Instruction, MemCursor, ScalarAccumulator
     from ..fabric import Fabric
-    from .spec import InstrDecl, ProgramDecl
+    from ..program import instantiate
+    from .spec import InstrDecl
 
     (_tag, _x, _y, _task, name, op, dst_kind, dst_dt, dst_len, length,
      scalar, tol, _mag, src_specs) = _witness_data(diag_or_data)
@@ -1033,9 +1033,7 @@ def synthesize_numerics_witness(diag_or_data):
     fabric = Fabric(1, 1)
     core = Core(0, 0, CS1)
     fabric.attach_core(0, 0, core)
-    decl = ProgramDecl()
-    core.program_decl = decl
-    srcs = []
+    decl = core.program_decl
     src_refs = []
     for i, (sdt, lo, hi) in enumerate(src_specs):
         lo, hi = _dec(lo), _dec(hi)
@@ -1044,26 +1042,21 @@ def synthesize_numerics_witness(diag_or_data):
             val = math.copysign(finite_max(sdt), val)
         arr = core.memory.alloc(f"src{i}", max(length, 1), np.dtype(sdt))
         arr[:] = np.dtype(sdt).type(val)
-        srcs.append(MemCursor(arr, 0, length, name=f"src{i}"))
         src_refs.append(MemRef(f"src{i}", 0, length))
         decl.declare_range(f"src{i}", min(lo, hi), max(lo, hi))
     if dst_kind == "scalar":
-        out = ScalarAccumulator(np.dtype(dst_dt), name="out")
-        dst = out
         dst_ref = ScalarRef(dst_dt)
     else:
-        arr = core.memory.alloc("out", max(dst_len, 1), np.dtype(dst_dt))
-        out = arr
-        dst = MemCursor(arr, 0, dst_len if op != "mac" else length,
-                        name="out")
-        dst_ref = MemRef("out", 0, dst_len)
-    instr = Instruction(op=op, dst=dst, srcs=srcs, length=length,
-                        scalar=scalar, name=name or "witness")
+        core.memory.alloc("out", max(dst_len, 1), np.dtype(dst_dt))
+        # The mac chain advances its destination once per element.
+        dst_ref = MemRef("out", 0, dst_len if op != "mac" else length)
     decl.launched(InstrDecl(op, dst_ref, tuple(src_refs), length=length,
                             scalar=scalar, name=name or "witness"))
     if tol is not None:
         decl.declare_tolerance(tol)
-    core.launch(instr, thread=None)
+    instr = instantiate(decl, core).instrs[0]
+    out = (instr.dst if dst_kind == "scalar"
+           else core.memory.get("out"))
     return fabric, {"instr": instr, "out": out, "core": core,
                     "tolerance": tol, "dst_kind": dst_kind}
 

@@ -230,7 +230,7 @@ def build_fig9_program(scaled: bool):
     from ...problems.mfix_like import momentum_system
     from ..config import CS1
     from ..core import Core
-    from ..dsr import Instruction, MemCursor
+    from ..program import instantiate
     from .spec import InstrDecl, MemRef
 
     system = momentum_system(
@@ -256,25 +256,12 @@ def build_fig9_program(scaled: bool):
     decl = core.program_decl
     decl.declare_range("x", -2.0, 2.0)
     decl.declare_tolerance(0.25)
-    instrs = []
-    for leg in legs:
-        instr = Instruction(
-            op="mac",
-            dst=MemCursor(out, 0, m, name="out"),
-            srcs=[
-                MemCursor(mem.get(f"c_{leg}"), 0, m, name=f"c_{leg}"),
-                MemCursor(x, 0, m, name="x"),
-            ],
-            length=m,
-            name=f"mac_{leg}",
-        )
-        core.launch(instr, thread=None)
-        instrs.append(instr)
-        decl.launched(InstrDecl(
-            "mac", MemRef("out", 0, m),
-            (MemRef(f"c_{leg}", 0, m), MemRef("x", 0, m)),
-            length=m, thread=None, name=f"mac_{leg}",
-        ))
+    decl.launched(*(
+        InstrDecl("mac", MemRef("out", 0, m),
+                  (MemRef(f"c_{leg}", 0, m), MemRef("x", 0, m)),
+                  length=m, thread=None, name=f"mac_{leg}")
+        for leg in legs))
+    instrs = instantiate(decl, core).instrs
     fabric.prebind()
     return fabric, out, instrs
 

@@ -2,12 +2,13 @@
 
 On the CS-1 everything the analyzer needs — routes, tensor descriptors,
 task wiring — exists *before* the first cycle, because the compiler laid
-it all out offline (paper section II.A).  Our simulator builds the same
-structures, but most instructions are instantiated lazily inside task
-bodies, which are opaque Python closures.  This module is the bridge: a
-program builder declares, at build time, the instructions each task will
-launch and the scheduler actions each task body performs, using
-lightweight *reference* values instead of live runtime descriptors.
+it all out offline (paper section II.A).  This module is that program
+description: a builder declares the instructions each task launches,
+the scheduler actions each task body performs and the FIFOs it drains,
+using lightweight *reference* values instead of live runtime
+descriptors.  The analyzer reads the declaration back, and
+:func:`repro.wse.program.instantiate` builds the executable task bodies
+from the same declaration.
 
 Deliberately, none of these specs validate anything at construction
 time (unlike :class:`repro.wse.dsr.MemCursor`, which raises on an
@@ -187,8 +188,8 @@ class TaskDecl:
 class ProgramDecl:
     """A core's whole static program declaration: one TaskDecl per task.
 
-    Builders populate this as they construct the runtime program; the
-    analyzer reads it back.  An empty declaration means "this core opted
+    Builders populate this and :func:`repro.wse.program.instantiate`
+    builds the runtime program from it; the analyzer reads it back.  An empty declaration means "this core opted
     out of instruction-level analysis" (routing and SRAM checks still
     apply).
 

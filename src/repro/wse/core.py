@@ -77,10 +77,16 @@ class Core:
         #: engine's per-worker state merge) has on reduction results.
         self._accumulators: dict[str, object] = {}
         #: Static program declaration for the analyzer
-        #: (:mod:`repro.wse.analyze`).  Builders populate this alongside
-        #: the runtime program; empty means "opted out of
-        #: instruction-level analysis".
+        #: (:mod:`repro.wse.analyze`), from which
+        #: :func:`~repro.wse.program.instantiate` builds the runtime
+        #: program; empty means "opted out of instruction-level
+        #: analysis".
         self.program_decl = ProgramDecl()
+        #: The :class:`~repro.wse.program.TileProgram` that
+        #: :func:`~repro.wse.program.instantiate` built from the
+        #: declaration (its task bodies read their tile's state here),
+        #: or None.
+        self.program = None
         #: Set by the fabric's active-set engine; called on any event
         #: that could let a sleeping core make progress again (task
         #: activation, instruction launch, word injection).

@@ -5,7 +5,7 @@ import pytest
 
 from repro.kernels.spmv2d_des import build_spmv2d_fabric, run_spmv2d_des
 from repro.problems import Stencil9
-from repro.wse import validate_routing
+from repro.wse.analyze.routing import routing_pass
 
 RNG = np.random.default_rng(83)
 
@@ -69,7 +69,7 @@ class TestProtocol:
     def test_routing_validates_clean(self):
         op = _pre((8, 8), seed=2)
         fabric, _ = build_spmv2d_fabric(op, np.zeros((8, 8)), (4, 4))
-        assert validate_routing(fabric) == []
+        assert routing_pass(fabric) == []
 
     def test_rounds_complete_once(self):
         op = _pre((8, 8), seed=3)

@@ -1,12 +1,21 @@
-"""Tests for the static routing validator."""
+"""Tests for the analyzer's routing pass on hand-set routes.
+
+The real system's routes are "configured offline, as part of
+compilation" (paper section II.A), so a misroute is a compile-time
+finding: ``routing_pass`` reports completeness (``missing-core``,
+``off-fabric``, ``dead-end``) and one ``cycle`` per distinct forwarding
+loop, each anchored to a tile and a channel.
+"""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.wse import Fabric, Port
 from repro.wse.allreduce import allreduce_pattern
+from repro.wse.analyze.routing import routing_pass
 from repro.wse.patterns import compile_to_fabric
-from repro.wse.validate import check_routing, validate_routing
 
 
 class _Core:
@@ -34,29 +43,27 @@ class TestValidate:
         f.router(0, 0).set_route(0, Port.CORE, (Port.EAST,))
         f.router(1, 0).set_route(0, Port.WEST, (Port.EAST,))
         f.router(2, 0).set_route(0, Port.WEST, (Port.CORE,))
-        assert validate_routing(f) == []
-        check_routing(f)  # must not raise
+        assert routing_pass(f) == []
 
     def test_dead_end_detected(self):
         f = _fabric_with_cores(3, 1)
         f.router(0, 0).set_route(0, Port.CORE, (Port.EAST,))
         # no continuation at (1,0)
-        issues = validate_routing(f)
-        assert any(i.kind == "dead-end" for i in issues)
-        with pytest.raises(ValueError, match="dead-end"):
-            check_routing(f)
+        issues = routing_pass(f)
+        assert [(i.kind, i.channel, i.where) for i in issues] == [
+            ("dead-end", 0, (1, 0))]
 
     def test_off_fabric_detected(self):
         f = _fabric_with_cores(2, 1)
         f.router(0, 0).set_route(0, Port.CORE, (Port.WEST,))
-        issues = validate_routing(f)
+        issues = routing_pass(f)
         assert any(i.kind == "off-fabric" for i in issues)
 
     def test_missing_core_detected(self):
         f = Fabric(2, 1)  # no cores attached
         f.router(0, 0).set_route(0, Port.CORE, (Port.EAST,))
         f.router(1, 0).set_route(0, Port.WEST, (Port.CORE,))
-        issues = validate_routing(f)
+        issues = routing_pass(f)
         assert any(i.kind == "missing-core" for i in issues)
 
     def test_cycle_detected(self):
@@ -68,7 +75,7 @@ class TestValidate:
         f.router(1, 0).set_route(0, Port.WEST, (Port.NORTH,))
         f.router(1, 1).set_route(0, Port.SOUTH, (Port.WEST,))
         f.router(0, 1).set_route(0, Port.EAST, (Port.SOUTH,))
-        issues = validate_routing(f)
+        issues = routing_pass(f)
         assert any(i.kind == "cycle" for i in issues)
 
     def test_fanout_with_core_exit_is_not_a_cycle(self):
@@ -78,14 +85,14 @@ class TestValidate:
         f.router(1, 0).set_route(7, Port.CORE, (Port.EAST, Port.WEST, Port.CORE))
         f.router(0, 0).set_route(7, Port.EAST, (Port.CORE,))
         f.router(2, 0).set_route(7, Port.WEST, (Port.CORE,))
-        assert validate_routing(f) == []
+        assert routing_pass(f) == []
 
     @pytest.mark.parametrize("w,h", [(4, 4), (8, 8), (5, 7)])
     def test_allreduce_pattern_validates_clean(self, w, h):
         """The Fig. 6 construction must pass static validation."""
         f = _fabric_with_cores(w, h)
         compile_to_fabric(allreduce_pattern(w, h), f)
-        assert validate_routing(f) == []
+        assert routing_pass(f) == []
 
     def test_spmv_fabric_validates_clean(self):
         """The Listing 1 program's routes must pass static validation."""
@@ -94,32 +101,29 @@ class TestValidate:
 
         op = Stencil7.identity((4, 4, 4))
         fabric, _ = build_spmv_fabric(op, np.zeros(op.shape))
-        assert validate_routing(fabric) == []
+        assert routing_pass(fabric) == []
 
     def test_empty_fabric_clean(self):
-        assert validate_routing(Fabric(3, 3)) == []
+        assert routing_pass(Fabric(3, 3)) == []
 
 
 class TestRoutingIssueValues:
     def test_value_equality(self):
-        """RoutingIssue is a frozen dataclass — assert on values, not reprs."""
-        from repro.wse.validate import RoutingIssue
-
+        """Findings are values: assert on kind, channel, position and
+        message, not reprs."""
         f = _fabric_with_cores(3, 1)
         f.router(0, 0).set_route(0, Port.CORE, (Port.EAST,))
-        issues = validate_routing(f)
-        assert issues == [RoutingIssue(
+        issues = routing_pass(f)
+        assert [(i.kind, i.channel, i.where, i.message) for i in issues] == [(
             "dead-end", 0, (1, 0),
             "words arriving on port W (sent from (0, 0) via E) have no route",
         )]
 
     def test_frozen(self):
-        import pytest as _pytest
-
-        from repro.wse.validate import RoutingIssue
-
-        issue = RoutingIssue("dead-end", 0, (1, 0), "detail")
-        with _pytest.raises(AttributeError):
+        f = _fabric_with_cores(3, 1)
+        f.router(0, 0).set_route(0, Port.CORE, (Port.EAST,))
+        (issue,) = routing_pass(f)
+        with pytest.raises(dataclasses.FrozenInstanceError):
             issue.kind = "cycle"
 
     def test_every_distinct_loop_reported(self):
@@ -129,6 +133,6 @@ class TestRoutingIssueValues:
         f.router(1, 0).set_route(0, Port.WEST, (Port.WEST,))
         f.router(2, 0).set_route(0, Port.EAST, (Port.EAST,))
         f.router(3, 0).set_route(0, Port.WEST, (Port.WEST,))
-        issues = [i for i in validate_routing(f) if i.kind == "cycle"]
+        issues = [i for i in routing_pass(f) if i.kind == "cycle"]
         assert len(issues) == 2
         assert sorted(i.where for i in issues) == [(0, 0), (2, 0)]
