@@ -38,10 +38,11 @@ sanitize:
 # The pre-PR gate: static analysis, contract verification against the
 # engine (plus a 2-worker sharded-equivalence leg — every shipped
 # program bit-identical across shard processes), race-sanitized runs,
-# then the tier-1 test suite.  Run before every PR.
+# then the tier-1 test suite (logging its ten slowest tests).  Run before
+# every PR.
 check: lint verify-contracts certify-numerics sanitize
 	PYTHONPATH=src python -m repro verify-contracts --engine sharded --workers 2
-	PYTHONPATH=src python -m pytest -x -q
+	PYTHONPATH=src python -m pytest -x -q --durations=10
 
 # Observed DES solve: per-phase cycle table + iteration telemetry on
 # stdout, Chrome-trace JSON (open in chrome://tracing / ui.perfetto.dev)

@@ -18,6 +18,7 @@ from .numerics import numerics_pass
 from .passes import dsr_pass, flow_pass, precision_pass, sram_pass, task_graph_pass
 from .races import races_pass
 from .routing import routing_pass
+from ..engines import collector_paused
 from ..fabric import Fabric
 
 __all__ = ["analyze_program", "ALL_PASSES"]
@@ -45,6 +46,7 @@ def _attached_cores(fabric: Fabric):
     return out
 
 
+@collector_paused
 def analyze_program(
     fabric: Fabric,
     passes=None,

@@ -24,10 +24,13 @@ Every rounding step charges ``unit_roundoff(dtype) * mag`` with the
 dtype the engine actually rounds in (:mod:`repro.wse.dsr` semantics:
 fp16xfp16 products are exact in fp32 — the hardware's mixed dot — while
 each store into an fp16 destination rounds to nearest-even).  Because
-accumulation arrival order is schedule-dependent, the evaluation runs
-to a magnitude fixpoint and then charges each read-modify-write
-rounding against the accumulator's *final* magnitude, which dominates
-every partial sum under every order.
+accumulation arrival order is schedule-dependent, each read-modify-write
+rounding is charged against the accumulator's *final* magnitude, which
+dominates every partial sum under every order.  That magnitude is known
+only after a sweep, so the evaluation sweeps at most four times (fewer
+once no charge grows), then once more emitting diagnostics.  Four is a
+cap, not a proven fixpoint: the certified error still grows with more
+sweeps (ROADMAP item 16).
 
 The pass emits frozen diagnostics for
 
@@ -57,6 +60,7 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -271,10 +275,7 @@ class NumericsContract:
 
 
 # ---------------------------------------------------------------------------
-# Stream delivery (forwarding-graph composition)
-# ---------------------------------------------------------------------------
-# ---------------------------------------------------------------------------
-# Abstract evaluation: resolve the dataflow once, execute it per sweep
+# Abstract evaluation: resolve the dataflow once per class, sweep it wired
 # ---------------------------------------------------------------------------
 # Tape op kinds.  Every op writes one fresh value slot (SSA) from one or
 # two input slots:
@@ -289,8 +290,10 @@ class NumericsContract:
 _PROD, _SUM, _RND, _JOIN, _ACC = range(5)
 # Ints per tape row, by kind: (slot, a, b) then PROD's (extra-rounding
 # dtype code, underflow check, site), or RND/ACC's dtype code per
-# rounding and (site, first element, element, location).
+# rounding and (site, first element, element, location).  A class tape
+# holds the kind, then the row zero-padded to the widest.
 _ROW = (6, 3, 8, 3, 9)
+_PAD = tuple((0,) * (max(_ROW) - width) for width in _ROW)
 _LO, _HI, _ERR, _MAG = range(4)
 _TOP = np.array([[-_INF], [_INF], [_INF], [_INF]])
 # Row pairs of the seven bound products one PROD needs: the four
@@ -368,163 +371,158 @@ def _execute(groups, V, charge, hits=None) -> None:
         V[:, c[0]] = out
 
 
+def _mem_dtype(core, name: str) -> str:
+    """Dtype a store into allocation ``name`` of ``core`` rounds in."""
+    memory = getattr(core, "memory", None)
+    if memory is not None and name in memory:
+        return _dtype_name(memory.get(name).dtype)
+    return "float16"
+
+
 class _CoreState:
-    """One core's symbolic state: every value is a slot index."""
+    """One tile: its core, its first item in the program's item list, its
+    class, and the first global slot of each class step it took."""
 
-    __slots__ = ("pos", "core", "decl", "mem", "written", "scalar",
-                 "scalar_written", "fifo_words", "fifo_taken", "tol")
+    __slots__ = ("pos", "core", "tol", "index", "base", "cls", "n",
+                 "starts", "row")
 
-    def __init__(self, pos, core, decl):
-        self.pos = pos
-        self.core = core
-        self.decl = decl
-        self.mem: dict[str, list[int]] = {}
-        self.written: set[str] = set()
-        self.scalar: int | None = None
-        self.scalar_written = False
-        self.fifo_words: dict[str, list[int]] = {}
-        self.fifo_taken: dict[str, int] = {}
-        self.tol = decl.tolerance
-
-    def mem_dtype(self, name: str) -> str:
-        """Dtype a store into allocation ``name`` rounds in."""
-        memory = getattr(self.core, "memory", None)
-        if memory is not None and name in memory:
-            return _dtype_name(memory.get(name).dtype)
-        return "float16"
+    def __init__(self, pos, core, tol, index, base):
+        self.pos, self.core, self.tol, self.index = pos, core, tol, index
+        self.base, self.n, self.starts = base, 0, []
 
 
-class _Eval:
-    """One whole-program evaluation, in two steps.
+class _Plan:
+    """What a declaration fixes for every tile that carries it: the work
+    items in order (task declaration order, launches before the task's
+    drains), the FIFO each pushes, and the allocations they name."""
 
-    :meth:`resolve` interprets the declared dataflow *once*, symbolically:
-    work items run in dataflow-readiness order, every abstract value
-    becomes a slot, and every arithmetic step appends one op to an SSA
-    tape — which slots it reads, the dtype it rounds in, the memory
-    location whose final magnitude it is charged against, and the
-    declaration site a diagnostic would name.  None of that depends on
-    the values, so :meth:`run` evaluates the tape over flat
-    ``lo/hi/err/mag`` arrays once per sweep — to the magnitude fixpoint,
-    then once more collecting diagnostics — with the ops levelised and
-    grouped by kind, so a sweep is a few NumPy calls per group across
-    all tiles.
+    def __init__(self, decl):
+        self.items = [(tname, obj) for tname, task in decl.tasks.items()
+                      for obj in (*task.launches, *task.drains)]
+        self.pushes = [getattr(getattr(obj, "dst", None), "fifo", None)
+                       for _t, obj in self.items]
+        self.pushers: dict[str, list[int]] = {}
+        for j, fifo in enumerate(self.pushes):
+            if fifo is not None:
+                self.pushers.setdefault(fifo, []).append(j)
+        self.names = tuple(sorted({
+            r.array for _t, obj in self.items
+            for r in (getattr(obj, "dst", None), *getattr(obj, "srcs", ()))
+            if isinstance(r, MemRef)}))
+
+    def key(self, core) -> tuple:
+        """What resolution reads off the live core: the size and dtype of
+        each allocation named, the scalar register's dtype; no values."""
+        memory = getattr(core, "memory", None) or {}
+        live = getattr(core, "acc", None)
+        arrays = [memory.get(n) if n in memory else None for n in self.names]
+        return (tuple(a if a is None else (a.size, a.dtype) for a in arrays),
+                live if live is None else getattr(live, "dtype", "float32"))
+
+
+class _Step:
+    """One resolved work item of a class: ``key`` ``(item, dtypes of the
+    stream words it could read)``, ``n`` slots made, stream emission
+    ``words`` ``(channel, slots, dtypes)``, ``notes`` as functions of the
+    tile position, unread FIFO ``avail``."""
+
+    __slots__ = ("key", "n", "words", "notes", "avail")
+
+    def __init__(self, key):
+        self.key, self.words, self.notes = key, None, []
+
+
+class _Class:
+    """One tile class's tape, resolved once for all of its tiles.
+
+    The state is one tile's symbolic state.  Slots ``0, 1, …`` are made
+    in order, a run per step; a stream word the tile reads is a *port*
+    ``-1, -2, …`` (word ``k`` of a channel's stream there), bound to its
+    producer's slot by :meth:`_Eval._wire`.  A seed is a :class:`Val`
+    when every tile agrees on it, else an allocation name (its content
+    hull) or None (the live scalar register), bound per tile.  A tile
+    that asks for another step than the class took, or stops short,
+    moves to a fork that replays the shared prefix.
     """
 
-    def __init__(self, fabric, cores):
-        self.fabric = fabric
-        self.facts = routing_facts(fabric)
-        self._deliveries: dict = {}
-        self.states: list[_CoreState] = []
-        for pos, core in cores:
-            decl = getattr(core, "program_decl", None)
-            if decl:
-                self.states.append(_CoreState(pos, core, decl))
-        # Work items in deterministic order: core row-major, task decl
-        # order, launches before the task's drains.
-        self.items: list[tuple[_CoreState, str, object]] = []
-        self.pushers: dict[tuple[int, str], list[int]] = {}
-        for st in self.states:
-            for tname, task in st.decl.tasks.items():
-                for instr in task.launches:
-                    if isinstance(instr.dst, FifoRef):
-                        key = (id(st), instr.dst.fifo)
-                        self.pushers.setdefault(key, []).append(len(self.items))
-                    self.items.append((st, tname, instr))
-                for drain in task.drains:
-                    self.items.append((st, tname, drain))
-        self.notes: list[str] = []
-        self.diags: list[Diagnostic] = []
-        self._noted: set = set()
-        self.streams: dict = {}
-        self.last_writer: dict = {}
-        # The tape.  Slots are numbered in evaluation order, so a slot
-        # index also orders the diagnostics its op can raise.
-        self.dtypes: list[str] = []         # per slot
-        self.levels: list[int] = []         # per slot: dataflow depth
-        self.seeds: list[tuple] = []        # (slot, lo, hi, err, mag) inputs
-        self.ops = tuple(array("q") for _ in _ROW)   # per kind: flat rows
-        self.codes: dict[str, int] = {"": 0}     # dtype name -> table row
-        self.sites: list[tuple] = []   # (st, task, instr, src slots, summary)
-        self.locs: dict = {}                # (id(st), name, index) -> location
+    def __init__(self, core, decl, plan, codes):
+        self.core, self.decl, self.plan, self.codes = core, decl, plan, codes
+        self.steps: list[_Step] = []
+        self.forks: dict = {}   # (steps shared, next step key) -> class
+        self.mem: dict[str, list[int]] = {}
+        self.written: set[str] = set()
+        self.scalar, self.scalar_written = None, False
+        self.fifo_words: dict[str, list[int]] = {}
+        self.fifo_taken: dict[str, int] = {}
+        self.ports: dict[int, list[int]] = {}   # channel -> port slots
+        self.port_of: dict[int, tuple] = {}     # port slot -> (channel, k)
+        self.made = 0                           # slots made so far
+        self.seen, self._noted = {}, set()
+        # The tape, in class slots, sites and locations.
+        self.dtypes: dict[int, str] = {}
+        self.seeds: list[tuple] = []        # (slot, Val | binding)
+        self.tape = array("q")
+        self.sites: list[tuple] = []   # (task, instr, src slots, summary)
+        self.locs: dict = {}                # (name, index) -> location
         self.writes = array("q")            # flat (location, slot written)
-        self.V = np.zeros((4, 0))
+        self.last_writer: dict[str, int] = {}
 
-    # -- step 1: symbolic resolution ----------------------------------------
-    def resolve(self) -> None:
-        """Process every work item once, in the order a repeated
-        in-order scan for ready items would: an item woken by item ``i``
-        runs later in the same round when it sits after ``i`` and in the
-        next round otherwise."""
-        done = [False] * len(self.items)
-        waiting: dict = {}
-        heap = [(0, i) for i in range(len(self.items))]
-        while heap:
-            rnd, i = heapq.heappop(heap)
-            st, tname, obj = self.items[i]
-            key = self._blocked_on(st, obj, done)
-            if key is not None:
-                waiting.setdefault(key, []).append(i)
-                continue
-            fired: set = set()
-            if isinstance(obj, (DrainDecl, str)):
-                self._process_drain(st, tname, obj)
-            else:
-                self._process_instr(st, tname, obj, fired)
-                if isinstance(obj.dst, FifoRef):
-                    fired.add((id(st), obj.dst.fifo))
-            done[i] = True
-            for key in fired:
-                for j in waiting.pop(key, ()):
-                    heapq.heappush(heap, (rnd + (j < i), j))
-        skipped = done.count(False)
-        if skipped:
-            self.notes.append(
-                f"numerics: {skipped} declared instruction(s)/drain(s) "
-                "never became dataflow-ready; their targets are not "
-                "certified (the flow pass reports the supply defect)"
-            )
+    def advance(self, st: _CoreState, j: int, seen: tuple) -> _Step:
+        """Tile ``st``'s next step: item ``j``, stream dtypes ``seen``."""
+        s = st.n
+        if s == len(self.steps):
+            self._resolve(j, seen)
+        elif self.steps[s].key != (j, seen):
+            return self.fork(st, (j, seen)).advance(st, j, seen)
+        st.n = s + 1
+        return self.steps[s]
 
-    def _blocked_on(self, st: _CoreState, obj, done):
-        """The supply ``obj`` still waits for — a stream ``(channel,
-        pos)`` or a FIFO ``(id(st), name)`` — or None when ready."""
+    def fork(self, st: _CoreState, key) -> "_Class":
+        """Move ``st`` to the class that shares this one's first ``st.n``
+        steps and then takes step ``key`` (None: stops there)."""
+        fork = self.forks.get((st.n, key))
+        if fork is None:
+            fork = self.forks[(st.n, key)] = _Class(
+                st.core, self.decl, self.plan, self.codes)
+            for step in self.steps[:st.n]:
+                fork._resolve(*step.key)
+        st.cls = fork
+        return fork
+
+    def _resolve(self, j: int, seen: tuple) -> None:
+        tname, obj = self.plan.items[j]
+        self._step = step = _Step((j, seen))
+        first = self.made
         if isinstance(obj, (DrainDecl, str)):
-            key = (id(st), drain_fifo_name(obj))
-            return None if all(done[i] for i in self.pushers.get(key, ())) \
-                else key
-        for src in obj.srcs:
-            if isinstance(src, FabricRef):
-                key = (src.channel, st.pos)
-                if len(self.streams.get(key, ())) < src.length:
-                    return key
-            elif isinstance(src, FifoRef):
-                avail = (len(st.fifo_words.get(src.fifo, ()))
-                         - st.fifo_taken.get(src.fifo, 0))
-                if avail < src.length:
-                    return (id(st), src.fifo)
-        return None
+            self._process_drain(tname, obj)
+        else:
+            self.seen = dict(zip((s.channel for s in obj.srcs
+                                  if isinstance(s, FabricRef)), seen))
+            self._process_instr(tname, obj)
+        step.n = self.made - first
+        step.avail = {f: len(w) - self.fifo_taken.get(f, 0)
+                      for f, w in self.fifo_words.items()}
+        self.steps.append(step)
 
     def _note_once(self, key, text) -> None:
         if key not in self._noted:
             self._noted.add(key)
-            self.notes.append(text)
+            self._step.notes.append(text)
 
     # -- slots and ops ------------------------------------------------------
-    def _seed(self, val: Val) -> int:
-        """A constant input slot holding ``val``."""
-        self.dtypes.append(val.dtype)
-        self.levels.append(0)
-        slot = len(self.dtypes) - 1
-        self.seeds.append((slot, val.lo, val.hi, val.err, val.mag))
-        return slot
+    def _seed(self, dtype, value) -> int:
+        """An input slot of a :class:`Val` or a per-tile binding."""
+        self.seeds.append((self.made, value))
+        return self._op(None, _dtype_name(dtype))
 
-    def _op(self, kind: int, dtype: str, a: int, b: int, *cols) -> int:
-        """Append one tape op computing a fresh ``dtype`` slot from
-        slots ``a`` and ``b`` (unary ops pass their input twice)."""
-        levels = self.levels
-        self.dtypes.append(dtype)
-        levels.append(1 + max(levels[a], levels[b]))
-        self.ops[kind].extend((len(levels) - 1, a, b, *cols))
-        return len(levels) - 1
+    def _op(self, kind, dtype: str, a=0, b=0, *cols) -> int:
+        """A fresh ``dtype`` slot, computed by one tape op from slots ``a``
+        and ``b`` (unary ops pass their input twice; kind None: a seed)."""
+        slot, self.made = self.made, self.made + 1
+        self.dtypes[slot] = dtype
+        if kind is not None:
+            self.tape.extend((kind, slot, a, b, *cols, *_PAD[kind]))
+        return slot
 
     def _code(self, dtype: str) -> int:
         return self.codes.setdefault(dtype, len(self.codes))
@@ -533,161 +531,130 @@ class _Eval:
         return self._op(_RND, dtype, val, val, self._code(dtype), site, k0, k,
                         -1)
 
-    def _accumulate(self, st, name, idx, cur, r, ddt, site, k0, k) -> int:
+    def _loc(self, name: str, idx: int) -> int:
+        return self.locs.setdefault((name, idx), len(self.locs))
+
+    def _accumulate(self, name, idx, cur, r, ddt, site, k0, k) -> int:
         """``cur + r`` stored back into location ``(name, idx)``."""
         cdt = _result_dtype(self.dtypes[cur], self.dtypes[r])
-        loc = self.locs.setdefault((id(st), name, idx), len(self.locs))
+        loc = self._loc(name, idx)
         new = self._op(_ACC, ddt, cur, r, self._code(cdt), self._code(ddt),
                        site, k0, k, loc)
         self.writes.extend((loc, new))
         return new
 
     # -- source / destination access ----------------------------------------
-    def _array(self, st: _CoreState, name: str) -> list[int] | None:
-        got = st.mem.get(name)
+    def _array(self, name: str) -> list[int] | None:
+        got = self.mem.get(name)
         if got is not None:
             return got
-        memory = getattr(st.core, "memory", None)
+        memory = getattr(self.core, "memory", None)
         if memory is None or name not in memory:
             return None
         arr = memory.get(name)
-        declared = st.decl.ranges.get(name)
-        if declared is not None:
-            seed = Val.make(arr.dtype, declared[0], declared[1])
-        else:
-            seed = Val.from_array(arr)
-        got = st.mem[name] = [self._seed(seed)] * arr.size
+        declared = self.decl.ranges.get(name)
+        seed = name if declared is None else Val.make(arr.dtype, *declared)
+        got = self.mem[name] = [self._seed(arr.dtype, seed)] * arr.size
         return got
 
-    def _scalar(self, st: _CoreState) -> int:
-        if st.scalar is None:
-            declared = st.decl.ranges.get(SCALAR_NAME)
-            live = getattr(st.core, "acc", None)
+    def _scalar(self) -> int:
+        if self.scalar is None:
+            declared = self.decl.ranges.get(SCALAR_NAME)
+            live = getattr(self.core, "acc", None)
             dt = getattr(live, "dtype", np.dtype("float32"))
             if declared is not None:
-                seed = Val.make(dt, declared[0], declared[1])
+                seed = Val.make(dt, *declared)
             elif live is not None:
-                seed = Val.make(dt, float(live), float(live))
+                seed = None
             else:
                 seed = Val.make("float32", 0.0, 0.0)
-            st.scalar = self._seed(seed)
-        return st.scalar
+            self.scalar = self._seed(dt, seed)
+        return self.scalar
 
-    def _reader(self, st: _CoreState, src):
+    def _stream(self, channel: int) -> list[int]:
+        """Port slots of the words the current item can read on
+        ``channel``, one per dtype it saw there."""
+        seen = self.seen[channel]
+        ports = self.ports.setdefault(channel, [])
+        for k in range(len(ports), len(seen)):
+            ports.append(-1 - len(self.port_of))
+            self.port_of[ports[-1]] = (channel, k)
+            self.dtypes[ports[-1]] = seen[k]
+        return ports[:len(seen)]
+
+    def _reader(self, src):
         """``(slots, base, stride)``: element ``k`` of ``src`` is
         ``slots[base + k*stride]``, unresolved when that is out of range
         (the dsr pass owns out-of-range extents).  None for the scalar
         register, whose slot moves as an instruction accumulates into it."""
         if isinstance(src, MemRef):
-            return self._array(st, src.array) or (), src.offset, src.stride
+            return self._array(src.array) or (), src.offset, src.stride
         if isinstance(src, FabricRef):
-            return self.streams.get((src.channel, st.pos), ()), 0, 1
+            return self._stream(src.channel), 0, 1
         if isinstance(src, FifoRef):
-            return (st.fifo_words.get(src.fifo, ()),
-                    st.fifo_taken.get(src.fifo, 0), 1)
+            return (self.fifo_words.get(src.fifo, ()),
+                    self.fifo_taken.get(src.fifo, 0), 1)
         return None if isinstance(src, ScalarRef) else ((), 0, 0)
 
-    def _store(self, st: _CoreState, name: str, vals, idx: int, new: int,
-               join: bool) -> None:
+    def _store(self, name: str, vals, idx: int, new: int, join: bool) -> None:
         if not (0 <= idx < len(vals)):
             return
         if join:    # a plain store may or may not have run: keep both
-            loc = self.locs.setdefault((id(st), name, idx), len(self.locs))
-            self.writes.extend((loc, new))
+            self.writes.extend((self._loc(name, idx), new))
             old = vals[idx]
             new = self._op(_JOIN, _result_dtype(self.dtypes[old],
                                                 self.dtypes[new]), old, new)
         vals[idx] = new
-        st.written.add(name)
+        self.written.add(name)
 
-    def _delivered(self, channel: int, srcpos) -> list | None:
-        """Positions of the cores a stream injected at ``srcpos`` reaches,
-        one per delivering route node; None when the channel's forwarding
-        graph is cyclic (CDG pass owns)."""
-        key = (channel, srcpos)
-        got = self._deliveries.get(key)
-        if got is not None:
-            return got
-        route_map, graph, sccs = self.facts.get(channel, NO_ROUTES)
-        if sccs:
-            return None
-        node0 = (srcpos, Port.CORE)
-        reached = {node0: None} if node0 in route_map else {}
-        stack = list(reached)
-        while stack:
-            for s in graph[stack.pop()]:
-                if s not in reached:
-                    reached[s] = None
-                    stack.append(s)
-        cores = self.fabric.cores
-        got = self._deliveries[key] = [
-            (x, y) for (x, y), port in reached
-            if Port.CORE in route_map[((x, y), port)]
-            and cores[y][x] is not None
-        ]
-        return got
-
-    def _emit_words(self, st: _CoreState, ref, words, fired: set) -> None:
+    def _emit_words(self, ref, words) -> None:
         if not words:
             return
         if isinstance(ref, FifoRef):
-            st.fifo_words.setdefault(ref.fifo, []).extend(words)
-            return
-        dests = self._delivered(ref.channel, st.pos)
-        if dests is None:
-            self._note_once(
-                ("cyclic", ref.channel),
-                f"numerics: channel {ref.channel} forwards cyclically; "
-                "its stream values are not propagated (see cdg findings)")
-            return
-        # One abstract word per delivering route node: the value model
-        # is duplication-insensitive (a copy changes no bound).
-        for pos in dests:
-            self.streams.setdefault((ref.channel, pos), []).extend(words)
-            fired.add((ref.channel, pos))
+            self.fifo_words.setdefault(ref.fifo, []).extend(words)
+        else:
+            self._step.words = (ref.channel, words,
+                                [self.dtypes[w] for w in words])
 
     # -- op semantics --------------------------------------------------------
-    def _process_instr(self, st: _CoreState, tname: str, instr,
-                       fired: set) -> None:
+    def _process_instr(self, tname: str, instr) -> None:
         op, dst, srcs = instr.op, instr.dst, instr.srcs
         name = instr.name or op
         if not srcs:
             # Degenerate declaration (synthesized witness programs can
             # declare source-free ops): nothing to certify.
-            self._note_once(
-                (id(st), name, "no-srcs"),
-                f"numerics: {name!r} at {st.pos} declares no "
-                "sources; its result is not certified")
+            self._note_once((name, "no-srcs"), lambda pos: (
+                f"numerics: {name!r} at {pos} declares no "
+                "sources; its result is not certified"))
             return
         dtypes = self.dtypes
-        readers = [self._reader(st, src) for src in srcs]
+        readers = [self._reader(src) for src in srcs]
         src_slots: list[list[int]] = [[] for _ in srcs]
         site = len(self.sites)
-        self.sites.append((st, tname, instr, src_slots, None))
+        self.sites.append((tname, instr, src_slots, None))
         # Scalar-accumulating forms: mac into a ScalarRef, and the
         # collective's single-source "add"/"copy" on the scalar register
         # (ReduceCore accumulates each arriving word at fp32).
         scalar_dst = isinstance(dst, ScalarRef)
         mem_dst = isinstance(dst, MemRef)
         if mem_dst:
-            ddt = st.mem_dtype(dst.array)
+            ddt = _mem_dtype(self.core, dst.array)
             n_dst = max(dst.length, 1)
-            dvals = self._array(st, dst.array) or ()
+            dvals = self._array(dst.array) or ()
         out_words: list[int] = []
         for k in range(instr.length):
             vals = []
             for reader, slots in zip(readers, src_slots):
                 if reader is None:
-                    v = self._scalar(st)
+                    v = self._scalar()
                 else:
                     seq, base, stride = reader
                     idx = base + k * stride
                     if not (0 <= idx < len(seq)):
-                        self._note_once(
-                            (id(st), name, "unresolved"),
-                            f"numerics: {name!r} at {st.pos} reads an "
+                        self._note_once((name, "unresolved"), lambda pos: (
+                            f"numerics: {name!r} at {pos} reads an "
                             "undeclared allocation or out-of-range element; "
-                            "its result is not certified")
+                            "its result is not certified"))
                         return
                     v = seq[idx]
                 slots.append(v)
@@ -718,7 +685,7 @@ class _Eval:
                 y_v, x_v = vals
                 cdt = _result_dtype(dtypes[y_v], dtypes[x_v])
                 t = self._round(
-                    self._op(_PROD, cdt, self._axpy_scalar(st, instr, y_v),
+                    self._op(_PROD, cdt, self._axpy_scalar(instr, y_v),
                              x_v, 0, False, site),
                     cdt, site, 0, k)
                 r = self._round(self._op(_SUM, cdt, y_v, t), cdt, site, 0, k)
@@ -727,79 +694,346 @@ class _Eval:
 
             if scalar_dst:
                 if op in ("mac", "add"):  # accumulate into the register
-                    st.scalar = self._accumulate(
-                        st, SCALAR_NAME, 0, self._scalar(st), r,
+                    self.scalar = self._accumulate(
+                        SCALAR_NAME, 0, self._scalar(), r,
                         _dtype_name(dst.dtype), site, 0, k)
                 else:  # copy: overwrite
-                    st.scalar = self._round(r, _dtype_name(dst.dtype),
-                                            site, 0, k)
-                    self.writes.extend((self.locs.setdefault(
-                        (id(st), SCALAR_NAME, 0), len(self.locs)), st.scalar))
-                st.scalar_written = True
-                self.last_writer[(id(st), SCALAR_NAME)] = site
+                    self.scalar = self._round(r, _dtype_name(dst.dtype),
+                                              site, 0, k)
+                    self.writes.extend((self._loc(SCALAR_NAME, 0),
+                                        self.scalar))
+                self.scalar_written = True
+                self.last_writer[SCALAR_NAME] = site
             elif mem_dst:
                 idx = dst.offset + (k % n_dst) * dst.stride
                 if op in ("addin", "mac"):
                     if not (0 <= idx < len(dvals)):
                         return
-                    r = self._accumulate(st, dst.array, idx, dvals[idx], r,
+                    r = self._accumulate(dst.array, idx, dvals[idx], r,
                                          ddt, site, 0, k)
-                    self._store(st, dst.array, dvals, idx, r, join=False)
+                    self._store(dst.array, dvals, idx, r, join=False)
                 else:
-                    self._store(st, dst.array, dvals, idx,
+                    self._store(dst.array, dvals, idx,
                                 self._round(r, ddt, site, 0, k), join=True)
-                self.last_writer[(id(st), dst.array)] = site
+                self.last_writer[dst.array] = site
             else:  # FabricRef / FifoRef destination: the word as computed
                 out_words.append(r)
-        self._emit_words(st, dst, out_words, fired)
+        self._emit_words(dst, out_words)
 
-    def _axpy_scalar(self, st: _CoreState, instr, y_v: int) -> int:
+    def _axpy_scalar(self, instr, y_v: int) -> int:
         """The axpy register operand as a constant of ``y``'s dtype."""
         a = instr.scalar
+        name = instr.name or instr.op
         if a is None:
-            self._note_once(
-                (id(st), instr.name or instr.op, "scalar"),
-                f"numerics: axpy {instr.name or instr.op!r} declares no "
-                "scalar; assuming |a| <= 1")
+            self._note_once((name, "scalar"), lambda pos: (
+                f"numerics: axpy {name!r} declares no scalar; "
+                "assuming |a| <= 1"))
             a_lo, a_hi = -1.0, 1.0
         else:
             a_lo = a_hi = float(a)
         dt = self.dtypes[y_v]
         a_abs = max(abs(a_lo), abs(a_hi))
         a_err = _UNIT.get(dt, 0.0) * a_abs
-        return self._seed(Val.make(dt, a_lo, a_hi, a_err, a_abs + a_err))
+        return self._seed(dt, Val.make(dt, a_lo, a_hi, a_err, a_abs + a_err))
 
-    def _process_drain(self, st: _CoreState, tname: str, drain) -> None:
+    def _process_drain(self, tname: str, drain) -> None:
         fifo = drain_fifo_name(drain)
-        words = st.fifo_words.get(fifo, [])
-        pending = words[st.fifo_taken.get(fifo, 0):]
-        st.fifo_taken[fifo] = len(words)
+        words = self.fifo_words.get(fifo, [])
+        pending = words[self.fifo_taken.get(fifo, 0):]
+        self.fifo_taken[fifo] = len(words)
         if not pending:
             return
         dst = getattr(drain, "dst", None)
         if dst is None:
-            self._note_once(
-                (id(st), fifo, "drain"),
-                f"numerics: task {tname!r} at {st.pos} drains {fifo!r} "
+            self._note_once((fifo, "drain"), lambda pos: (
+                f"numerics: task {tname!r} at {pos} drains {fifo!r} "
                 "without a declared destination (DrainDecl); the drained "
-                "words' accumulation is not certified")
+                "words' accumulation is not certified"))
             return
-        ddt = st.mem_dtype(dst.array)
-        dvals = self._array(st, dst.array) or ()
+        ddt = _mem_dtype(self.core, dst.array)
+        dvals = self._array(dst.array) or ()
         n = max(dst.length, 1)
         site = len(self.sites)
-        self.sites.append((st, tname, _DrainInstr(fifo, dst), [pending],
+        self.sites.append((tname, _DrainInstr(fifo, dst), [pending],
                            [("float16", 0.0, 0.0)]))
         for k, w in enumerate(pending):
             idx = dst.offset + (k % n) * dst.stride
             if not (0 <= idx < len(dvals)):
                 return
-            self._store(st, dst.array, dvals, idx, self._accumulate(
-                st, dst.array, idx, dvals[idx], w, ddt, site, k, k),
-                join=False)
-        self.last_writer[(id(st), dst.array)] = site
+            self._store(dst.array, dvals, idx, self._accumulate(
+                dst.array, idx, dvals[idx], w, ddt, site, k, k), join=False)
+        self.last_writer[dst.array] = site
 
-    # -- step 2: batched execution ------------------------------------------
+
+def _ragged(starts, counts) -> np.ndarray:
+    """``arange(s, s + c)`` for each start and count, concatenated."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(
+        ends[-1] if len(ends) else 0)
+
+
+class _Eval:
+    """One whole-program evaluation, in three steps.
+
+    :meth:`resolve` interprets the declared dataflow symbolically, work
+    items in dataflow-readiness order: every abstract value becomes a
+    slot, every arithmetic step one op of an SSA tape — the slots it
+    reads, the dtype it rounds in, the location whose final magnitude it
+    is charged against, the declaration site a diagnostic names.  All of
+    it but where stream words come from is shared by a tile class, so
+    each :class:`_Class` resolves its items once and the scheduler only
+    orders items, routes words and numbers slots.  :meth:`_wire`
+    instantiates the class tapes with NumPy (a site or location becomes
+    ``class index * tiles + tile``).  :meth:`run` sweeps the tape at most
+    four times, stopping once no location's charge grows — a cap, not a
+    proven fixpoint (ROADMAP item 16) — then once more for diagnostics.
+    """
+
+    def __init__(self, fabric, cores):
+        self.fabric = fabric
+        self.facts = routing_facts(fabric)
+        self._deliveries: dict = {}
+        self.codes: dict[str, int] = {"": 0}     # dtype name -> table row
+        self.states: list[_CoreState] = []
+        plans: dict = {}
+        classes: dict = {}
+        base = 0
+        for pos, core in cores:
+            decl = getattr(core, "program_decl", None)
+            if not decl:
+                continue
+            plan = plans.get(id(decl)) or plans.setdefault(id(decl),
+                                                           _Plan(decl))
+            st = _CoreState(pos, core, decl.tolerance, len(self.states), base)
+            base += len(plan.items)
+            key = (id(decl), plan.key(core))
+            st.cls = classes.get(key) or classes.setdefault(
+                key, _Class(core, decl, plan, self.codes))
+            self.states.append(st)
+        self.notes: list[str] = []
+        self.diags: list[Diagnostic] = []
+        self._noted: set = set()
+        self.streams: dict = {}     # (channel, pos) -> [word ids, dtypes]
+        self.word_tile = array("q")     # per word: producing tile
+        self.word_ref = array("q")      # per word: its class slot there
+        self.n_slots = 0
+
+    # -- step 1: scheduling and class resolution ----------------------------
+    def resolve(self) -> None:
+        """Take every work item once, in the order a repeated in-order
+        scan for ready items would: an item woken by item ``i`` runs
+        later in the same round when it sits after ``i`` and in the next
+        round otherwise.  Each taken item is its tile's next class step."""
+        items = [(st, j) for st in self.states
+                 for j in range(len(st.cls.plan.items))]
+        done = [False] * len(items)
+        waiting: dict = {}
+        heap = [(0, i) for i in range(len(items))]
+        while heap:
+            rnd, i = heapq.heappop(heap)
+            st, j = items[i]
+            key, seen = self._blocked_on(st, j, done)
+            if key is not None:
+                waiting.setdefault(key, []).append(i)
+                continue
+            step = st.cls.advance(st, j, seen)
+            st.starts.append(self.n_slots)
+            self.n_slots += step.n
+            if step.notes:
+                self.notes.extend(text(st.pos) for text in step.notes)
+            fifo = st.cls.plan.pushes[j]
+            fired = [] if fifo is None else [(st.index, fifo)]
+            if step.words is not None:
+                self._deliver(st, *step.words, fired)
+            done[i] = True
+            for key in fired:
+                for k in waiting.pop(key, ()):
+                    heapq.heappush(heap, (rnd + (k < i), k))
+        skipped = done.count(False)
+        if skipped:
+            self.notes.append(
+                f"numerics: {skipped} declared instruction(s)/drain(s) "
+                "never became dataflow-ready; their targets are not "
+                "certified (the flow pass reports the supply defect)"
+            )
+        for st in self.states:
+            if st.n < len(st.cls.steps):
+                st.cls.fork(st, None)
+
+    def _blocked_on(self, st: _CoreState, j: int, done):
+        """``(supply, None)`` while item ``j`` of ``st`` waits for a stream
+        ``(channel, pos)`` or FIFO ``(tile, name)``, else ``(None, seen)``:
+        per stream source, the dtypes of the words it can read."""
+        plan = st.cls.plan
+        obj = plan.items[j][1]
+        if isinstance(obj, (DrainDecl, str)):   # waits for its FIFO's pushers
+            fifo = drain_fifo_name(obj)
+            for p in plan.pushers.get(fifo, ()):
+                if not done[st.base + p]:
+                    return (st.index, fifo), None
+            return None, ()
+        seen = []
+        for src in obj.srcs:
+            if isinstance(src, FabricRef):
+                key = (src.channel, st.pos)
+                got = self.streams.get(key, ((), ()))[1]
+                if len(got) < src.length:
+                    return key, None
+                seen.append(tuple(got[:obj.length]))
+            elif isinstance(src, FifoRef):
+                avail = st.cls.steps[st.n - 1].avail if st.n else {}
+                if avail.get(src.fifo, 0) < src.length:
+                    return (st.index, src.fifo), None
+        return None, tuple(seen)
+
+    def _delivered(self, channel: int, srcpos) -> list | None:
+        """Positions of the cores a stream injected at ``srcpos`` reaches,
+        one per delivering route node; None when the channel's forwarding
+        graph is cyclic (CDG pass owns)."""
+        key = (channel, srcpos)
+        got = self._deliveries.get(key)
+        if got is not None:
+            return got
+        route_map, graph, sccs = self.facts.get(channel, NO_ROUTES)
+        if sccs:
+            return None
+        node0 = (srcpos, Port.CORE)
+        reached = {node0: None} if node0 in route_map else {}
+        stack = list(reached)
+        while stack:
+            for s in graph[stack.pop()]:
+                if s not in reached:
+                    reached[s] = None
+                    stack.append(s)
+        cores = self.fabric.cores
+        got = self._deliveries[key] = [
+            (x, y) for (x, y), port in reached
+            if Port.CORE in route_map[((x, y), port)]
+            and cores[y][x] is not None
+        ]
+        return got
+
+    def _deliver(self, st: _CoreState, channel, words, dtypes, fired) -> None:
+        dests = self._delivered(channel, st.pos)
+        if dests is None:
+            if ("cyclic", channel) not in self._noted:
+                self._noted.add(("cyclic", channel))
+                self.notes.append(
+                    f"numerics: channel {channel} forwards cyclically; its "
+                    "stream values are not propagated (see cdg findings)")
+            return
+        first = len(self.word_tile)
+        self.word_tile.extend(array("q", (st.index,)) * len(words))
+        self.word_ref.extend(words)
+        # One abstract word per delivering route node: the value model
+        # is duplication-insensitive (a copy changes no bound).
+        for pos in dests:
+            got = self.streams.setdefault((channel, pos), ([], []))
+            got[0].extend(range(first, len(self.word_tile)))
+            got[1].extend(dtypes)
+            fired.append((channel, pos))
+
+    # -- step 2: instantiation ------------------------------------------------
+    def _expand(self, tape, width: int):
+        """Every tile's copy of the ``width``-int rows ``tape(cls)`` of its
+        class: ``(rows, tile of each row)``."""
+        lens = np.array([len(tape(cls)) // width for cls in self.classes],
+                        dtype=np.intp)
+        table = np.frombuffer(b"".join(tape(cls).tobytes()
+                                       for cls in self.classes),
+                              dtype=np.int64).reshape(-1, width)
+        count = lens[self.cidx]
+        return (table[_ragged((np.cumsum(lens) - lens)[self.cidx], count)],
+                np.repeat(np.arange(len(count)), count))
+
+    def _at(self, tile, slot):
+        """Where class slot(s) ``slot`` of tile(s) ``tile`` sit in ``flat``."""
+        return np.where(slot >= 0, self.base[tile] + slot,
+                        self.port_base[tile] - 1 - slot)
+
+    def _wire(self) -> None:
+        """Instantiate every class tape over its tiles.  ``flat`` holds the
+        global slot of every tile's made slots — each step's run counted
+        from its start — then of its ports: their producers' slots, after
+        forwarded words.  Seeds take their tile's values."""
+        n, states = len(self.states), self.states
+        classes = self.classes = {}     # class -> its tiles, in tile order
+        for st in states:
+            st.row = len(classes.setdefault(st.cls, []))
+            classes[st.cls].append(st)
+        index = {cls: i for i, cls in enumerate(classes)}
+        self.cidx = np.array([index[st.cls] for st in states], dtype=np.intp)
+        self.n_locs = n * max((len(cls.locs) for cls in classes), default=0)
+        made = np.array([st.cls.made for st in states], dtype=np.intp)
+        ports = np.array([len(st.cls.port_of) for st in states], dtype=np.intp)
+        self.base = np.cumsum(made) - made
+        self.port_base = made.sum() + np.cumsum(ports) - ports
+        runs = np.fromiter(chain.from_iterable(
+            (step.n for step in st.cls.steps) for st in states), np.intp)
+        starts = np.fromiter(chain.from_iterable(st.starts for st in states),
+                             np.intp, len(runs))
+        self.flat = flat = np.concatenate([_ragged(starts, runs),
+                                           np.zeros(ports.sum(), np.intp)])
+        sources = np.array([self.streams[(c, st.pos)][0][k] for st in states
+                            for c, k in st.cls.port_of.values()],
+                           dtype=np.intp)
+        words = self._at(np.frombuffer(self.word_tile, dtype=np.int64),
+                         np.frombuffer(self.word_ref, dtype=np.int64))
+        slots = flat[words]
+        while True:     # one round per forwarding hop
+            flat[len(flat) - len(sources):] = slots[sources]
+            slots, last = flat[words], slots
+            if np.array_equal(slots, last):
+                break
+
+        ops, op_tile = self._expand(lambda cls: cls.tape, 1 + max(_ROW))
+        ops[:, 1:4] = flat[self._at(op_tile[:, None], ops[:, 1:4])]
+        self.tables = []
+        for kind, width in enumerate(_ROW):
+            mine = ops[:, 0] == kind
+            rows, tile = ops[mine, 1:1 + width], op_tile[mine]
+            if kind == _PROD:       # (..., site)
+                rows[:, -1] = rows[:, -1] * n + tile
+            elif kind in (_RND, _ACC):  # (..., site, k0, k, location)
+                rows[:, -4] = rows[:, -4] * n + tile
+                rows[:, -1] = np.where(rows[:, -1] < 0, -1,
+                                       rows[:, -1] * n + tile)
+            self.tables.append(rows)
+        rows, tile = self._expand(lambda cls: cls.writes, 2)
+        self.wloc = rows[:, 0] * n + tile
+        self.wslot = flat[self.base[tile] + rows[:, 1]]
+        V = self.V = np.zeros((4, self.n_slots))
+        seeds: dict = {None: ([], [])}  # array shape or None -> (at, values)
+        for st in states:
+            for slot, value in st.cls.seeds:
+                if value is None:       # the live scalar register
+                    x = float(st.core.acc)
+                    value = Val.make(st.cls.dtypes[slot], x, x)
+                if isinstance(value, Val):
+                    at, values = seeds[None]
+                    values.append((value.lo, value.hi, value.err, value.mag))
+                else:                   # an allocation's content hull
+                    arr = st.core.memory.get(value)
+                    at, arrays = seeds.setdefault(arr.shape, ([], []))
+                    arrays.append(arr)
+                at.append(self.base[st.index] + slot)
+        for shape, (at, values) in seeds.items():
+            if shape is not None:   # Val.from_array of each array, at once
+                a = np.array(values, dtype=np.float64).reshape(len(at), -1)
+                values = np.array([
+                    a.min(axis=1, initial=_INF), a.max(axis=1, initial=-_INF),
+                    np.zeros(len(a)), np.abs(a).max(axis=1, initial=-_INF)]).T
+                values[~np.isfinite(values[:, _MAG])] = -_INF, _INF, 0.0, _INF
+            V[:, flat[at]] = np.reshape(values, (-1, 4)).T
+        out, a, b = np.concatenate([t[:, :3] for t in self.tables]).T
+        self.levels = levels = np.zeros(self.n_slots, dtype=np.intp)
+        while True:     # one round per level of the deepest op
+            new = 1 + np.maximum(levels[a], levels[b])
+            if (new == levels[out]).all():
+                break
+            levels[out] = new
+
+    # -- step 3: batched execution ------------------------------------------
     def _schedule(self) -> list:
         """Group the tape by (level, kind): ``(kind, tape rows, columns)``
         per group.  Columns are index arrays — output slot, two input
@@ -808,13 +1042,11 @@ class _Eval:
         rounding and the charged location."""
         unit = np.array([_UNIT.get(n, 0.0) for n in self.codes])
         fmax = np.array([_FMAX.get(n, _INF) for n in self.codes])
-        levels = np.array(self.levels, dtype=np.intp)
         groups = []
-        for kind, ops in enumerate(self.ops):
-            if not ops:
+        for kind, table in enumerate(self.tables):
+            if not len(table):
                 continue
-            table = np.frombuffer(ops, dtype=np.int64).reshape(-1, _ROW[kind])
-            lv = levels[table[:, 0]]
+            lv = self.levels[table[:, 0]]
             order = np.argsort(lv, kind="stable")
             cuts = np.flatnonzero(np.diff(lv[order])) + 1
             for rows in np.split(order, cuts):
@@ -831,16 +1063,14 @@ class _Eval:
         return [g[1:] for g in groups]
 
     def run(self) -> None:
-        """Resolve, evaluate to the magnitude fixpoint, then once more
-        emitting diagnostics with final-magnitude rounding charges."""
+        """Resolve, wire, sweep magnitudes (at most four sweeps, see the
+        class docstring), then once more emitting diagnostics with
+        final-magnitude rounding charges."""
         self.resolve()
+        self._wire()
         groups = self._schedule()
-        V = self.V = np.zeros((4, len(self.dtypes)))
-        if self.seeds:
-            seeds = np.array(self.seeds).T
-            V[:, seeds[0].astype(np.intp)] = seeds[1:]
-        wloc, wslot = np.frombuffer(self.writes, dtype=np.int64).reshape(-1, 2).T
-        mags = np.full(len(self.locs) + 1, -1.0)
+        V, wloc, wslot = self.V, self.wloc, self.wslot
+        mags = np.full(self.n_locs + 1, -1.0)
         hits: list = []
         with np.errstate(invalid="ignore", over="ignore"):
             for _ in range(4):
@@ -860,22 +1090,31 @@ class _Eval:
                 self._overflow_diag(*row[-4:-1], names[code], float(mag))
 
     # -- diagnostics --------------------------------------------------------
-    def src_specs(self, site: int, k0: int = 0, k1: int | None = None) -> list:
-        """``(dtype, lo, hi)`` per source of a site: the hull of the
-        elements ``k0..k1`` it read (all of them when ``k1`` is None)."""
+    def _site(self, site: int):
+        """``(tile, task, instr, source slots, summary)`` of a site of the
+        whole tape; the source slots are its class's."""
+        st = self.states[site % len(self.states)]
+        return (st, *st.cls.sites[site // len(self.states)])
+
+    def src_specs(self, st: _CoreState, srcs, k0: int = 0,
+                  k1: int | None = None) -> list:
+        """``(dtype, lo, hi)`` per source slot list of a site at ``st``:
+        the hull of the elements ``k0..k1`` it read (all of them when
+        ``k1`` is None)."""
         specs = []
-        for slots in self.sites[site][3]:
+        for slots in srcs:
             slots = slots[k0:None if k1 is None else k1 + 1]
             if slots:
-                specs.append((self.dtypes[slots[0]],
-                              float(self.V[_LO, slots].min()),
-                              float(self.V[_HI, slots].max())))
+                g = self.flat[self._at(st.index, np.array(slots))]
+                specs.append((st.cls.dtypes[slots[0]],
+                              float(self.V[_LO, g].min()),
+                              float(self.V[_HI, g].max())))
         return specs
 
     def _overflow_diag(self, site: int, k0: int, k: int, dt: str,
                        mag: float) -> None:
-        st, tname, instr = self.sites[site][:3]
-        key = (id(st), instr.name or instr.op, "overflow")
+        st, tname, instr, srcs, _summary = self._site(site)
+        key = (st.index, instr.name or instr.op, "overflow")
         if key in self._noted:
             return
         self._noted.add(key)
@@ -888,12 +1127,13 @@ class _Eval:
             hint="scale the operands (Jacobi/diagonal preconditioning "
                  "bounds the dynamic range, paper section VI) or widen "
                  "the accumulator to fp32",
-            data=_witness(st, tname, instr, self.src_specs(site, k0, k), mag),
+            data=_witness(st, tname, instr,
+                          self.src_specs(st, srcs, k0, k), mag),
         ))
 
     def _underflow_diag(self, site: int) -> None:
-        st, _tname, instr = self.sites[site][:3]
-        key = (id(st), instr.name or instr.op, "underflow")
+        st, _tname, instr, _srcs, _summary = self._site(site)
+        key = (st.index, instr.name or instr.op, "underflow")
         if key in self._noted:
             return
         self._noted.add(key)
@@ -915,7 +1155,8 @@ def _witness(st: _CoreState, tname, instr, src_specs, mag) -> tuple:
     if isinstance(dst, ScalarRef):
         dst_kind, dst_dt, dst_len = "scalar", dst.dtype, 1
     elif isinstance(dst, MemRef):
-        dst_kind, dst_dt, dst_len = "mem", st.mem_dtype(dst.array), dst.length
+        dst_kind, dst_len = "mem", dst.length
+        dst_dt = _mem_dtype(st.core, dst.array)
     else:  # stream/fifo destination: feed a plain fp16 buffer
         dst_kind, dst_dt, dst_len = "mem", "float16", instr.length
     return (
@@ -952,24 +1193,30 @@ def numerics_pass(fabric, cores):
     ev = _Eval(fabric, cores)
     ev.run()
     diags, notes = ev.diags, ev.notes
+    # Per class and written target, one summary per tile: interval hull,
+    # worst element error, worst element magnitude.
+    summaries = {}
+    for cls, tiles in ev.classes.items():
+        targets = [("array", name, cls.mem[name])
+                   for name in sorted(cls.written) if cls.mem.get(name)]
+        if cls.scalar_written and cls.scalar is not None:
+            targets.append(("scalar", SCALAR_NAME, [cls.scalar]))
+        summaries[cls] = [
+            (kind, name, cls.dtypes[slots[0]], v[_LO].min(axis=-1).tolist(),
+             v[_HI].max(axis=-1).tolist(), v[_ERR].max(axis=-1).tolist(),
+             v[_MAG].max(axis=-1).tolist())
+            for kind, name, slots in targets
+            for v in (ev.V[:, ev.flat[ev.base[[st.index for st in tiles]]
+                                      [:, None] + slots]],)]
     entries = []
     for st in ev.states:
         x, y = st.pos
-        tol = st.tol
-        targets = [("array", name, st.mem[name])
-                   for name in sorted(st.written) if st.mem.get(name)]
-        if st.scalar_written and st.scalar is not None:
-            targets.append(("scalar", SCALAR_NAME, [st.scalar]))
-        for kind, name, slots in targets:
-            # Array entries summarize element-wise state: interval hull,
-            # worst element error, worst element magnitude.
-            v = ev.V[:, slots]
-            err = float(v[_ERR].max())
-            entries.append((x, y, kind, name, ev.dtypes[slots[0]],
-                            float(v[_LO].min()), float(v[_HI].max()), err,
-                            float(v[_MAG].max()), tol))
-            if tol is not None and err > tol:
-                diags.append(_tolerance_diag(st, name, err, ev))
+        tol, r = st.tol, st.row
+        for kind, name, dt, lo, hi, err, mag in summaries[st.cls]:
+            entries.append((x, y, kind, name, dt, lo[r], hi[r], err[r],
+                            mag[r], tol))
+            if tol is not None and err[r] > tol:
+                diags.append(_tolerance_diag(st, name, err[r], ev))
     contract = NumericsContract(entries=tuple(entries))
     n_err = sum(1 for d in diags if d.severity is Severity.ERROR)
     worst = contract.worst()
@@ -983,12 +1230,12 @@ def numerics_pass(fabric, cores):
 
 def _tolerance_diag(st: _CoreState, name: str, err: float,
                     ev: _Eval) -> Diagnostic:
-    site = ev.last_writer.get((id(st), name))
+    site = st.cls.last_writer.get(name)
     data = ()
     if site is not None:
-        _st, tname, instr, _slots, summary = ev.sites[site]
+        tname, instr, srcs, summary = st.cls.sites[site]
         data = _witness(st, tname, instr,
-                        ev.src_specs(site) if summary is None else summary,
+                        ev.src_specs(st, srcs) if summary is None else summary,
                         err)
     return Diagnostic(
         Severity.ERROR, "numerics", "tolerance-exceeded",

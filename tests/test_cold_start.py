@@ -272,6 +272,22 @@ def test_setup_runs_no_full_collection_and_leaves_no_garbage(collector):
     solver.close()
 
 
+def test_analysis_runs_paused_and_leaves_no_garbage(collector):
+    fabric = build_spmv_fabric(
+        Stencil7.from_random((6, 6, 4), rng=np.random.default_rng(5))
+        .jacobi_precondition()[0], np.zeros((6, 6, 4)))[0]
+    analyze_program(fabric)                 # lazy imports allocate too
+    gc.collect()
+    before = [g["collections"] for g in gc.get_stats()]
+    assert analyze_program(fabric).ok
+    young, middle, full = (
+        g["collections"] - n for g, n in zip(gc.get_stats(), before))
+    # Measured 1 / 0 / 0, the young pass as the pause ends (7 / 0 / 0
+    # unpaused); nothing is left for a collection to find.
+    assert young <= 1 and (middle, full) == (0, 0)
+    assert gc.collect() == 0 and gc.isenabled()
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("raises", [False, True])
 def test_collector_state_survives_setup(collector, enabled, raises):

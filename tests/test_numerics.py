@@ -17,6 +17,7 @@ Covers every layer of the certification loop:
   certified interval contains every realized output.
 """
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -37,9 +38,12 @@ from repro.wse.analyze.certify import (
     certified_programs,
     certify_program,
 )
+from repro.wse.analyze.analyzer import _attached_cores
 from repro.wse.analyze.diagnostics import Severity
 from repro.wse.analyze.numerics import (
     NumericsContract,
+    _Class,
+    _Eval,
     RealizedError,
     Val,
     accumulation_error_bound,
@@ -52,6 +56,7 @@ from repro.wse.analyze.numerics import (
     unit_roundoff,
 )
 from repro.wse.analyze.shipped import shipped
+from repro.wse.analyze.spec import FabricRef
 
 INF = math.inf
 
@@ -476,6 +481,159 @@ class TestGolden:
                          "underflow-to-zero"}
         fig9 = self.golden["mfix-fig9-unscaled"]["diagnostics"][0]
         assert fig9["code"] == "fp16-overflow" and fig9["data"][0] == "numerics"
+
+
+# ---------------------------------------------------------------------------
+# Tile classes: resolved once per class, instantiated over its tiles
+# ---------------------------------------------------------------------------
+def _privatize(fabric):
+    """Give every declared tile a private copy of its declaration, so
+    every tile class has exactly one tile."""
+    for row in fabric.cores:
+        for core in row:
+            if core is not None and core.program_decl:
+                core.program_decl = core.program_decl.copy()
+    return fabric
+
+
+def _class_programs():
+    rng = lambda: np.random.default_rng(_GOLDEN_SEED)  # noqa: E731
+    yield "spmv3d-6x6x4", lambda: _spmv_fabric((6, 6, 4), rng())
+    yield "spmv2d-12x12-b3x3", lambda: _spmv_fabric(
+        (12, 12), rng(), block=(3, 3))
+    # Multi-role streams: some tiles fork from their class.
+    yield "allreduce-6x4", lambda: _observe(
+        {p.name: p for p in shipped("certify")}["allreduce-6x4"].start(
+            RunOptions(engine="active")), "active")[0]
+
+
+def _class_count(fabric) -> tuple:
+    """``(tile classes, tiles)`` the numerics pass evaluates."""
+    ev = _Eval(fabric, _attached_cores(fabric))
+    ev.run()
+    return len(ev.classes), len(ev.states)
+
+
+def _changed_tiles(got, want) -> set:
+    """Positions of the contract entries that differ between snapshots."""
+    assert len(got["entries"]) == len(want["entries"])
+    return {(a[0], a[1]) for a, b in zip(got["entries"], want["entries"])
+            if a != b}
+
+
+def _receivers(fabric, pos) -> set:
+    """Positions the streams the tile at ``pos`` sends reach."""
+    ev = _Eval(fabric, _attached_cores(fabric))
+    return {d for _t, i in fabric.core(*pos).program_decl.instructions()
+            if isinstance(i.dst, FabricRef)
+            for d in ev._delivered(i.dst.channel, pos)}
+
+
+def _decl_items(decl) -> int:
+    return sum(len(t.launches) + len(t.drains) for t in decl.tasks.values())
+
+
+class TestTileClasses:
+    """Class resolution is an optimisation: no tile may see a difference
+    from resolving it alone."""
+
+    @pytest.mark.parametrize("name,build", list(_class_programs()),
+                             ids=[n for n, _ in _class_programs()])
+    def test_class_resolution_equals_per_tile(self, name, build):
+        pristine, private = build(), _privatize(build())
+        classes, tiles = _class_count(pristine)
+        assert classes < tiles
+        assert _class_count(private) == (tiles, tiles)
+        assert _snapshot(pristine) == _snapshot(private)
+
+    @pytest.mark.parametrize("shrink,dtype",
+                             [(2, np.float16), (0, np.float32)],
+                             ids=["shorter", "fp32"])
+    def test_reallocated_tile_leaves_its_class(self, shrink, dtype):
+        """Same declaration, another allocation: the class key reads the
+        live core, and an fp32 ``v`` also changes the words its
+        receivers read."""
+        pos = (2, 3)
+
+        def build():
+            fabric = _spmv_fabric((6, 6, 4),
+                                  np.random.default_rng(_GOLDEN_SEED))
+            memory = fabric.core(*pos).memory
+            v = memory.get("v")[:len(memory.get("v")) - shrink].astype(dtype)
+            memory.free("v")
+            memory.alloc("v", len(v), dtype)[:] = v
+            return fabric
+
+        got = _snapshot(build())
+        assert got == _snapshot(_privatize(build()))
+        changed = _changed_tiles(got, _snapshot(_spmv_fabric(
+            (6, 6, 4), np.random.default_rng(_GOLDEN_SEED))))
+        receivers = _receivers(build(), pos)
+        assert pos in changed and changed <= {pos} | receivers
+        if dtype is np.float32:     # its fp32 words reach its neighbours
+            assert changed & (receivers - {pos})
+
+    def test_seeded_defect_leaves_its_class(self):
+        pos = (2, 3)
+
+        def build():
+            return _spmv_fabric((6, 6, 4), np.random.default_rng(_GOLDEN_SEED))
+
+        def seed_defect(fabric):
+            core = fabric.core(*pos)
+            core.program_decl = core.program_decl.copy()
+            core.program_decl.declare_range("v", -4.0, 4.0)
+            return fabric
+
+        seeded = _snapshot(seed_defect(build()))
+        changed = _changed_tiles(seeded, _snapshot(build()))
+        assert pos in changed
+        assert changed <= {pos} | _receivers(build(), pos)
+        assert seeded == _snapshot(seed_defect(_privatize(build())))
+
+    def test_starved_tile_stops_short_in_a_class_of_its_own(self):
+        """Tile (1, 0) never gets the words tile (1, 1) no longer sends,
+        so it takes only a prefix of its class's steps and must leave
+        the class, replaying that prefix."""
+        def build():
+            fabric = _spmv_fabric((12, 12), np.random.default_rng(
+                _GOLDEN_SEED), block=(3, 3))
+            core = fabric.core(1, 1)
+            core.program_decl = decl = core.program_decl.copy()
+            for tname, task in decl.tasks.items():
+                decl.tasks[tname] = dataclasses.replace(task, launches=tuple(
+                    i for i in task.launches if i.name != "send_y_23"))
+            return fabric
+
+        starved = build()
+        ev = _Eval(starved, _attached_cores(starved))
+        ev.run()
+        st = next(st for st in ev.states if st.pos == (1, 0))
+        assert ev.classes[st.cls] == [st]
+        assert len(st.cls.steps) < max(len(cls.steps) for cls in ev.classes
+                                       if cls.decl is st.cls.decl)
+        assert _snapshot(build()) == _snapshot(_privatize(build()))
+
+    def test_resolver_runs_once_per_class_item(self, monkeypatch):
+        """A deterministic witness for the work class resolution saves on
+        the two ``analyze-large`` programs: per-item resolver calls."""
+        calls = []
+        for name in ("_process_instr", "_process_drain"):
+            def counted(self, *args, _resolve=getattr(_Class, name)):
+                calls.append(args)
+                return _resolve(self, *args)
+            monkeypatch.setattr(_Class, name, counted)
+        class_items = tile_items = 0
+        for name in ("spmv2d-48x48-b3x3", "spmv3d-32x16x2"):
+            fabric = _analyze_large_fabric(name)
+            decls = [core.program_decl for row in fabric.cores for core in row
+                     if core is not None and core.program_decl]
+            tile_items += sum(map(_decl_items, decls))
+            distinct = {id(d): d for d in decls}.values()
+            class_items += sum(map(_decl_items, distinct))
+            analyze_program(fabric, passes=("numerics",))
+        assert tile_items == 8832 + 6560
+        assert len(calls) <= class_items < tile_items / 20
 
 
 if __name__ == "__main__":
