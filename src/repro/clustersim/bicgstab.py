@@ -8,21 +8,27 @@ blocks of every vector, SpMV performs a real one-deep ghost exchange,
 and inner products go through the tree AllReduce — all with virtual-time
 charging from :class:`~repro.clustersim.comm.VirtualComm`.
 
-The numerics are exact fp64 (up to summation order), so the solution is
-checked against the shared-memory reference solver in the tests; the
-virtual times generate the Fig. 7/8 scaling curves for small rank
-counts, while the closed-form :class:`repro.perfmodel.cluster.ClusterModel`
-extends the sweep to 16 K cores.
+The recurrence is :func:`repro.solver.bicgstab.bicgstab` in fp64: this
+module supplies only its operator (halo exchange + local SpMV), its
+reduction (one AllReduce per inner product) and its cycle-charged AXPY.
+The solution matches the shared-memory reference solver up to the
+AllReduce's summation order; the virtual times generate the Fig. 7/8
+scaling curves for small rank counts, while the closed-form
+:class:`repro.perfmodel.cluster.ClusterModel` extends the sweep to 16 K
+cores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from ..perfmodel.cluster import JOULE, JouleSpec
+from ..precision import axpy as elementwise_axpy
 from ..problems.stencil7 import OFFSETS_7PT, Stencil7
+from ..solver.bicgstab import bicgstab
 from ..solver.result import SolveResult
 from .comm import VirtualComm
 from .decomp import Decomposition3D, choose_rank_grid
@@ -101,17 +107,21 @@ class ClusterBiCGStab:
             out[rd.block] = loc
         return out
 
-    def _dot(self, a: list[np.ndarray], b: list[np.ndarray]) -> float:
-        partials = np.array(
-            [float(np.dot(x.ravel(), y.ravel())) for x, y in zip(a, b)]
-        )
+    def _dot(self, u: np.ndarray, v: np.ndarray) -> float:
+        """Global inner product: per-rank partials, one AllReduce."""
+        partials = np.array([
+            float(np.dot(u[rd.block].ravel(), v[rd.block].ravel()))
+            for rd in self.ranks
+        ])
         for r, rd in enumerate(self.ranks):
             self.comm.charge_compute(r, rd.points * _DOT_BYTES_PER_POINT)
         return self.comm.allreduce(partials)
 
-    def _axpy_charge(self) -> None:
+    def _axpy(self, a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """fp64 ``y + a*x``, each rank charged for its share."""
         for r, rd in enumerate(self.ranks):
             self.comm.charge_compute(r, rd.points * _AXPY_BYTES_PER_POINT)
+        return elementwise_axpy(a, x, y)
 
     # ------------------------------------------------------------------
     # Distributed SpMV with ghost exchange
@@ -185,81 +195,43 @@ class ClusterBiCGStab:
         Returns a :class:`SolveResult` whose ``info`` records the virtual
         wall-clock (``virtual_seconds``), per-iteration time, and traffic
         statistics — the quantities the Fig. 7/8 curves are built from.
+        The clock runs from the first SpMV: the two setup reductions
+        (``||b||`` and rho) are not iteration time.
         """
-        b_loc = self.scatter(b)
-        bnorm = np.sqrt(max(self._dot(b_loc, b_loc), 0.0))
-        if bnorm == 0.0:
-            return SolveResult(
-                x=np.zeros(self.op.shape), converged=True, iterations=0,
-                residuals=[0.0], precision="double",
-                info={"virtual_seconds": self.comm.elapsed},
-            )
-        x = [np.zeros(rd.shape) for rd in self.ranks]
-        r_loc = [bl.copy() for bl in b_loc]
-        r0 = [bl.copy() for bl in b_loc]
-        p = [bl.copy() for bl in b_loc]
-        rho = self._dot(r0, r_loc)
-        residuals: list[float] = []
-        converged = False
-        breakdown = None
-        start_clock = self.comm.elapsed
-        it = 0
-        for it in range(1, maxiter + 1):
-            s = self._spmv(p)
-            r0s = self._dot(r0, s)
-            if abs(r0s) < np.finfo(np.float64).tiny or abs(rho) < np.finfo(np.float64).tiny:
-                breakdown = "rho"
-                it -= 1
-                break
-            alpha = rho / r0s
-            q = [rl - alpha * sl for rl, sl in zip(r_loc, s)]
-            self._axpy_charge()
-            y = self._spmv(q)
-            qy = self._dot(q, y)
-            yy = self._dot(y, y)
-            if abs(yy) < np.finfo(np.float64).tiny:
-                breakdown = "omega"
-                it -= 1
-                break
-            omega = qy / yy
-            x = [xl + alpha * pl + omega * ql for xl, pl, ql in zip(x, p, q)]
-            self._axpy_charge()
-            self._axpy_charge()
-            r_loc = [ql - omega * yl for ql, yl in zip(q, y)]
-            self._axpy_charge()
-            rho_new = self._dot(r0, r_loc)
-            res = np.sqrt(max(self._dot(r_loc, r_loc), 0.0)) / bnorm
-            residuals.append(res)
-            if res <= rtol:
-                converged = True
-                break
-            if abs(omega) < np.finfo(np.float64).tiny:
-                breakdown = "omega"
-                break
-            beta = (alpha / omega) * (rho_new / rho)
-            rho = rho_new
-            p = [rl + beta * (pl - omega * sl) for rl, pl, sl in zip(r_loc, p, s)]
-            self._axpy_charge()
-            self._axpy_charge()
-        elapsed = self.comm.elapsed - start_clock
-        iters = max(it, 1)
-        return SolveResult(
-            x=self.gather(x),
-            converged=converged,
-            iterations=it,
-            residuals=residuals,
-            breakdown=breakdown,
-            precision="double",
-            info={
-                "virtual_seconds": elapsed,
-                "seconds_per_iteration": elapsed / iters,
-                "nranks": self.comm.nranks,
-                "rank_grid": self.decomp.grid,
-                "bytes_sent": self.comm.bytes_sent,
-                "messages": self.comm.messages_sent,
-                "allreduces": self.comm.allreduces,
-            },
+        start: float | None = None
+
+        def spmv(v: np.ndarray) -> np.ndarray:
+            nonlocal start
+            if start is None:
+                start = self.comm.elapsed
+            return self.gather(self._spmv(self.scatter(v)))
+
+        res = bicgstab(
+            _DistributedOperator(self.op.shape, spmv), b, precision="double",
+            rtol=rtol, maxiter=maxiter, dot_fn=self._dot, axpy=self._axpy,
         )
+        elapsed = 0.0 if start is None else self.comm.elapsed - start
+        return replace(res, info={
+            "virtual_seconds": elapsed,
+            "seconds_per_iteration": elapsed / max(res.iterations, 1),
+            "nranks": self.comm.nranks,
+            "rank_grid": self.decomp.grid,
+            "bytes_sent": self.comm.bytes_sent,
+            "messages": self.comm.messages_sent,
+            "allreduces": self.comm.allreduces,
+        })
+
+
+@dataclass(frozen=True)
+class _DistributedOperator:
+    """The operator :func:`repro.solver.bicgstab` drives: ``apply`` is
+    the halo-exchanging distributed SpMV (fp64 whatever ``precision``)."""
+
+    shape: tuple[int, int, int]
+    spmv: Callable[[np.ndarray], np.ndarray]
+
+    def apply(self, v: np.ndarray, precision=None) -> np.ndarray:
+        return self.spmv(v)
 
 
 def cluster_bicgstab(

@@ -18,8 +18,6 @@ granularity:
   (open a whole solve in ``chrome://tracing``);
 * :mod:`~repro.obs.report` — the Figure 4-style phase table, per-tile
   utilization heatmaps (.npy/CSV), iteration telemetry;
-* :mod:`~repro.obs.trace` — the folded-in ``FabricTrace`` /
-  ``trace_run`` recorder (formerly ``repro.wse.stats``);
 * :mod:`~repro.obs.profile` — :class:`CycleProfiler`, the causal cycle
   profiler: per-tile wait-state taxonomy (``busy`` / ``wait_rx`` /
   ``wait_credit`` / ``idle``, conserving every cycle), critical-path
@@ -49,7 +47,6 @@ from .report import (
 )
 from .session import ObsSession
 from .span import Span, SpanTracer
-from .trace import FabricTrace, trace_run
 
 __all__ = [
     "Counter",
@@ -72,6 +69,4 @@ __all__ = [
     "bottleneck_table",
     "top_bottleneck",
     "slack_table",
-    "FabricTrace",
-    "trace_run",
 ]

@@ -3,11 +3,14 @@
 The stabilized biconjugate gradient method of van der Vorst solves
 nonsymmetric systems ``A x = b`` with two SpMVs, four inner products, and
 six AXPY-class vector updates per iteration (paper Table I).  This module
-provides the *reference* implementation used everywhere in the library:
-the functional wafer solver runs it directly, the DES solver
-(:class:`repro.kernels.DESBiCGStab`) drives it with simulated kernels
-through ``operator``, ``dot_fn`` and ``axpy``, and the cluster-simulator
-solver reproduces its arithmetic and is cross-checked against it.
+states the recurrence once for the whole library; every other BiCGStab
+drives it and supplies only an operator, a reduction transport
+(``dot_fn``) and a vector update (``axpy``): the functional wafer solver
+injects the fabric tree dot, the DES solver
+(:class:`repro.kernels.DESBiCGStab`) its simulated SpMV and AllReduce,
+the cluster solver (:class:`repro.clustersim.ClusterBiCGStab`) its halo
+exchange and MPI-style AllReduce, and the grouped solver
+(:func:`repro.solver.bicgstab_grouped`) a counting reduction.
 
 Arithmetic follows :mod:`repro.precision`: with ``Precision.MIXED`` all
 vector data and elementwise updates are fp16 while the four dot products
@@ -51,7 +54,7 @@ def bicgstab(
     maxiter: int = 1000,
     record_true_residual: bool = False,
     callback: Callable[..., None] | None = None,
-    dot_fn: Callable[[np.ndarray, np.ndarray], float] | None = None,
+    dot_fn: Callable[..., Any] | None = None,
     axpy: Callable[[Any, np.ndarray, np.ndarray], np.ndarray] | None = None,
     residual_replacement_every: int | None = None,
 ) -> SolveResult:
@@ -85,9 +88,15 @@ def bicgstab(
         an iteration breaks down at ``(r0, s) == 0``, with a residual of
         None and only ``rho`` and ``breakdown``.
     dot_fn:
-        Override for the global inner product (the wafer and cluster
-        solvers inject their AllReduce here); defaults to the precision
-        mode's dot.
+        Override for the global inner products.  Algorithm 1's data
+        dependencies fix which of them can share one synchronisation,
+        and ``dot_fn(pairs)`` is called once per such group with its
+        ``(u, v)`` pairs, returning their values in order: ``(b, b)``;
+        ``(r0, r)``; then each iteration ``(r0, s)``; ``(q, y), (y, y)``;
+        ``(r0, r+), (r+, r+)`` (the last one the convergence norm).  A
+        two-argument ``dot_fn(u, v)`` is one reduction per pair, in the
+        same order (the wafer, DES and cluster AllReduces).  Defaults to
+        the precision mode's dot.
     axpy:
         Override for the vector update ``axpy(a, x, y) = y + a*x``, with
         ``a`` a scalar of the mode's scalar type; defaults to the
@@ -114,14 +123,14 @@ def bicgstab(
     shape = operator.shape
     b_arr = np.asarray(b, dtype=np.float64).reshape(shape)
     b_store = b_arr.astype(st)
-    if dot_fn is None:
-        dot_fn = lambda u, v: dot(u, v, prec)  # noqa: E731
+    reduce_group = _grouped(dot_fn, prec)
     if axpy is None:
         axpy = functools.partial(elementwise_axpy, precision=spec)
     if callback is not None:
         callback = _widened(callback)
 
-    bnorm = float(np.sqrt(max(dot_fn(b_store, b_store), 0.0)))
+    (bb,) = reduce_group([(b_store, b_store)])
+    bnorm = float(np.sqrt(max(bb, 0.0)))
     if bnorm == 0.0:
         x = np.zeros(shape)
         return SolveResult(
@@ -130,14 +139,20 @@ def bicgstab(
         )
 
     if x0 is None:
-        # r == b, so the initial residual is exactly ||b|| / ||b||.
         x = np.zeros(shape, dtype=st)
         r = b_store.copy()
-        init_res = 1.0
     else:
         x = np.asarray(x0, dtype=np.float64).reshape(shape).astype(st)
         r = (b_arr - operator.apply(x.astype(np.float64))).astype(st)
-        init_res = float(np.sqrt(max(dot_fn(r, r), 0.0))) / bnorm
+
+    # Algorithm 1 line 2: r0 := b (shadow residual), p0 := r0.
+    r0 = r.copy()
+    p = r.copy()
+    (rr,) = reduce_group([(r0, r)])
+    rho = sc.type(rr)
+    # r0 is a copy of r, so (r0, r) is also the initial residual's
+    # squared norm; with x0 omitted r == b and the ratio is exactly 1.
+    init_res = 1.0 if x0 is None else float(np.sqrt(max(rr, 0.0))) / bnorm
 
     # Converged initial guess: nothing to do (also avoids a spurious
     # rho-breakdown on an exactly-zero residual).
@@ -146,11 +161,6 @@ def bicgstab(
             x=x.astype(np.float64), converged=True, iterations=0,
             residuals=[init_res], precision=prec.value,
         )
-
-    # Algorithm 1 line 2: r0 := b (shadow residual), p0 := r0.
-    r0 = r.copy()
-    p = r.copy()
-    rho = sc.type(dot_fn(r0, r))
 
     residuals: list[float] = []
     true_residuals: list[float] | None = [] if record_true_residual else None
@@ -166,7 +176,8 @@ def bicgstab(
         # line 4: s_i := A p_i
         s = operator.apply(p, precision=prec).astype(st, copy=False)
         # line 5: alpha_i := (r0, r_i) / (r0, s_i)
-        r0s = sc.type(dot_fn(r0, s))
+        (r0s,) = reduce_group([(r0, s)])
+        r0s = sc.type(r0s)
         if abs(float(r0s)) < np.finfo(np.float64).tiny:
             breakdown = "rho"
             if callback is not None:
@@ -179,8 +190,7 @@ def bicgstab(
         # line 7: y_i := A q_i
         y = operator.apply(q, precision=prec).astype(st, copy=False)
         # line 8: omega_i := (q_i, y_i) / (y_i, y_i)
-        qy = sc.type(dot_fn(q, y))
-        yy = sc.type(dot_fn(y, y))
+        qy, yy = (sc.type(v) for v in reduce_group([(q, y), (y, y)]))
         # yy == 0 means q (hence y = Aq) vanished: the alpha half-step
         # already solved the system.  Finish the update with omega = 0
         # and let the residual check conclude.
@@ -198,9 +208,11 @@ def bicgstab(
             and it % residual_replacement_every == 0
         ):
             r = (b_arr - operator.apply(x.astype(np.float64))).astype(st)
-        # line 11: beta_i := (alpha/omega) (r0, r_{i+1}) / (r0, r_i)
-        rho_new = sc.type(dot_fn(r0, r))
-        res = float(np.sqrt(max(dot_fn(r, r), 0.0))) / bnorm
+        # line 11: beta_i := (alpha/omega) (r0, r_{i+1}) / (r0, r_i),
+        # reduced with the convergence check's norm.
+        rho_new, rr = reduce_group([(r0, r), (r, r)])
+        rho_new = sc.type(rho_new)
+        res = float(np.sqrt(max(rr, 0.0))) / bnorm
         residuals.append(res)
         if true_residuals is not None:
             x64 = x.astype(np.float64)
@@ -230,6 +242,20 @@ def bicgstab(
         breakdown=breakdown,
         precision=prec.value,
     )
+
+
+def _grouped(dot_fn: Callable[..., Any] | None,
+             prec: Precision) -> Callable[[list], list]:
+    """The group reduction ``dot_fn`` stands for: itself, or for a
+    two-argument ``dot_fn(u, v)`` (or None, the mode's dot) one
+    reduction per pair, in order."""
+    if dot_fn is None:
+        dot_fn = functools.partial(dot, precision=prec)
+    try:
+        inspect.signature(dot_fn).bind(None, None)
+    except TypeError:
+        return dot_fn
+    return lambda pairs: [dot_fn(u, v) for u, v in pairs]
 
 
 def _widened(callback: Callable[..., None]) -> Callable[..., None]:

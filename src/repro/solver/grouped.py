@@ -2,41 +2,38 @@
 
 Paper section IV.3: "Because we did not use a communication-hiding
 variant of BiCGStab, this collective operation is blocking, so we
-minimized latency."  This module implements the variant the paper chose
-not to use, as an extension/ablation: the four inner products of
-Algorithm 1 are *batched* into the minimum number of synchronization
-points the algorithm's data dependencies allow — three per iteration
-(and two once the convergence-check norm rides along with the last
-group):
+minimized latency."  This module is the variant the paper chose not to
+use, as an extension/ablation: the four inner products of Algorithm 1
+are *batched* into the minimum number of synchronization points the
+algorithm's data dependencies allow — three per iteration (and two once
+the convergence-check norm rides along with the last group):
 
 * group A: ``(r0, s)``                        — needed for alpha;
 * group B: ``(q, y)`` and ``(y, y)``          — needed for omega;
 * group C: ``(r0, r+)`` and ``(r+, r+)``      — beta and the norm check.
 
-Batching k scalars through the Fig. 6 reduction tree costs one latency
-plus ~(k-1) extra cycles (the tree is pipelined, one word per cycle per
-link), so three synchronizations instead of five cut the per-iteration
-collective cost by ~40% — which matters exactly when Z is small and the
-solve is latency-bound (see ``benchmarks/bench_ablation_comm.py``).
+Those groups are the ones :func:`repro.solver.bicgstab.bicgstab` hands
+its ``dot_fn``, so this solver drives that recurrence and only counts
+the synchronizations.  Batching k scalars through the Fig. 6 reduction
+tree costs one latency plus ~(k-1) extra cycles (the tree is pipelined,
+one word per cycle per link), so three synchronizations instead of five
+cut the per-iteration collective cost by ~40% — which matters exactly
+when Z is small and the solve is latency-bound (see
+``benchmarks/bench_ablation_comm.py``).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..precision import Precision, dot, spec_for
+from ..precision import Precision, dot
+from .bicgstab import bicgstab
 from .result import SolveResult
 
 __all__ = ["bicgstab_grouped"]
-
-
-def _default_grouped_dot(precision: Precision) -> Callable:
-    def grouped(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[float]:
-        return [dot(u, v, precision) for u, v in pairs]
-
-    return grouped
 
 
 def bicgstab_grouped(
@@ -51,9 +48,8 @@ def bicgstab_grouped(
     """BiCGStab with reductions batched into three groups per iteration.
 
     Numerically identical to :func:`repro.solver.bicgstab.bicgstab`
-    iterate-for-iterate (the same inner products are computed at the
-    same algorithmic points; only their *transport* is grouped), which
-    the tests verify.
+    iterate-for-iterate: it *is* that recurrence, with each group of
+    inner products moved by one ``grouped_dot`` call.
 
     Parameters
     ----------
@@ -73,103 +69,20 @@ def bicgstab_grouped(
         ``info["scalars_reduced"]`` the scalars moved through them.
     """
     prec = Precision.parse(precision)
-    spec = spec_for(prec)
-    st, sc = spec.storage, spec.scalar
-    shape = operator.shape
-    b_arr = np.asarray(b, dtype=np.float64).reshape(shape)
-    b_store = b_arr.astype(st)
-    base_dot = grouped_dot or _default_grouped_dot(prec)
+    if grouped_dot is None:
+        grouped_dot = lambda pairs: [dot(u, v, prec) for u, v in pairs]  # noqa: E731
+    groups: list[int] = []
 
-    syncs = {"calls": 0, "scalars": 0}
+    def counted(pairs):
+        groups.append(len(pairs))
+        return grouped_dot(pairs)
 
-    def reduce_group(pairs):
-        syncs["calls"] += 1
-        syncs["scalars"] += len(pairs)
-        return base_dot(pairs)
-
-    (bb,) = reduce_group([(b_store, b_store)])
-    bnorm = float(np.sqrt(max(bb, 0.0)))
-    if bnorm == 0.0:
-        return SolveResult(
-            x=np.zeros(shape), converged=True, iterations=0, residuals=[0.0],
-            precision=prec.value,
-            info={"synchronizations": syncs["calls"],
-                  "scalars_reduced": syncs["scalars"]},
-        )
-    if x0 is None:
-        x = np.zeros(shape, dtype=st)
-        r = b_store.copy()
-    else:
-        x = np.asarray(x0, dtype=np.float64).reshape(shape).astype(st)
-        r = (b_arr - operator.apply(x.astype(np.float64))).astype(st)
-    r0 = r.copy()
-    p = r.copy()
-    # Initial group: rho and the initial residual check together.
-    rho_v, rr = reduce_group([(r0, r), (r, r)])
-    rho = sc.type(rho_v)
-    if float(np.sqrt(max(rr, 0.0))) / bnorm <= rtol:
-        return SolveResult(
-            x=x.astype(np.float64), converged=True, iterations=0,
-            residuals=[float(np.sqrt(max(rr, 0.0))) / bnorm],
-            precision=prec.value,
-            info={"synchronizations": syncs["calls"],
-                  "scalars_reduced": syncs["scalars"]},
-        )
-
-    residuals: list[float] = []
-    converged = False
-    breakdown = None
-    it = 0
-    for it in range(1, maxiter + 1):
-        if abs(float(rho)) < np.finfo(np.float64).tiny:
-            breakdown = "rho"
-            it -= 1
-            break
-        s = operator.apply(p, precision=prec).astype(st, copy=False)
-        # ---- synchronization A -----------------------------------------
-        (r0s,) = reduce_group([(r0, s)])
-        if abs(r0s) < np.finfo(np.float64).tiny:
-            breakdown = "rho"
-            it -= 1
-            break
-        alpha = sc.type(sc.type(rho) / sc.type(r0s))
-        q = (r - st.type(alpha) * s).astype(st, copy=False)
-        y = operator.apply(q, precision=prec).astype(st, copy=False)
-        # ---- synchronization B -----------------------------------------
-        qy, yy = reduce_group([(q, y), (y, y)])
-        half_exact = abs(yy) < np.finfo(np.float64).tiny
-        omega = sc.type(0.0) if half_exact else sc.type(sc.type(qy) / sc.type(yy))
-        x = (x + st.type(alpha) * p).astype(st, copy=False)
-        x = (x + st.type(omega) * q).astype(st, copy=False)
-        r = (q - st.type(omega) * y).astype(st, copy=False)
-        # ---- synchronization C (beta numerator + convergence norm) ------
-        rho_new_v, rr = reduce_group([(r0, r), (r, r)])
-        res = float(np.sqrt(max(rr, 0.0))) / bnorm
-        residuals.append(res)
-        if res <= rtol:
-            converged = True
-            break
-        if abs(float(omega)) < np.finfo(np.float64).tiny:
-            breakdown = "omega"
-            break
-        beta = sc.type((alpha / omega) * (sc.type(rho_new_v) / rho))
-        rho = sc.type(rho_new_v)
-        p = (r + st.type(beta) * (p - st.type(omega) * s).astype(st, copy=False)).astype(
-            st, copy=False
-        )
-
-    return SolveResult(
-        x=x.astype(np.float64),
-        converged=converged,
-        iterations=it,
-        residuals=residuals,
-        breakdown=breakdown,
-        precision=prec.value,
-        info={
-            "synchronizations": syncs["calls"],
-            "scalars_reduced": syncs["scalars"],
-            "synchronizations_per_iteration": (
-                (syncs["calls"] - 2) / it if it else 0.0
-            ),
-        },
-    )
+    res = bicgstab(operator, b, x0, prec, rtol, maxiter, dot_fn=counted)
+    return replace(res, info={
+        "synchronizations": len(groups),
+        "scalars_reduced": sum(groups),
+        # Two setup groups: ||b||, then rho.
+        "synchronizations_per_iteration": (
+            (len(groups) - 2) / res.iterations if res.iterations else 0.0
+        ),
+    })

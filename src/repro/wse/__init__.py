@@ -66,7 +66,6 @@ from .analyze import (
     TaskDecl,
     analyze_program,
 )
-from ..obs.trace import FabricTrace, trace_run
 from .allreduce import (
     allreduce_latency_cycles,
     allreduce_latency_seconds,
@@ -131,6 +130,4 @@ __all__ = [
     "ScalarRef",
     "FabricRef",
     "FifoRef",
-    "FabricTrace",
-    "trace_run",
 ]

@@ -36,17 +36,13 @@ whose route fans out to three output ports adds three to
 
 Observability
 -------------
-Two public hooks expose the engine without perturbing it (see
-``docs/observability.md``):
-
-* ``fabric.obs`` — when not ``None``, an observer (usually a
-  :class:`repro.obs.FabricObserver`) receiving ``on_cycle(fabric,
-  words, elements)`` after every stepped cycle and ``on_skip(n)`` for
-  O(1) fast-forwarded spans.  The entire disabled-mode cost is the
-  ``is None`` check.
-* ``Fabric.run(..., on_cycle=...)`` — a per-cycle callback on the run
-  loop itself, called after each step and before the deadlock
-  diagnosis, so tracers see the final (stuck) cycle of a failing run.
+``fabric.obs`` exposes the engine without perturbing it (see
+``docs/observability.md``): when not ``None``, an observer (usually a
+:class:`repro.obs.FabricObserver`) receiving ``on_cycle(fabric, words,
+elements)`` after every stepped cycle — before ``run``'s deadlock
+diagnosis, so it sees the final (stuck) cycle of a failing run — and
+``on_skip(n)`` for O(1) fast-forwarded spans.  The entire disabled-mode
+cost is the ``is None`` check.
 """
 
 from __future__ import annotations
@@ -1206,7 +1202,7 @@ class Fabric:
             self.sanitizer = None
         return sanitizer
 
-    def run(self, max_cycles: int = 100_000, until=None, on_cycle=None,
+    def run(self, max_cycles: int = 100_000, until=None,
             sanitize: bool = False) -> int:
         """Step until ``until(fabric)`` is true or the fabric quiesces.
 
@@ -1215,11 +1211,6 @@ class Fabric:
         further progress while the run is unfinished (wedged programs
         fail in one cycle, not after ``max_cycles`` no-op sweeps), and
         ``RuntimeError`` on timeout.
-
-        ``on_cycle(fabric)``, when given, is invoked after every stepped
-        cycle — *before* the completion and deadlock checks, so an
-        observer sees the final (possibly stuck) cycle and a partial
-        trace survives a :class:`FabricDeadlockError`.
 
         ``sanitize=True`` attaches a race sanitizer for the duration of
         this call (see :mod:`repro.wse.sanitizer`), raising
@@ -1230,14 +1221,12 @@ class Fabric:
         if sanitize and self.sanitizer is None:
             self.attach_sanitizer()
             try:
-                return self.run(max_cycles, until, on_cycle)
+                return self.run(max_cycles, until)
             finally:
                 self.detach_sanitizer()
         step = self.step
         for _ in range(max_cycles):
             r = step()
-            if on_cycle is not None:
-                on_cycle(self)
             # A cycle in which no word moved, no element was processed,
             # no egress word was pulled, and every core is asleep is a
             # *permanent* fixpoint: staging decisions depend only on

@@ -176,3 +176,57 @@ class TestClusterBiCGStab:
         op = Stencil7.from_random((6, 6, 6), rng=RNG)
         res = ClusterBiCGStab(op, nranks=2).solve(np.zeros(op.shape))
         assert res.converged and res.iterations == 0
+
+
+class TestClusterDrivesReference:
+    """The cluster solver is :func:`repro.solver.bicgstab` with a
+    distributed operator, AllReduce and charged AXPY plugged in."""
+
+    # Figs. 7-8 inputs, pinned bit-for-bit: (residuals digest, x digest,
+    # virtual_seconds, bytes_sent, messages, allreduces).
+    PINS = {
+        ("convection_diffusion", 8): (
+            "b95cc82a94966b94", "8e918afd292f28c2",
+            0.012367847908280202, 387072, 1344, 142),
+        ("poisson", 1): (
+            "24822ea6bc30f866", "f099687c7bd97c0c",
+            0.008674267515923576, 0, 0, 142),
+        ("poisson", 4): (
+            "280fc8ef44c2a11b", "25f76ffe936bdb1f",
+            0.008063317278980882, 114688, 448, 142),
+        ("poisson", 6): (
+            "812cdd142145d777", "8d574ed5c27f4fee",
+            0.011060831959235571, 172032, 784, 142),
+    }
+
+    @pytest.mark.parametrize("system,nranks", sorted(PINS))
+    def test_figure_inputs_pinned(self, system, nranks):
+        import hashlib
+
+        def digest(a):
+            return hashlib.sha256(
+                np.asarray(a, dtype=np.float64).tobytes()).hexdigest()[:16]
+
+        sys_ = (convection_diffusion_system((12, 12, 12))
+                if system == "convection_diffusion"
+                else poisson_system((8, 8, 8), source="random"))
+        res = cluster_bicgstab(sys_.operator, sys_.b, nranks=nranks,
+                               rtol=1e-10, maxiter=400)
+        i = res.info
+        assert (digest(res.residuals), digest(res.x), i["virtual_seconds"],
+                i["bytes_sent"], i["messages"], i["allreduces"]
+                ) == self.PINS[system, nranks]
+
+    @pytest.mark.parametrize("diag", [1.0, 4.0])
+    def test_exact_half_step_converges(self, diag):
+        """When the alpha half-step solves the system (y = A q = 0) the
+        solve converges in one iteration, as the reference does; it is
+        not an omega breakdown."""
+        shape = (4, 4, 4)
+        op = Stencil7({"diag": np.full(shape, diag)}, shape=shape)
+        b = RNG.standard_normal(shape)
+        ref = bicgstab(op, b)
+        res = cluster_bicgstab(op, b, nranks=2)
+        assert (ref.iterations, ref.converged, ref.breakdown) == (1, True, None)
+        assert (res.iterations, res.converged, res.breakdown) == (1, True, None)
+        np.testing.assert_array_equal(res.x, b / diag)

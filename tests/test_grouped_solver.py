@@ -40,8 +40,8 @@ class TestSynchronizationAccounting:
     def test_five_scalars_per_iteration(self):
         sys_ = convection_diffusion_system((8, 8, 8))
         g = bicgstab_grouped(sys_.operator, sys_.b, rtol=1e-10, maxiter=200)
-        # setup: 1 + 2 scalars; per iteration: 1 + 2 + 2.
-        assert g.info["scalars_reduced"] == 3 + 5 * g.iterations
+        # setup: 1 + 1 scalars; per iteration: 1 + 2 + 2.
+        assert g.info["scalars_reduced"] == 2 + 5 * g.iterations
 
     def test_custom_grouped_dot_injected(self):
         sys_ = poisson_system((6, 6, 6), source="random")
@@ -56,8 +56,8 @@ class TestSynchronizationAccounting:
         g = bicgstab_grouped(sys_.operator, sys_.b, rtol=1e-8,
                              maxiter=100, grouped_dot=spy)
         assert g.converged
-        # group sizes cycle 1, 2, 2 after the two setup groups (1 then 2)
-        assert groups[0] == 1 and groups[1] == 2
+        # group sizes cycle 1, 2, 2 after the two setup groups (1 then 1)
+        assert groups[0] == 1 and groups[1] == 1
         assert groups[2:][:3] == [1, 2, 2]
 
     def test_zero_rhs(self):

@@ -2,10 +2,9 @@
 
 Covers the metric instruments, the span tracer, the fabric observer
 hooks (including exact cycle accounting against the active-set engine),
-Chrome-trace export validity, the folded-in ``FabricTrace``/``trace_run``
-(whose retired ``repro.wse.stats`` shim must stay gone), deadlock
-behaviour under tracing, and the end-to-end DES solve acceptance
-criterion: phase spans tile the unified wafer timeline exactly.
+Chrome-trace export validity, deadlock behaviour under tracing, and
+the end-to-end DES solve acceptance criterion: phase spans tile the
+unified wafer timeline exactly.
 """
 
 import json
@@ -16,7 +15,6 @@ import pytest
 from repro.api import RunOptions
 from repro.kernels.bicgstab_des import DESBiCGStab
 from repro.obs import (
-    FabricTrace,
     MetricsRegistry,
     ObsSession,
     SpanTracer,
@@ -24,7 +22,6 @@ from repro.obs import (
     export_heatmaps,
     phase_table,
     telemetry_table,
-    trace_run,
 )
 from repro.problems import momentum_system
 from repro.wse import (
@@ -257,6 +254,29 @@ class TestFabricObserver:
         # fractions are those of a single run — no residue.
         assert np.allclose(busy, observed_busy(warm_runs=0))
 
+    def test_peak_occupancy_bounded_by_capacity(self):
+        f, _ = _line(4, 30)
+        obs = ObsSession()
+        fo = obs.observe_fabric("line", f)
+        f.run()
+        cap = f.routers[0][0].queue_capacity
+        # occupancy is per-router across all queues; a single-channel
+        # line can hold at most 2 queues' worth.
+        assert 0 < fo.peak_occupancy <= 2 * cap
+
+    def test_deadlock_under_session_tracing_exportable(self, tmp_path):
+        """A deadlocked run observed by an ObsSession still diagnoses
+        the stuck core, and the partial record exports valid JSON."""
+        f = _stuck_fabric()
+        obs = ObsSession()
+        fo = obs.observe_fabric("stuck", f)
+        with pytest.raises(FabricDeadlockError, match=r"\(0,0\)"):
+            f.run(max_cycles=50_000)
+        assert f.cycle < 10  # diagnosed immediately, not timed out
+        assert fo.stepped_cycles == f.cycle  # includes the stuck cycle
+        path = obs.write_chrome_trace(tmp_path / "partial.json")
+        assert json.loads(path.read_text())["traceEvents"]
+
 
 class TestChromeExport:
     def test_events_well_formed(self, tmp_path):
@@ -319,66 +339,6 @@ class TestChromeExport:
                   if e["ph"] == "C" and e["name"] == "line.router_words_moved"]
         # Emitted as a flat track spanning the run (start and end).
         assert {e["ts"] for e in tracks} == {0, f.cycle}
-
-
-class TestFabricTrace:
-    def test_snapshot_uses_active_set(self):
-        """The recorder matches full-grid sampling because a router
-        holding words is always in the active set."""
-        f, sink = _line(4, 10)
-        cycles, trace = trace_run(f)
-        assert len(sink.received) == 10
-        assert trace.total_words == f.total_words_moved
-        assert trace.cycles == cycles
-        assert trace.peak_occupancy > 0
-
-    def test_busiest_routers_no_grid_sweep(self):
-        f, _ = _line(5, 10)
-        _, trace = trace_run(f)
-        busiest = trace.busiest_routers(5)
-        counts = [n for _, n in busiest]
-        assert counts == sorted(counts, reverse=True)
-        # Only ever-active routers are candidates.
-        assert len(busiest) <= 5
-
-    def test_deadlock_diagnosed_with_partial_trace(self):
-        """Satellite 3: a stuck program under tracing still raises
-        FabricDeadlockError naming the stuck core, and the partial
-        trace up to the stuck cycle remains usable."""
-        f = _stuck_fabric()
-        with pytest.raises(FabricDeadlockError, match=r"\(0,0\)") as ei:
-            trace_run(f, max_cycles=50_000)
-        assert f.cycle < 10  # diagnosed immediately, not timed out
-        trace = ei.value.trace
-        assert trace.cycles == f.cycle  # includes the stuck cycle
-        assert "words/cycle" in trace.report()
-
-    def test_deadlock_under_session_tracing_exportable(self, tmp_path):
-        """A deadlocked run observed by an ObsSession still diagnoses
-        the stuck core, and the partial record exports valid JSON."""
-        f = _stuck_fabric()
-        obs = ObsSession()
-        fo = obs.observe_fabric("stuck", f)
-        with pytest.raises(FabricDeadlockError, match=r"\(0,0\)"):
-            f.run(max_cycles=50_000)
-        assert fo.stepped_cycles == f.cycle
-        path = obs.write_chrome_trace(tmp_path / "partial.json")
-        assert json.loads(path.read_text())["traceEvents"]
-
-    def test_stats_shim_retired(self):
-        """The deprecated ``repro.wse.stats`` PEP 562 shim is gone; the
-        canonical homes are ``repro.obs.trace`` and the ``repro.wse``
-        re-export."""
-        with pytest.raises(ImportError):
-            from repro.wse import stats  # noqa: F401
-        from repro.obs.trace import FabricTrace as canonical
-        from repro.wse import FabricTrace as reexported
-
-        assert canonical is reexported is FabricTrace
-        from repro.obs.trace import trace_run as canonical_run
-        from repro.wse import trace_run as reexported_run
-
-        assert canonical_run is reexported_run is trace_run
 
 
 class TestObservedSolve:

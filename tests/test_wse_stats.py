@@ -1,99 +1,12 @@
-"""Tests for fabric tracing and utilization statistics."""
+"""Tests for fabric traffic statistics."""
 
 import numpy as np
-import pytest
 
 from repro.kernels import build_spmv_fabric
+from repro.obs import ObsSession
 from repro.problems import Stencil7
-from repro.obs.trace import FabricTrace, trace_run
-from repro.wse import Fabric, Port
 
 RNG = np.random.default_rng(101)
-
-
-class _Src:
-    def __init__(self, words):
-        self._tx = [(0, w) for w in words]
-        self.received = []
-
-    def deliver(self, channel, value):
-        self.received.append(value)
-
-    def poll_tx(self, channel):
-        return self._tx.pop(0)[1] if self._tx else None
-
-    def tx_channels(self):
-        return [0] if self._tx else []
-
-    def step(self):
-        return 0
-
-    @property
-    def idle(self):
-        return not self._tx
-
-
-def _line(n, k_words):
-    f = Fabric(n, 1)
-    src = _Src(range(k_words))
-    sink = _Src([])
-    f.attach_core(0, 0, src)
-    f.attach_core(n - 1, 0, sink)
-    f.router(0, 0).set_route(0, Port.CORE, (Port.EAST,))
-    for x in range(1, n - 1):
-        f.attach_core(x, 0, _Src([]))
-        f.router(x, 0).set_route(0, Port.WEST, (Port.EAST,))
-    f.router(n - 1, 0).set_route(0, Port.WEST, (Port.CORE,))
-    return f, sink
-
-
-class TestFabricTrace:
-    def test_words_accounted(self):
-        f, sink = _line(4, 10)
-        cycles, trace = trace_run(f)
-        assert len(sink.received) == 10
-        assert trace.total_words == f.total_words_moved
-        assert trace.cycles == cycles
-
-    def test_pipeline_utilization(self):
-        """A long stream over a short line keeps the pipe nearly full."""
-        f, _ = _line(3, 40)
-        _, trace = trace_run(f)
-        assert trace.utilization() > 0.5
-
-    def test_peak_occupancy_bounded_by_capacity(self):
-        f, _ = _line(4, 30)
-        _, trace = trace_run(f)
-        cap = f.routers[0][0].queue_capacity
-        # occupancy is per-router across all queues; a single-channel
-        # line can hold at most 2 queues' worth.
-        assert 0 < trace.peak_occupancy <= 2 * cap
-
-    def test_busiest_routers_sorted(self):
-        f, _ = _line(5, 10)
-        _, trace = trace_run(f)
-        counts = [n for _, n in trace.busiest_routers(5)]
-        assert counts == sorted(counts, reverse=True)
-
-    def test_report_renders(self):
-        f, _ = _line(3, 5)
-        _, trace = trace_run(f)
-        rep = trace.report()
-        assert "words/cycle" in rep and "busiest" in rep
-
-    def test_empty_trace(self):
-        trace = FabricTrace(Fabric(2, 2))
-        assert trace.total_words == 0
-        assert trace.utilization() == 0.0
-        assert trace.mean_words_per_cycle == 0.0
-
-    def test_timeout_raises(self):
-        f, _ = _line(3, 5)
-        # sabotage: a word that can never route
-        f.router(1, 0).queue_for(9, Port.WEST).append(1.0)
-        f.router(1, 0).set_route(9, Port.WEST, (Port.EAST,))
-        with pytest.raises(RuntimeError):
-            trace_run(f, max_cycles=5)
 
 
 class TestSpmvTraffic:
@@ -103,8 +16,8 @@ class TestSpmvTraffic:
         shape = (3, 3, 8)
         op = Stencil7.identity(shape)
         fabric, programs = build_spmv_fabric(op, RNG.standard_normal(shape))
-        cycles, trace = trace_run(
-            fabric,
+        fo = ObsSession().observe_fabric("spmv", fabric)
+        fabric.run(
             until=lambda f: all(
                 programs[j][i].done for j in range(3) for i in range(3)
             ) and f.quiescent(),
@@ -112,5 +25,5 @@ class TestSpmvTraffic:
         # Every tile injects Z words into its router (one router "move"
         # each as the fanout is a single move), plus one hop per
         # neighbour delivery.
-        assert trace.total_words >= 9 * 8  # at least the injections
-        assert trace.peak_occupancy <= 8  # bounded queues: no pile-up
+        assert fo.total_words >= 9 * 8  # at least the injections
+        assert fo.peak_occupancy <= 8  # bounded queues: no pile-up
