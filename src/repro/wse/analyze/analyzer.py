@@ -25,6 +25,8 @@ __all__ = ["analyze_program", "ALL_PASSES"]
 
 #: Pass execution order.  Routing first (flow conservation skips channels
 #: whose forwarding graph is cyclic, deferring to the routing findings);
+#: flow, races, numerics and contract read one reach table
+#: (``routing.stream_reach``), filled by whichever runs first;
 #: numerics after precision (the lint runs on the same dtype machinery
 #: but cheaper); cdg proves the credit graph acyclic; contract — which
 #: summarizes the traffic the earlier passes validated and absorbs the

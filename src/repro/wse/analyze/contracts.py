@@ -9,12 +9,16 @@ computes, *before the first cycle*:
 * **Exact word counts** — every declared fabric transmit injects
   ``FabricRef.length`` words at its tile's CORE port; the stream then
   propagates through the (acyclic) forwarding DAG, duplicating at
-  fanout.  Per-router totals use the runtime's own accounting (one word
-  per delivered destination), so ``Router.words_moved`` must equal the
-  contract *exactly* — not approximately — after a run.
+  fanout: a link carries ``length`` times the copies
+  :func:`~repro.wse.analyze.routing.stream_reach` counts at its router,
+  summed over injectors.  Per-router totals use the runtime's own
+  accounting (one word per delivered destination), so
+  ``Router.words_moved`` must equal the contract *exactly* — not
+  approximately — after a run.
 * **A critical-path cycle lower bound** — the run can finish no sooner
   than (a) any injected stream's last word reaching its farthest core
-  delivery (``length + depth - 1``: one word enters the network per
+  delivery (``length + depth - 1``, ``depth`` the longest hop count
+  to a core in the reach table: one word enters the network per
   cycle and moves one hop per cycle), and (b) any core's busiest thread
   slot finishing its declared instructions at its best possible rate
   (``ceil(length / rate)`` each, where an undeclared rate conservatively
@@ -34,11 +38,9 @@ cycle instead of only the stuck coordinates.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 
-from .routing import routing_facts
-from .spec import FabricRef
+from .routing import declared_streams, routing_facts, stream_reach
 from ..fabric import Port
 
 __all__ = ["StaticContract", "compute_contract", "contract_pass"]
@@ -94,17 +96,6 @@ class StaticContract:
         """``(x, y, channel, out_port) -> words`` as a dict."""
         return {(x, y, c, p): w for x, y, c, p, w in self.link_words}
 
-    def core_delivery_map(self) -> dict:
-        """``(x, y) -> words delivered to the core`` (the ``"C"``-port
-        subset of :meth:`link_words_map`, summed over channels).  These
-        are the words a tile must *receive* before it can finish — the
-        static counterpart of the profiler's ``wait_rx`` blame."""
-        out: dict = {}
-        for x, y, _c, port, w in self.link_words:
-            if port == "C":
-                out[(x, y)] = out.get((x, y), 0) + w
-        return out
-
     def scaled_lower_bound(self, runs: int = 1) -> int:
         """Cycle lower bound for ``runs`` back-to-back runs.
 
@@ -113,12 +104,6 @@ class StaticContract:
         :mod:`~repro.wse.analyze.verify_contracts` and the cycle
         profiler's slack attribution measure observed runs against."""
         return self.cycle_lower_bound * runs
-
-    def slack(self, observed_cycles: int, runs: int = 1) -> int:
-        """``observed - scaled bound`` — never negative for a sound
-        bound.  The profiler's ``slack_attribution`` decomposes exactly
-        this number into named wait-state components."""
-        return int(observed_cycles) - self.scaled_lower_bound(runs)
 
     # -- serialization -------------------------------------------------
     def as_dict(self) -> dict:
@@ -161,67 +146,11 @@ class StaticContract:
         return cls.from_dict(json.loads(text))
 
 
-def _declared_injections(fabric) -> dict:
-    """``channel -> {(x, y): words}`` from every core's ProgramDecl."""
-    inj: dict = {}
-    sends_of: dict[int, list] = {}  # id(decl) -> its transmit FabricRefs
-    for y in range(fabric.height):
-        for x in range(fabric.width):
-            core = fabric.cores[y][x]
-            decl = getattr(core, "program_decl", None)
-            if not decl:
-                continue
-            sends = sends_of.get(id(decl))
-            if sends is None:
-                sends = sends_of[id(decl)] = [
-                    instr.dst for _task, instr in decl.instructions()
-                    if isinstance(instr.dst, FabricRef) and instr.dst.length > 0
-                ]
-            for dst in sends:
-                per = inj.setdefault(dst.channel, {})
-                per[(x, y)] = per.get((x, y), 0) + dst.length
-    return inj
-
-
-def _topo_order(graph: dict) -> list:
-    """Kahn topological order (callers guarantee ``graph`` is acyclic)."""
-    indeg = dict.fromkeys(graph, 0)
-    for succs in graph.values():
-        for s in succs:
-            indeg[s] += 1
-    ready = deque(sorted(n for n, d in indeg.items() if not d))
-    order = []
-    while ready:
-        node = ready.popleft()
-        order.append(node)
-        for s in graph[node]:
-            indeg[s] -= 1
-            if not indeg[s]:
-                ready.append(s)
-    return order
-
-
-def _delivery_depths(fabric, route_map: dict, graph: dict, order: list) -> dict:
-    """``node -> max move-cycles to a core delivery`` (None: unreachable)."""
-    depths: dict = {}
-    for node in reversed(order):
-        (x, y), _in_port = node
-        best = None
-        if Port.CORE in route_map[node] and fabric.cores[y][x] is not None:
-            best = 1
-        for s in graph[node]:
-            ds = depths.get(s)
-            if ds is not None and (best is None or ds + 1 > best):
-                best = ds + 1
-        depths[node] = best
-    return depths
-
-
 def compute_contract(fabric) -> StaticContract:
     """Derive a :class:`StaticContract` from routes + declarations."""
     facts = routing_facts(fabric)
-    injections = _declared_injections(fabric)
-    router_words: dict = {}
+    sends, _receives = declared_streams(fabric)
+    cores = fabric.cores
     link_words: dict = {}
     cdg_cycles: list = []
     stream_bound = 0
@@ -237,40 +166,31 @@ def compute_contract(fabric) -> StaticContract:
                     tuple((pos[0], pos[1], channel, port) for pos, port in cyc)
                 )
             continue
-        order = _topo_order(graph)
-        traffic = dict.fromkeys(route_map, 0)
-        for pos, words in injections.get(channel, {}).items():
-            node = (pos, Port.CORE)
-            if node in route_map:
-                traffic[node] += words
-        depths = _delivery_depths(fabric, route_map, graph, order)
-        for node in order:
-            t = traffic[node]
-            if not t:
+        traffic: dict = {}  # route node -> words arriving, over injectors
+        for pos, words in sends.get(channel, {}).items():
+            if not words:
                 continue
+            reach = stream_reach(fabric, channel, pos)
+            for node, copies in reach.nodes.items():
+                traffic[node] = traffic.get(node, 0) + words * copies
+            depth = max((hops for (x, y), (_n, hops) in reach.cores.items()
+                         if cores[y][x] is not None), default=None)
+            if depth is not None:
+                stream_bound = max(stream_bound, words + depth - 1)
+        for node, t in traffic.items():
             (x, y), _in_port = node
-            n_dests = 0
             for out in route_map[node]:
                 if out == Port.CORE:
-                    if fabric.cores[y][x] is None:
+                    if cores[y][x] is None:
                         continue  # routing pass flags the missing core
-                else:
-                    nb = fabric.neighbor(x, y, out)
-                    if nb is None:
-                        continue  # routing pass flags the off-fabric out
-                n_dests += 1
+                elif fabric.neighbor(x, y, out) is None:
+                    continue  # routing pass flags the off-fabric out
                 key = (x, y, channel, out)
                 link_words[key] = link_words.get(key, 0) + t
-            for s in graph[node]:
-                traffic[s] += t
-            if n_dests:
-                coord = (x, y)
-                router_words[coord] = router_words.get(coord, 0) + t * n_dests
-        for pos, words in injections.get(channel, {}).items():
-            depth = depths.get((pos, Port.CORE))
-            if depth is not None and words:
-                stream_bound = max(stream_bound, words + depth - 1)
 
+    router_words: dict = {}  # one word per delivered destination
+    for (x, y, _c, _p), w in link_words.items():
+        router_words[(x, y)] = router_words.get((x, y), 0) + w
     return StaticContract(
         total_words=sum(router_words.values()),
         router_words=tuple(

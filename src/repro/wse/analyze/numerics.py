@@ -66,7 +66,7 @@ from operator import itemgetter
 import numpy as np
 
 from .diagnostics import Diagnostic, Severity
-from .routing import NO_ROUTES, routing_facts
+from .routing import stream_reach
 from .spec import (
     DrainDecl,
     FabricRef,
@@ -76,7 +76,6 @@ from .spec import (
     drain_fifo_name,
 )
 from ..engines import collector_paused, stepper
-from ..fabric import Port
 
 __all__ = [
     "Val",
@@ -791,8 +790,6 @@ class _Eval:
 
     def __init__(self, fabric, cores):
         self.fabric = fabric
-        self.facts = routing_facts(fabric)
-        self._deliveries: dict = {}
         self.codes: dict[str, int] = {"": 0}     # dtype name -> table row
         self.states: list[_CoreState] = []
         plans: dict = {}
@@ -886,36 +883,9 @@ class _Eval:
                     return (st.index, src.fifo), None
         return None, tuple(seen)
 
-    def _delivered(self, channel: int, srcpos) -> list | None:
-        """Positions of the cores a stream injected at ``srcpos`` reaches,
-        one per delivering route node; None when the channel's forwarding
-        graph is cyclic (CDG pass owns)."""
-        key = (channel, srcpos)
-        got = self._deliveries.get(key)
-        if got is not None:
-            return got
-        route_map, graph, sccs = self.facts.get(channel, NO_ROUTES)
-        if sccs:
-            return None
-        node0 = (srcpos, Port.CORE)
-        reached = {node0: None} if node0 in route_map else {}
-        stack = list(reached)
-        while stack:
-            for s in graph[stack.pop()]:
-                if s not in reached:
-                    reached[s] = None
-                    stack.append(s)
-        cores = self.fabric.cores
-        got = self._deliveries[key] = [
-            (x, y) for (x, y), port in reached
-            if Port.CORE in route_map[((x, y), port)]
-            and cores[y][x] is not None
-        ]
-        return got
-
     def _deliver(self, st: _CoreState, channel, words, dtypes, fired) -> None:
-        dests = self._delivered(channel, st.pos)
-        if dests is None:
+        reach = stream_reach(self.fabric, channel, st.pos)
+        if reach is None:
             if ("cyclic", channel) not in self._noted:
                 self._noted.add(("cyclic", channel))
                 self.notes.append(
@@ -925,13 +895,17 @@ class _Eval:
         first = len(self.word_tile)
         self.word_tile.extend(array("q", (st.index,)) * len(words))
         self.word_ref.extend(words)
-        # One abstract word per delivering route node: the value model
-        # is duplication-insensitive (a copy changes no bound).
-        for pos in dests:
-            got = self.streams.setdefault((channel, pos), ([], []))
-            got[0].extend(range(first, len(self.word_tile)))
-            got[1].extend(dtypes)
-            fired.append((channel, pos))
+        ids, cores = range(first, len(self.word_tile)), self.fabric.cores
+        # One abstract word per delivered copy: the value model is
+        # duplication-insensitive, a receive's length is not.
+        for (x, y), (copies, _hops) in reach.cores.items():
+            if cores[y][x] is None:
+                continue
+            got = self.streams.setdefault((channel, (x, y)), ([], []))
+            for _ in range(copies):
+                got[0].extend(ids)
+                got[1].extend(dtypes)
+            fired.append((channel, (x, y)))
 
     # -- step 2: instantiation ------------------------------------------------
     def _expand(self, tape, width: int):

@@ -22,10 +22,9 @@ from math import gcd
 import numpy as np
 
 from .diagnostics import Diagnostic, Severity
-from .routing import NO_ROUTES, routing_facts
+from .routing import NO_ROUTES, declared_streams, routing_facts, stream_reach
 from .spec import (
     BUILD_LAUNCH,
-    FabricRef,
     FifoRef,
     MemRef,
     ProgramDecl,
@@ -33,7 +32,7 @@ from .spec import (
     drain_fifo_name,
 )
 from ..dsr import Action
-from ..fabric import Fabric, Port
+from ..fabric import Fabric
 
 __all__ = [
     "flow_pass",
@@ -85,37 +84,18 @@ def _per_class(cores, key_of, findings_of) -> list[Diagnostic]:
 # ----------------------------------------------------------------------
 # Flow conservation
 # ----------------------------------------------------------------------
-def _delivery_multiplicity(route_map, graph, start) -> dict:
-    """How many copies of one injected word each tile's core receives.
-
-    Walks the forwarding graph from the injection node; every reachable
-    node whose route fans to 'C' delivers one copy to its tile's core.
-    """
-    delivered: dict[tuple[int, int], int] = {}
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        node = frontier.pop()
-        pos, _ = node
-        if Port.CORE in route_map.get(node, ()):
-            delivered[pos] = delivered.get(pos, 0) + 1
-        for nxt in graph.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return delivered
-
-
 def flow_pass(fabric: Fabric, cores) -> list[Diagnostic]:
     """Per-channel word conservation: injected must equal consumed.
 
     For every channel, the words injected by ``FabricRef`` destinations
     must match, along each route, the words consumable by ``FabricRef``
-    sources at every delivery tile.  Under-supply is a hang (a receive
-    descriptor waits forever); over-supply is unbounded back-pressure or
-    silently dropped data.  Runs only when every attached core carries a
-    program declaration — a fabric mixing declared and undeclared cores
-    has no complete static picture to check.
+    sources at every delivery tile — one copy per route path
+    (:func:`~repro.wse.analyze.routing.stream_reach`).  Under-supply is
+    a hang (a receive descriptor waits forever); over-supply is
+    unbounded back-pressure or silently dropped data.  Runs only when
+    every attached core carries a program declaration — a fabric mixing
+    declared and undeclared cores has no complete static picture to
+    check.
     """
     decl_cores = _decl_cores(cores)
     if not decl_cores or len(decl_cores) != len(cores):
@@ -123,37 +103,16 @@ def flow_pass(fabric: Fabric, cores) -> list[Diagnostic]:
     core_at = dict(decl_cores)
     diags: list[Diagnostic] = []
     facts = routing_facts(fabric)
-
-    # Collect per-core tx words and rx lengths per channel (each distinct
-    # declaration is scanned once; tile classes share theirs).
-    tx: dict[int, dict[tuple[int, int], int]] = {}
-    rx: dict[int, dict[tuple[int, int], list[int]]] = {}
-    streams_of: dict[int, tuple[list, list]] = {}
-    for pos, core in decl_cores:
-        decl = _decl_of(core)
-        streams = streams_of.get(id(decl))
-        if streams is None:
-            streams = streams_of[id(decl)] = ([], [])
-            for _task, instr in decl.instructions():
-                if isinstance(instr.dst, FabricRef):
-                    streams[0].append(instr.dst)
-                streams[1].extend(
-                    src for src in instr.srcs if isinstance(src, FabricRef))
-        for dst in streams[0]:
-            ch = tx.setdefault(dst.channel, {})
-            ch[pos] = ch.get(pos, 0) + dst.length
-        for src in streams[1]:
-            rx.setdefault(src.channel, {}).setdefault(pos, []).append(src.length)
+    tx, rx = declared_streams(fabric)
 
     for channel in sorted(set(tx) | set(rx)):
-        route_map, graph, sccs = facts.get(channel, NO_ROUTES)
-        if sccs:
+        if facts.get(channel, NO_ROUTES)[2]:
             continue  # the routing pass already reported the loop(s)
 
         delivered: dict[tuple[int, int], int] = {}
         for pos, words in sorted(tx.get(channel, {}).items()):
-            start = (pos, Port.CORE)
-            if start not in route_map:
+            reach = stream_reach(fabric, channel, pos)
+            if not reach.nodes:
                 diags.append(Diagnostic(
                     Severity.ERROR, "flow", "tx-no-route",
                     f"core injects {words} word(s) but its router has no "
@@ -162,10 +121,8 @@ def flow_pass(fabric: Fabric, cores) -> list[Diagnostic]:
                     hint="set_route(channel, Port.CORE, ...) before injecting",
                 ))
                 continue
-            for dst_pos, mult in _delivery_multiplicity(
-                route_map, graph, start
-            ).items():
-                delivered[dst_pos] = delivered.get(dst_pos, 0) + mult * words
+            for dst_pos, (copies, _hops) in reach.cores.items():
+                delivered[dst_pos] = delivered.get(dst_pos, 0) + copies * words
 
         chan_rx = rx.get(channel, {})
         for pos in sorted(set(delivered) | set(chan_rx)):

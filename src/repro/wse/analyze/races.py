@@ -53,17 +53,12 @@ the runtime sanitizer (correctly) never trips on them.
 from __future__ import annotations
 
 from .diagnostics import Diagnostic, Severity
-from .passes import (
-    _decl_cores,
-    _decl_of,
-    _delivery_multiplicity,
-    strided_overlap_witness,
-)
-from .routing import NO_ROUTES, routing_facts
+from .passes import _decl_cores, _decl_of, strided_overlap_witness
+from .routing import stream_reach
 from .spec import BUILD_LAUNCH, FabricRef, FifoRef, MemRef
 from ..dsr import Action
 from ..engines import stepper
-from ..fabric import Fabric, Port
+from ..fabric import Fabric
 
 __all__ = [
     "HBGraph",
@@ -211,14 +206,12 @@ def build_hb_graph(fabric: Fabric, cores) -> HBGraph:
     # Stream delivery: a receive consumes its full extent, so it ends
     # after every transmit whose stream the routing delivers to its
     # tile ends (exact under flow conservation, which `flow` checks).
-    facts = routing_facts(fabric)
     for channel, txs in tx_by_channel.items():
-        route_map, graph, _sccs = facts.get(channel, NO_ROUTES)
         for pos, tx_end in txs:
-            start = (pos, Port.CORE)
-            if start not in route_map:
-                continue  # the flow pass reports the missing route
-            for dpos in _delivery_multiplicity(route_map, graph, start):
+            reach = stream_reach(fabric, channel, pos)
+            if reach is None:
+                continue  # cyclic channel: routing and cdg report it
+            for dpos in reach.cores:
                 for rx_end in rx_by_chan_pos.get((channel, dpos), ()):
                     g.edge(tx_end, rx_end)
     return g

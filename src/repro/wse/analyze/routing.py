@@ -14,15 +14,21 @@ kinds:
   cyclic strongly connected components of the forwarding graph, so two
   disjoint misconfigured rings on one channel yield two findings, not
   one.
+
+:func:`stream_reach` is where a stream goes, for every pass that asks.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .diagnostics import Diagnostic, Severity
+from .spec import FabricRef
 from ..fabric import Fabric, OPPOSITE, Port
 
 __all__ = ["routing_pass", "routing_facts", "routes_by_channel",
-           "forwarding_graph", "cyclic_sccs"]
+           "forwarding_graph", "cyclic_sccs", "stream_reach", "Reach",
+           "declared_streams"]
 
 #: What :func:`routing_facts` answers for a channel nothing is routed on.
 NO_ROUTES = ({}, {}, [])
@@ -34,7 +40,8 @@ def routing_facts(fabric: Fabric) -> dict[int, tuple]:
     Several passes need the same three facts of the same unmodified
     fabric, so they are computed once per topology version — the token
     every ``Router.set_route`` (and queue creation) bumps — and kept on
-    the fabric.  Callers must treat them as read-only.
+    the fabric, next to the :func:`stream_reach` tables derived from
+    them.  Callers must treat them as read-only.
     """
     memo = fabric._routing_facts
     if memo is None or memo[0] != fabric._topology_version:
@@ -42,8 +49,95 @@ def routing_facts(fabric: Fabric) -> dict[int, tuple]:
         for channel, route_map in routes_by_channel(fabric).items():
             graph = forwarding_graph(fabric, route_map)
             facts[channel] = (route_map, graph, cyclic_sccs(graph))
-        memo = fabric._routing_facts = (fabric._topology_version, facts)
+        memo = fabric._routing_facts = (fabric._topology_version, facts, {})
     return memo[1]
+
+
+class Reach(NamedTuple):
+    """Where a word injected at a tile's core port goes.  ``nodes``:
+    route node ``(pos, in_port)`` -> copies arriving there, one per
+    forwarding path (a router copies a word to each out port).
+    ``cores``: ``pos`` -> ``(copies, hops)`` for every tile whose route
+    delivers to ``C`` — attached core or not — ``hops`` the longest path
+    to that delivery, counting the delivery itself."""
+
+    nodes: dict
+    cores: dict
+
+
+def stream_reach(fabric: Fabric, channel: int, pos) -> Reach | None:
+    """The :class:`Reach` of a word injected at ``(pos, 'C')`` on
+    ``channel``: empty without that route, None on a cyclic channel (no
+    count is finite).  Memoised beside :func:`routing_facts`."""
+    facts = routing_facts(fabric)
+    reaches = fabric._routing_facts[2]
+    key = (channel, pos)
+    if key not in reaches:
+        route_map, graph, sccs = facts.get(channel, NO_ROUTES)
+        reaches[key] = None if sccs else _walk(route_map, graph,
+                                               (pos, Port.CORE))
+    return reaches[key]
+
+
+def _walk(route_map: dict, graph: dict, start) -> Reach:
+    """Count paths from ``start``: Kahn over the nodes it reaches."""
+    if start not in route_map:
+        return Reach({}, {})
+    state = {start: [0, 1, 0]}  # node -> [in-edges left, copies, hops]
+    stack = [start]
+    while stack:
+        for s in graph[stack.pop()]:
+            if s in state:
+                state[s][0] += 1
+            else:
+                state[s] = [1, 0, 0]
+                stack.append(s)
+    cores: dict = {}
+    ready = [start]
+    while ready:
+        node = ready.pop()
+        _left, n, h = state[node]
+        h += 1
+        if Port.CORE in route_map[node]:
+            got, deepest = cores.get(node[0], (0, 0))
+            cores[node[0]] = (got + n, h if h > deepest else deepest)
+        for s in graph[node]:
+            succ = state[s]
+            succ[1] += n
+            if succ[2] < h:
+                succ[2] = h
+            succ[0] -= 1
+            if not succ[0]:
+                ready.append(s)
+    return Reach({node: st[1] for node, st in state.items()}, cores)
+
+
+def declared_streams(fabric: Fabric) -> tuple[dict, dict]:
+    """``(sends, receives)`` over every core's ProgramDecl: ``channel ->
+    {(x, y): words}`` summed over its ``FabricRef`` destinations (zero
+    lengths included), and ``channel -> {(x, y): [length, ...]}`` of its
+    ``FabricRef`` sources.  A declaration tiles share is scanned once."""
+    sends, receives = {}, {}
+    scanned: dict = {}  # id(decl) -> (destinations, sources)
+    for y in range(fabric.height):
+        for x in range(fabric.width):
+            decl = getattr(fabric.cores[y][x], "program_decl", None)
+            if not decl:
+                continue
+            if id(decl) not in scanned:
+                instrs = [instr for _task, instr in decl.instructions()]
+                scanned[id(decl)] = (
+                    [i.dst for i in instrs if isinstance(i.dst, FabricRef)],
+                    [s for i in instrs for s in i.srcs
+                     if isinstance(s, FabricRef)])
+            dsts, srcs = scanned[id(decl)]
+            for dst in dsts:
+                per = sends.setdefault(dst.channel, {})
+                per[(x, y)] = per.get((x, y), 0) + dst.length
+            for src in srcs:
+                receives.setdefault(src.channel, {}).setdefault(
+                    (x, y), []).append(src.length)
+    return sends, receives
 
 
 def routes_by_channel(fabric: Fabric) -> dict[int, dict]:

@@ -335,8 +335,9 @@ class Fabric:
         self._core_version = 0
         #: Sum of every router's ``_version`` (kept by ``_rewired``).
         self._topology_version = 0
-        #: ``(topology version, facts)`` memo of
-        #: :func:`repro.wse.analyze.routing.routing_facts`.
+        #: ``(topology version, facts, reach tables)`` memo of
+        #: :func:`repro.wse.analyze.routing.routing_facts` and
+        #: :func:`~repro.wse.analyze.routing.stream_reach`.
         self._routing_facts = None
         #: Memoised :meth:`quiescent` proof.  Quiescence only ends by an
         #: event that can add work — a core wake (activation, launch,

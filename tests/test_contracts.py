@@ -11,16 +11,25 @@ Three families:
   under ``engine="active"`` and ``engine="reference"``: same word
   counts, same cycle counts, same slack;
 * **serialization** — ``StaticContract`` round-trips through JSON
-  losslessly.
+  losslessly;
+* **one reach table** — the contract's stream term in closed form, and
+  flow, the contract and the DES agreeing on every tile's delivered
+  words over random acyclic routes.
 """
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from repro.wse import CS1, Core, Fabric, Port
+from repro.wse.analyze import FabricRef, InstrDecl, MemRef, flow_pass
+from repro.wse.analyze.analyzer import _attached_cores
 from repro.wse.analyze.contracts import StaticContract, compute_contract
 from repro.wse.analyze.verify_contracts import verify_contracts
+from repro.wse.fabric import OPPOSITE
 
 
 @pytest.fixture(scope="module")
@@ -148,3 +157,102 @@ class TestStaticContractSerialization:
         assert contract.total_words == 0  # no sound count on a cyclic channel
         again = StaticContract.from_json(contract.to_json())
         assert again == contract
+
+
+def _line(width: int, words: int) -> Fabric:
+    """A ``width``x1 line: (0,0) sends ``words`` words east to the far
+    core, every tile in between forwarding."""
+    f = Fabric(width, 1)
+    for x in range(width):
+        f.attach_core(x, 0, Core(x, 0, CS1))
+    f.router(0, 0).set_route(0, Port.CORE, (Port.EAST,))
+    for x in range(1, width - 1):
+        f.router(x, 0).set_route(0, Port.WEST, (Port.EAST,))
+    f.router(width - 1, 0).set_route(0, Port.WEST, (Port.CORE,))
+    f.core(0, 0).program_decl.launched(InstrDecl(
+        "copy", FabricRef(0, words), (MemRef("src", 0, words),),
+        length=words, thread=0,
+    ))
+    return f
+
+
+class TestStreamTerm:
+    def test_far_core_on_a_line(self):
+        """10 words over 3 hops plus the delivery: the last word enters
+        at cycle 10 and needs 4 more moves, ``10 + 4 - 1 == 13``."""
+        assert compute_contract(_line(4, 10)).cycle_lower_bound == 13
+
+    @pytest.mark.parametrize("width", [2, 3, 6])
+    def test_words_plus_depth_minus_one(self, width):
+        assert compute_contract(_line(width, 10)).cycle_lower_bound \
+            == 10 + width - 1
+
+
+@st.composite
+def _acyclic_program(draw):
+    """A fabric up to 4x4 with one or two channels.  Each channel moves
+    only one way in x and one way in y, so its routes are acyclic, and
+    every route node forwards to a non-empty subset of those two ports
+    and 'C' — paths converge freely.  Some tiles inject 1-4 words."""
+    w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    channels = {}
+    for ch in range(draw(st.integers(1, 2))):
+        dx, dy = draw(st.sampled_from("EW")), draw(st.sampled_from("NS"))
+        routes = {}
+        for y in range(h):
+            for x in range(w):
+                ports = [Port.CORE]
+                if 0 <= x + (1 if dx == "E" else -1) < w:
+                    ports.append(dx)
+                if 0 <= y + (1 if dy == "N" else -1) < h:
+                    ports.append(dy)
+                for in_port in (Port.CORE, OPPOSITE[dx], OPPOSITE[dy]):
+                    routes[(x, y, in_port)] = tuple(draw(st.lists(
+                        st.sampled_from(ports), min_size=1, unique=True)))
+        sends = draw(st.dictionaries(
+            st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)),
+            st.integers(1, 4), max_size=3))
+        channels[ch] = (routes, sends)
+    return w, h, channels
+
+
+class TestOneReachTable:
+    """Flow, the contract and the DES count the same delivered words."""
+
+    @seed(47)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(_acyclic_program())
+    def test_flow_contract_and_des_agree(self, program):
+        w, h, channels = program
+        f = Fabric(w, h)
+        queues = {}
+        for y in range(h):
+            for x in range(w):
+                core = Core(x, y, CS1)
+                f.attach_core(x, y, core)
+                for ch in channels:
+                    queues[(ch, (x, y))] = core.subscribe(ch)
+        for ch, (routes, sends) in channels.items():
+            for (x, y, in_port), outs in routes.items():
+                f.router(x, y).set_route(ch, in_port, outs)
+            for (x, y), words in sends.items():
+                f.router(x, y).queue_for(ch, Port.CORE).extend([1.0] * words)
+                f.core(x, y).program_decl.launched(InstrDecl(
+                    "copy", FabricRef(ch, words), (MemRef("src", 0, words),),
+                    length=words, thread=0,
+                ))
+        contract = compute_contract(f)
+        f.run(max_cycles=1_000)
+        c_words = contract.link_words_map()
+        for (ch, (x, y)), q in queues.items():
+            assert c_words.get((x, y, ch, "C"), 0) == len(q), (ch, x, y)
+            if q:  # receive exactly what the DES delivered
+                f.core(x, y).program_decl.launched(InstrDecl(
+                    "copy", MemRef("dst", 0, len(q)), (FabricRef(ch, len(q)),),
+                    length=len(q), thread=0,
+                ))
+        for _pos, core in _attached_cores(f):
+            if not core.program_decl:
+                core.program_decl.launched(InstrDecl("nop", None))
+        # Clean flow: every tile's delivered words equal its receive.
+        assert flow_pass(f, _attached_cores(f)) == []

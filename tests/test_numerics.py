@@ -55,6 +55,7 @@ from repro.wse.analyze.numerics import (
     synthesize_numerics_witness,
     unit_roundoff,
 )
+from repro.wse.analyze.routing import stream_reach
 from repro.wse.analyze.shipped import shipped
 from repro.wse.analyze.spec import FabricRef
 
@@ -523,10 +524,9 @@ def _changed_tiles(got, want) -> set:
 
 def _receivers(fabric, pos) -> set:
     """Positions the streams the tile at ``pos`` sends reach."""
-    ev = _Eval(fabric, _attached_cores(fabric))
     return {d for _t, i in fabric.core(*pos).program_decl.instructions()
             if isinstance(i.dst, FabricRef)
-            for d in ev._delivered(i.dst.channel, pos)}
+            for d in stream_reach(fabric, i.dst.channel, pos).cores}
 
 
 def _decl_items(decl) -> int:

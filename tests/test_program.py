@@ -200,6 +200,45 @@ def test_plan_is_resolved_once_per_class_declaration():
     assert bodies[0] is bodies[1]
 
 
+def test_spmv_build_resolves_one_plan_per_class(monkeypatch):
+    """The plan cache hits across a class's tiles: a 6x6x4 SpMV
+    resolves one ``_Plan`` per class declaration, not one per tile."""
+    import weakref
+
+    from repro.wse import program
+
+    built = []
+
+    class Counted(program._Plan):
+        def __init__(self, decl, bindings):
+            built.append(decl)
+            super().__init__(decl, bindings)
+
+    monkeypatch.setattr(program, "_Plan", Counted)
+    monkeypatch.setattr(program, "_PLANS", weakref.WeakKeyDictionary())
+    op = Stencil7.from_random(
+        (6, 6, 4), rng=np.random.default_rng(0)).jacobi_precondition()[0]
+    fabric = spmv3d.build_spmv_fabric(op, np.zeros(op.shape))[0]
+    classes = {id(fabric.core(x, y).program_decl)
+               for y in range(fabric.height) for x in range(fabric.width)}
+    assert len(classes) < fabric.width * fabric.height
+    assert len(built) == len(classes)
+    assert {id(d) for d in built} == classes
+
+
+def test_plan_cache_hits_on_equal_bindings():
+    """Bindings built afresh for each tile but equal share one plan."""
+    decl = ProgramDecl()
+    decl.task("t")
+    decl.freeze()
+    bodies = []
+    for _ in range(2):
+        _fabric, core = _one_core()
+        instantiate(decl, core, Bindings(active=("t",), flags={"t": "done"}))
+        bodies.append(core.scheduler._tasks["t"].body)
+    assert bodies[0] is bodies[1]
+
+
 def test_instruction_cached_on_first_issue_and_rewound_after():
     fabric, core = _one_core()
     a = core.memory.alloc("a", 4)

@@ -163,6 +163,81 @@ class TestFlowDefects:
         assert [d.kind for d in report] == ["subscriber-mismatch"]
 
 
+    def _convergent(self, want):
+        """A 2x3 fabric where one 10-word send from (0,0) reaches (1,2)'s
+        core by two paths, (0,0)->(1,0)->(1,1) and (0,0)->(0,1)->(1,1):
+        the router at (1,1) forwards both copies north, so the core at
+        (1,2) is delivered 20 words.  It receives ``want`` of them."""
+        from repro.wse.dsr import FabricRx, FabricTx, Instruction, MemCursor
+
+        f = _fabric_with_cores(2, 3)
+        f.router(0, 0).set_route(5, Port.CORE, (Port.EAST, Port.NORTH))
+        f.router(1, 0).set_route(5, Port.WEST, (Port.NORTH,))
+        f.router(0, 1).set_route(5, Port.SOUTH, (Port.EAST,))
+        f.router(1, 1).set_route(5, Port.SOUTH, (Port.NORTH,))
+        f.router(1, 1).set_route(5, Port.WEST, (Port.NORTH,))
+        f.router(1, 2).set_route(5, Port.SOUTH, (Port.CORE,))
+        a, b = f.core(0, 0), f.core(1, 2)
+        src = a.memory.store("src", np.arange(10, dtype=np.float16))
+        dst = b.memory.alloc("dst", want, np.float16)
+        q = b.subscribe(5)
+        a.launch(Instruction(
+            op="copy", dst=FabricTx(a, 10, 5, name="tx"),
+            srcs=[MemCursor(src, 0, 10, name="src")], length=10, name="send",
+        ), thread=0)
+        rx = Instruction(
+            op="copy", dst=MemCursor(dst, 0, want, name="dst"),
+            srcs=[FabricRx(q, want, 5, name="rx")], length=want, name="recv",
+        )
+        b.launch(rx, thread=0)
+        a.program_decl.launched(InstrDecl(
+            "copy", FabricRef(5, 10), (MemRef("src", 0, 10),),
+            length=10, thread=0, name="send",
+        ))
+        b.program_decl.launched(InstrDecl(
+            "copy", MemRef("dst", 0, want), (FabricRef(5, want),),
+            length=want, thread=0, name="recv",
+        ))
+        for y in range(3):
+            for x in range(2):
+                if not f.core(x, y).program_decl:
+                    f.core(x, y).program_decl.launched(InstrDecl("nop", None))
+        return f, rx, q
+
+    def _run_checked(self, f):
+        """Run ``f`` under the DES and hold it to its contract."""
+        from repro.obs import ObsSession
+        from repro.wse.analyze import compute_contract
+        from repro.wse.analyze.verify_contracts import _check_fabric
+
+        contract = compute_contract(f)
+        session = ObsSession()
+        session.observe_fabric("convergent", f)
+        f.run(max_cycles=1_000)
+        check = _check_fabric(
+            "convergent", f, contract, session, "convergent", runs=1,
+            observed_cycles=f.cycle, bound=contract.cycle_lower_bound,
+        )
+        assert check.ok, check.summary()
+        return contract
+
+    def test_convergent_routes_deliver_one_copy_per_path(self):
+        f, rx, q = self._convergent(20)
+        assert not analyze_program(f)
+        contract = self._run_checked(f)
+        assert contract.link_words_map()[(1, 2, 5, "C")] == 20
+        assert rx.finished and not q  # all 20 words consumed
+
+    def test_convergent_routes_over_supply(self):
+        f, rx, q = self._convergent(10)
+        report = analyze_program(f)
+        assert [(d.kind, d.where, d.channel) for d in report] == [
+            ("over-supply", (1, 2), 5)]
+        assert "20 word(s) are routed here" in report.diagnostics[0].message
+        self._run_checked(f)
+        assert rx.finished and len(q) == 10  # the excess stays queued
+
+
 # ----------------------------------------------------------------------
 # Pass 3: task graph
 # ----------------------------------------------------------------------
