@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: install test lint verify-contracts certify-numerics sanitize check trace profile perf perf-quick perf-pairs bench bench-verbose examples report all clean
+.PHONY: install test lint verify-contracts certify-numerics sanitize check trace profile perf perf-quick perf-pairs examples report all clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -79,25 +79,19 @@ perf-pairs:
 	python3 benchmarks/pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
 		--pairs $(or $(N),10) --seed $(or $(SEED),42)
 
-# The paper-reproduction reports (bench_headline / bench_fig* /
-# bench_table* ...): they assert shapes and ratios, not host speed —
-# host time is `make perf` above and nothing else.
-bench:
-	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only -q
-
-bench-verbose:
-	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only -s
-
 examples:
 	@for ex in examples/*.py; do \
 		echo "== $$ex"; python $$ex || exit 1; \
 	done
 
+# Every paper-reproduction report (`python -m repro list` names them)
+# as one markdown file; `make check` already renders each and holds the
+# paper's claims to its rows (tests/test_paper_claims.py).
 report:
-	python -m repro write-report
+	PYTHONPATH=src python -m repro write-report
 
-all: test bench
+all: test
 
 clean:
-	rm -rf build dist src/*.egg-info .pytest_benchmark .benchmarks
+	rm -rf build dist src/*.egg-info
 	find . -name __pycache__ -type d -exec rm -rf {} +

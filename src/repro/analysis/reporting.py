@@ -1,17 +1,75 @@
 """Report formatting: ASCII tables and series for the reproductions.
 
-Every benchmark prints the rows/series its paper table or figure
-reports; these helpers keep that output consistent and readable in a
-terminal (no plotting dependencies are available offline).
+A report (``repro.analysis.reports``) returns its blocks as data —
+:class:`Table` rows, :class:`Plot` series and plain text lines — and
+:func:`render` is the one place they become terminal text (no plotting
+dependencies are available offline).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["format_table", "format_series", "ascii_plot", "paper_vs_measured"]
+__all__ = [
+    "Table",
+    "Plot",
+    "render",
+    "comparison",
+    "format_table",
+    "format_series",
+    "ascii_plot",
+    "paper_vs_measured",
+]
+
+
+@dataclass(frozen=True)
+class Table:
+    """A table's rows as data; :func:`render` formats it."""
+
+    headers: Sequence[str]
+    rows: Sequence[Sequence]
+    title: str | None = None
+    floatfmt: str = ".4g"
+
+    def column(self, header: str) -> list:
+        """Every row's cell under ``header``."""
+        i = list(self.headers).index(header)
+        return [row[i] for row in self.rows]
+
+    def row(self, key) -> dict:
+        """The row whose first cell is ``key``, as ``header -> cell``."""
+        for row in self.rows:
+            if row[0] == key:
+                return dict(zip(self.headers, row))
+        raise KeyError(key)
+
+
+@dataclass(frozen=True)
+class Plot:
+    """Series sharing one x axis; :func:`render` draws it."""
+
+    x: Sequence[float]
+    series: dict[str, Sequence[float]]
+    logy: bool = False
+    title: str | None = None
+
+
+def render(blocks: Iterable[Table | Plot | str]) -> str:
+    """A report's blocks as text, one block per line group."""
+    out = []
+    for block in blocks:
+        if isinstance(block, Table):
+            out.append(format_table(block.headers, block.rows, block.title,
+                                    block.floatfmt))
+        elif isinstance(block, Plot):
+            out.append(ascii_plot(block.x, block.series, logy=block.logy,
+                                  title=block.title))
+        else:
+            out.append(block)
+    return "\n".join(out)
 
 
 def format_table(
@@ -64,7 +122,7 @@ def ascii_plot(
     """Crude ASCII line chart for one or more series sharing x.
 
     Good enough to show a figure's *shape* (scaling curves, residual
-    histories) directly in benchmark output.
+    histories) directly in report output.
     """
     marks = "*o+x#@"
     xs = np.asarray(x, dtype=float)
@@ -97,14 +155,18 @@ def ascii_plot(
     return "\n".join(lines)
 
 
-def paper_vs_measured(records: Iterable[dict]) -> str:
-    """Standard EXPERIMENTS.md-style comparison table.
+def comparison(records: Iterable[dict]) -> Table:
+    """Standard EXPERIMENTS.md-style paper-vs-measured table.
 
     Each record: ``{"quantity", "paper", "measured", "note"?}``.
     """
-    rows = []
-    for r in records:
-        rows.append(
-            (r["quantity"], r["paper"], r["measured"], r.get("note", ""))
-        )
-    return format_table(["quantity", "paper", "measured", "note"], rows)
+    return Table(
+        ["quantity", "paper", "measured", "note"],
+        [(r["quantity"], r["paper"], r["measured"], r.get("note", ""))
+         for r in records],
+    )
+
+
+def paper_vs_measured(records: Iterable[dict]) -> str:
+    """:func:`comparison` rendered as text."""
+    return render([comparison(records)])

@@ -1,15 +1,21 @@
-"""Ready-made experiment reports (the CLI's and notebooks' entry point).
+"""Ready-made experiment reports: one path per paper artifact.
 
 Each function regenerates one of the paper's tables/figures (or a
-supporting study) as a printable string, using the same code paths as
-the benchmark harness.  ``python -m repro <name>`` dispatches here.
+supporting study) and returns its blocks as data — :class:`Table` rows,
+:class:`Plot` series and text lines.  :func:`rendered` is the one loop
+that turns them into text: ``python -m repro <name>``, ``all`` and
+``write-report`` all go through it, and ``tests/test_paper_claims.py``
+asserts the paper's claims on the same rows.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+from typing import Iterable, Iterator
+
 import numpy as np
 
-from .reporting import ascii_plot, format_table, paper_vs_measured
+from .reporting import Plot, Table, comparison, render
 
 __all__ = [
     "headline_report",
@@ -30,18 +36,25 @@ __all__ = [
     "energy_report",
     "des_scale_report",
     "observed_trace_report",
+    "intro_report",
+    "spmv3d_report",
+    "stream_report",
+    "validation_report",
+    "precision_report",
     "REPORTS",
+    "rendered",
+    "write_report",
 ]
 
 
-def headline_report() -> str:
+def headline_report() -> list:
     """Section V's measured results (model-side)."""
     from ..perfmodel import HEADLINE_MESH, WaferPerfModel
 
     m = WaferPerfModel()
     t = m.iteration_time(HEADLINE_MESH)
     bd = m.iteration_breakdown(HEADLINE_MESH)
-    out = [paper_vs_measured([
+    return [comparison([
         {"quantity": "time / iteration (us)", "paper": 28.1,
          "measured": round(t * 1e6, 2)},
         {"quantity": "achieved PFLOPS", "paper": 0.86,
@@ -52,9 +65,7 @@ def headline_report() -> str:
          "measured": round(m.gflops_per_watt(HEADLINE_MESH), 1)},
         {"quantity": "tile storage (KB)", "paper": "~31",
          "measured": round(m.storage_bytes_per_tile(1536) / 1024, 1)},
-    ])]
-    out.append("")
-    out.append(format_table(
+    ]), "", Table(
         ["component", "cycles / iteration"],
         [
             ("2 x SpMV", round(bd.spmv_cycles, 0)),
@@ -66,11 +77,10 @@ def headline_report() -> str:
             ("total", round(bd.total_cycles, 0)),
         ],
         title="per-core cycle breakdown, 600x595x1536",
-    ))
-    return "\n".join(out)
+    )]
 
 
-def allreduce_report() -> str:
+def allreduce_report() -> list:
     """Fig. 6 / the <1.5 us AllReduce."""
     from ..wse import (
         CS1,
@@ -87,22 +97,19 @@ def allreduce_report() -> str:
         _, cycles = simulate_allreduce(vals)
         rows.append((f"{w}x{h}", w * h, cycles,
                      allreduce_latency_cycles(w, h, stage_overhead=0)))
-    out = [format_table(
+    cycles = allreduce_latency_cycles(g.fabric_width, g.fabric_height)
+    return [Table(
         ["fabric", "cores", "DES cycles", "model (no overhead)"],
         rows, title="simulated AllReduce vs latency model",
-    )]
-    cycles = allreduce_latency_cycles(g.fabric_width, g.fabric_height)
-    out.append("")
-    out.append(paper_vs_measured([
+    ), "", comparison([
         {"quantity": "full-wafer latency (us)", "paper": "< 1.5",
          "measured": round(allreduce_latency_seconds() * 1e6, 3)},
         {"quantity": "cycles / diameter", "paper": "~1.1",
          "measured": round(cycles / g.diameter, 3)},
-    ]))
-    return "\n".join(out)
+    ])]
 
 
-def table1_report() -> str:
+def table1_report() -> list:
     """Table I: ops per meshpoint per iteration."""
     from ..perfmodel import measured_counts, table1
 
@@ -111,20 +118,16 @@ def table1_report() -> str:
         label = f"{r.name} (x{r.count})" if r.count else r.name
         rows.append((label, r.sp_add, r.sp_mul, r.mixed_hp_add,
                      r.mixed_hp_mul, r.mixed_sp_add))
-    out = [format_table(
+    m = measured_counts(iterations=4)
+    return [Table(
         ["Operation", "SP +", "SP x", "HP +", "HP x", "SP + (mixed)"],
         rows, title="Table I: operations per meshpoint per iteration",
-    )]
-    m = measured_counts(iterations=4)
-    out.append(
-        f"\ninstrumented solver: {m['matvec_mul']:.0f} matvec multiplies, "
-        f"{m['matvec_add']:.0f} adds per point per iteration, "
-        f"{m['dots_per_iteration']:.0f} dots per iteration"
-    )
-    return "\n".join(out)
+    ), f"\ninstrumented solver: {m['matvec_mul']:.0f} matvec multiplies, "
+       f"{m['matvec_add']:.0f} adds per point per iteration, "
+       f"{m['dots_per_iteration']:.0f} dots per iteration"]
 
 
-def table2_report() -> str:
+def table2_report() -> list:
     """Table II: SIMPLE phase cycles."""
     from ..cfd import OpCounter, lid_driven_cavity
     from ..perfmodel import table2
@@ -138,38 +141,38 @@ def table2_report() -> str:
         lo, hi = p.printed_total
         got = measured.get(p.name, {}).get("cycles", 0.0)
         rows.append((p.name, f"{lo}-{hi}", round(got, 1)))
-    return format_table(
+    return [Table(
         ["SIMPLE step", "paper cycles/point", "measured (our assembly)"],
         rows,
         title="Table II: cycles per meshpoint (excluding the solver)",
-    )
+    )]
 
 
-def balance_report() -> str:
+def balance_report() -> list:
     """Fig. 1 data."""
     from ..perfmodel import balance_table
 
-    return format_table(
+    return [Table(
         ["system", "year", "flops/word mem", "flops/word net"],
         [(e.system, e.year, e.flops_per_word_memory,
           e.flops_per_word_interconnect) for e in balance_table()],
         title="Fig. 1: machine balance (8-byte words)",
-    )
+    )]
 
 
-def routing_report() -> str:
+def routing_report() -> list:
     """Fig. 5 tessellation."""
     from ..wse import channel_map, verify_tessellation
 
     colors = channel_map(10, 6)
     verify_tessellation(colors)
-    lines = ["Fig. 5: c(x,y) = (x + 2y) mod 5 (property verified)"]
-    for y in range(5, -1, -1):
-        lines.append("  " + " ".join(str(colors[y, x]) for x in range(10)))
-    return "\n".join(lines)
+    return ["Fig. 5: c(x,y) = (x + 2y) mod 5 (property verified)"] + [
+        "  " + " ".join(str(colors[y, x]) for x in range(10))
+        for y in range(5, -1, -1)
+    ]
 
 
-def cluster_report() -> str:
+def cluster_report() -> list:
     """Figs. 7-8 scaling curves and the 214x ratio."""
     from ..perfmodel import ClusterModel
 
@@ -182,22 +185,18 @@ def cluster_report() -> str:
          f"{cm.fraction_of_peak((600,) * 3, c) * 100:.2f}%")
         for c in cores
     ]
-    out = [format_table(
+    return [Table(
         ["cores", "370^3 ms/iter", "600^3 ms/iter", "600^3 frac of peak"],
         rows, title="Figs. 7-8: modeled Joule 2.0 strong scaling",
-    )]
-    out.append("")
-    out.append(ascii_plot(
+    ), "", Plot(
         cores,
         {"370^3": [r[1] for r in rows], "600^3": [r[2] for r in rows]},
         logy=True, title="time per iteration (ms)",
-    ))
-    out.append(f"\nCS-1 ratio at 16K cores: {cm.cs1_speedup():.0f}x "
-               "(paper: about 214x)")
-    return "\n".join(out)
+    ), f"\nCS-1 ratio at 16K cores: {cm.cs1_speedup():.0f}x "
+       "(paper: about 214x)"]
 
 
-def fig9_report(shape=(50, 200, 50)) -> str:
+def fig9_report(shape=(50, 200, 50)) -> list:
     """Fig. 9 residual histories."""
     from ..problems import fig9_momentum_system
     from ..solver import bicgstab
@@ -209,17 +208,16 @@ def fig9_report(shape=(50, 200, 50)) -> str:
                        maxiter=15, record_true_residual=True)
         histories[prec] = np.array(res.true_residuals)
     iters = np.arange(1, 16)
-    out = [format_table(
+    return [Table(
         ["iteration", "single", "mixed"],
         [(int(i), float(histories["single"][i - 1]),
           float(histories["mixed"][i - 1])) for i in iters],
         title=f"Fig. 9: relative residual, momentum system {shape}",
         floatfmt=".3e",
-    ), "", ascii_plot(iters, histories, logy=True)]
-    return "\n".join(out)
+    ), "", Plot(iters, histories, logy=True)]
 
 
-def spmv2d_report() -> str:
+def spmv2d_report() -> list:
     """Section IV.2's 2D-mapping claims."""
     from ..kernels import Block2DModel, max_block_size, max_mesh_extent
 
@@ -228,31 +226,29 @@ def spmv2d_report() -> str:
         m = Block2DModel.for_block(b)
         rows.append((f"{b}x{b}", m.memory_bytes, "yes" if m.fits else "NO",
                      f"{m.overhead * 100:.1f}%"))
-    out = [format_table(
+    return [Table(
         ["block", "tile bytes", "fits 48KB", "overhead"],
         rows, title="2D mapping (9-point stencil)",
-    )]
-    out.append(f"\nmax block {max_block_size()}x{max_block_size()} "
-               f"=> {max_mesh_extent(600)}^2 mesh on a 600^2 fabric "
-               "(paper: 38x38 / 22800x22800; <20% overhead at 8x8)")
-    return "\n".join(out)
+    ), f"\nmax block {max_block_size()}x{max_block_size()} "
+       f"=> {max_mesh_extent(600)}^2 mesh on a 600^2 fabric "
+       "(paper: 38x38 / 22800x22800; <20% overhead at 8x8)"]
 
 
-def cfd_report() -> str:
+def cfd_report() -> list:
     """Section VI.A throughput projection."""
     from ..perfmodel import SimpleCostModel
 
     m = SimpleCostModel()
     lo, hi = m.timesteps_per_second_range()
-    return paper_vs_measured([
+    return [comparison([
         {"quantity": "timesteps/s @600^3, 15 iters", "paper": "80-125",
          "measured": f"{lo:.0f}-{hi:.0f}"},
         {"quantity": "speedup vs 16K-core Joule", "paper": "> 200",
          "measured": round(m.joule_speedup(), 0)},
-    ])
+    ])]
 
 
-def capacity_report() -> str:
+def capacity_report() -> list:
     """Section VIII.B roadmap and applications."""
     from ..perfmodel import (
         APPLICATIONS,
@@ -265,10 +261,6 @@ def capacity_report() -> str:
     rows = [(n.name, f"{n.sram_gb:.0f} GB",
              f"{max_meshpoints(n) / 1e6:.0f} M cells",
              f"{max_cube_edge(n)}^3") for n in ROADMAP]
-    out = [format_table(
-        ["wafer generation", "SRAM", "max CFD cells", "max cube"],
-        rows, title="memory-capacity roadmap (paper section VIII.B)",
-    ), ""]
     arows = []
     for app in APPLICATIONS:
         a = assess_application(app)
@@ -280,31 +272,33 @@ def capacity_report() -> str:
             "-" if a.realtime_factor is None else f"{a.realtime_factor:.1f}x",
             "-" if a.speedup is None else f"{a.speedup:.0f}x",
         ))
-    out.append(format_table(
+    return [Table(
+        ["wafer generation", "SRAM", "max CFD cells", "max cube"],
+        rows, title="memory-capacity roadmap (paper section VIII.B)",
+    ), "", Table(
         ["application", "cells", "fits CS-1", "steps/s", "real-time",
          "vs cited system"],
         arows, title="section VIII use cases on the CS-1",
-    ))
-    return "\n".join(out)
+    )]
 
 
-def sweep_report() -> str:
+def sweep_report() -> list:
     """Section V mesh size/shape predictions."""
     from ..perfmodel import WaferPerfModel
 
     m = WaferPerfModel()
     meshes = [(600, 595, z) for z in (256, 512, 1024, 1536, 2048)]
     recs = m.sweep_mesh_shape(meshes)
-    return format_table(
+    return [Table(
         ["mesh", "us/iter", "PFLOPS", "frac of peak"],
         [(f"{r['mesh'][0]}x{r['mesh'][1]}x{r['mesh'][2]}",
           round(r["time_us"], 2), round(r["pflops"], 3),
           round(r["fraction_of_peak"], 3)) for r in recs],
         title="mesh shape sweep (calibrated model)",
-    )
+    )]
 
 
-def ablation_report() -> str:
+def ablation_report() -> list:
     """Collective-schedule ablation: blocking vs batched reductions."""
     from ..perfmodel import WaferPerfModel
 
@@ -316,15 +310,15 @@ def ablation_report() -> str:
         t3 = m.iteration_time_with_schedule(mesh, (1, 2, 2))
         rows.append((z, round(t4 * 1e6, 2), round(t3 * 1e6, 2),
                      f"{(t4 / t3 - 1) * 100:.1f}%"))
-    return format_table(
+    return [Table(
         ["Z", "4 blocking AllReduces (us)", "3 batched (us)", "gain"],
         rows,
         title="communication-reduction ablation (the variant the paper "
               "notes it did not use)",
-    )
+    )]
 
 
-def roofline_report() -> str:
+def roofline_report() -> list:
     """Roofline analysis: why ~1% on CPUs, ~1/3 on the wafer (§I)."""
     from ..perfmodel import roofline_table
 
@@ -334,15 +328,15 @@ def roofline_report() -> str:
          f"{r['attainable_fraction'] * 100:.1f}%")
         for r in roofline_table()
     ]
-    return format_table(
+    return [Table(
         ["machine", "ridge (flop/B)", "BiCGStab intensity", "bound",
          "attainable frac of peak"],
         rows,
         title="roofline: the balance argument of the paper's introduction",
-    )
+    )]
 
 
-def multiwafer_report() -> str:
+def multiwafer_report() -> list:
     """Multi-wafer clustering (§VIII.B's closing direction)."""
     from ..perfmodel import MultiWaferModel
 
@@ -354,27 +348,23 @@ def multiwafer_report() -> str:
                      f"{pt.efficiency * 100:.0f}%",
                      f"{pt.total_meshpoints / 1e9:.2f} B"))
     m = MultiWaferModel()
-    out = [format_table(
+    return [Table(
         ["link bandwidth", "us/iter (4 wafers)", "weak-scaling eff",
          "meshpoints"],
         rows,
         title="clustering wafers: what 'sufficient bandwidth' means",
-    )]
-    out.append(
-        f"\nhalo hides behind compute above "
-        f"{m.sufficient_bandwidth() / 1e9:.0f} GB/s per boundary "
-        f"(headline slab 600 x 595 x 1536 per wafer)"
-    )
-    return "\n".join(out)
+    ), f"\nhalo hides behind compute above "
+       f"{m.sufficient_bandwidth() / 1e9:.0f} GB/s per boundary "
+       f"(headline slab 600 x 595 x 1536 per wafer)"]
 
 
-def energy_report() -> str:
+def energy_report() -> list:
     """Energy & space: the per-watt and 1/3-rack claims (abstract)."""
     from ..perfmodel import EnergyModel
 
     cmp = EnergyModel().compare()
     em = EnergyModel()
-    return format_table(
+    return [Table(
         ["quantity", "CS-1", "Joule @16K cores"],
         [
             ("joules / BiCGStab iteration",
@@ -389,10 +379,10 @@ def energy_report() -> str:
         ],
         title="energy and space (paper: per-watt and per-size 'beyond what "
               "has been reported')",
-    )
+    )]
 
 
-def des_scale_report(shape=(16, 16, 2), engine="active", workers=1) -> str:
+def des_scale_report(shape=(16, 16, 2), engine="active", workers=1) -> list:
     """BiCGStab on the word-level simulator at 256 tiles (16 x 16).
 
     The largest fabric exercised anywhere else in the suite is 8 x 8
@@ -435,7 +425,7 @@ def des_scale_report(shape=(16, 16, 2), engine="active", workers=1) -> str:
         peak_c = max(peak_c, st.peak_active_cores)
     stepped = cycles - skipped
     nx, ny, nz = shape
-    out = format_table(
+    out = [Table(
         ["quantity", "value"],
         [
             ("fabric", f"2 x {nx}x{ny} tiles ({2 * nx * ny} total; "
@@ -457,49 +447,162 @@ def des_scale_report(shape=(16, 16, 2), engine="active", workers=1) -> str:
         title=f"event-driven DES at 16x16 ({engine} engine"
               + (f", {workers} workers)" if ENGINE_TABLE[engine].forks
                  else ")"),
-    )
+    )]
     # Engines that record carry a replay session worth reporting.
     for label, eng in (("spmv", solver._spmv_eng),
                        ("allreduce", solver._ar_eng)):
         sess = eng.replay if eng is not None else None
         if sess is None:
             continue
-        out += (
-            f"\n  replay[{label}]: records={sess.records} "
+        out.append(
+            f"  replay[{label}]: records={sess.records} "
             f"replays={sess.replays} fallbacks={sess.fallbacks} "
             f"invalidations={sess.invalidations}"
         )
-        for d in sess.diagnostics:
-            out += f"\n    {d}"
+        out.extend(f"    {d}" for d in sess.diagnostics)
     return out
 
 
-def lint_report() -> str:
+def lint_report() -> list:
     """Static analysis of every shipped kernel program (zero = healthy)."""
     from ..wse.analyze.lint import lint_report_text
 
-    return lint_report_text()
+    return [lint_report_text()]
 
 
-def observed_trace_report() -> str:
+def observed_trace_report() -> list:
     """Observed DES solve: per-phase cycles, telemetry, fabric stats."""
     from ..obs.cli import trace_report
 
-    return trace_report()
+    return [trace_report()]
 
 
-def verify_contracts_report() -> str:
+def verify_contracts_report() -> list:
     """Run every program, check observed words/cycles against contracts."""
     from ..wse.analyze.verify_contracts import verify_report_text
 
-    return verify_report_text()
+    return [verify_report_text()]
 
 
-def profile_solve_report() -> str:
+def profile_solve_report() -> list:
     """Profiled DES solve: top bottleneck, critical path, slack."""
     from ..obs.cli import profile_report
 
-    return profile_report()
+    return [profile_report()]
+
+
+def intro_report() -> list:
+    """Section I framing: HPCG-class fraction of peak, cluster vs CS-1."""
+    from ..perfmodel import (
+        HEADLINE_MESH,
+        ClusterModel,
+        WaferPerfModel,
+        cs1_balance,
+    )
+
+    cm = ClusterModel()
+    rows = [(c, round(cm.fraction_of_peak((600, 600, 600), c) * 100, 2))
+            for c in (1024, 4096, 16384)]
+    wafer = WaferPerfModel().fraction_of_peak(HEADLINE_MESH)
+    return [Table(
+        ["cores", "% of fp64 peak"], rows,
+        title="modeled Joule BiCGStab, 600^3: fraction of peak "
+              "(HPCG-class regime)",
+    ), "", comparison([
+        {"quantity": "cluster % of peak", "paper": "0.5-3.1 (HPCG top 20)",
+         "measured": f"{min(r[1] for r in rows)}-{max(r[1] for r in rows)}",
+         "note": "MFIX-class BiCGStab; same bandwidth-bound regime"},
+        {"quantity": "CS-1 % of peak", "paper": "~33",
+         "measured": round(wafer * 100, 1)},
+        {"quantity": "CS-1 flops per 8B memory word", "paper": "~2.7",
+         "measured": round(cs1_balance().flops_per_word_memory, 2),
+         "note": "the balance that makes the fraction possible"},
+    ])]
+
+
+def spmv3d_report(shape=(4, 4, 32)) -> list:
+    """Listing 1 / Fig. 4: one SpMV on the tile simulator vs the model."""
+    from ..kernels import run_spmv_des
+    from ..perfmodel import WaferPerfModel
+    from ..problems import Stencil7
+
+    pre, _, _ = Stencil7.from_random(
+        shape, rng=np.random.default_rng(2)).jacobi_precondition()
+    v = 0.1 * np.random.default_rng(21).standard_normal(shape)
+    u, cycles = run_spmv_des(pre, v)
+    v16 = np.asarray(v, np.float16).astype(np.float64)
+    ref = (pre.to_csr() @ v16.ravel()).reshape(shape)
+    z = shape[2]
+    return [Table(
+        ["quantity", "value"],
+        [
+            ("fabric-limited lower bound (Z)", z),
+            ("discrete simulation (cycles)", cycles),
+            ("ideal issue model (3Z)", 3 * z),
+            ("calibrated model budget", round(
+                WaferPerfModel().compute_overhead * 3 * z, 1)),
+            ("max |DES - CSR|", float(np.max(np.abs(u - ref)))),
+        ],
+        title=f"SpMV cycles, {shape} mesh column (Z={z})",
+    )]
+
+
+def stream_report() -> list:
+    """Section II.A: tile memory sustains the SIMD compute rate."""
+    from ..kernels import run_stream_suite
+
+    return [Table(
+        ["kernel", "length", "cycles", "elements/cycle", "bound",
+         "utilization"],
+        [(r.kernel, r.length, r.cycles, round(r.elements_per_cycle, 2),
+          r.bound, round(r.utilization, 3))
+         for r in run_stream_suite(lengths=(64, 256, 1024))],
+        title="tile streaming kernels vs architectural bounds",
+    )]
+
+
+def validation_report() -> list:
+    """Section V's model validation against the word-level simulator."""
+    from ..perfmodel import ModelValidator
+
+    outcome = ModelValidator().validate()
+    return [Table(
+        ["Z", "DES cycles", "lower bound (Z)", "model budget", "in envelope"],
+        [(p.z, p.des_cycles, int(p.lower_bound), round(p.model_budget, 0),
+          "yes" if p.within_envelope else "NO") for p in outcome["spmv"]],
+        title="SpMV (Listing 1 program) vs model, 3x3 fabric",
+    ), "", Table(
+        ["fabric", "DES cycles", "model cycles", "rel error"],
+        [(f"{p.fabric[0]}x{p.fabric[1]}", p.des_cycles, p.model_cycles,
+          round(p.relative_error, 3)) for p in outcome["allreduce"]],
+        title="AllReduce (Fig. 6 routing) vs latency model",
+    )]
+
+
+def precision_report() -> list:
+    """The precision trade: accuracy vs capacity vs speed (abstract)."""
+    from ..perfmodel import WaferPerfModel
+    from ..problems import momentum_system
+    from ..solver import bicgstab
+
+    m = WaferPerfModel()
+    sys_ = momentum_system((12, 12, 16), reynolds=100.0, dt=0.02)
+    rows = []
+    for prec in ("half", "mixed", "single", "double"):
+        res = bicgstab(sys_.operator, sys_.b, precision=prec, rtol=0.0,
+                       maxiter=30, record_true_residual=True)
+        max_z = m.max_z_for_precision(prec)
+        # Time at the headline footprint, Z clamped to what fits.
+        mesh = (600, 595, min(1536, max_z))
+        rows.append((prec, float(min(res.true_residuals)), max_z, mesh[2],
+                     round(m.iteration_time_for_precision(mesh, prec) * 1e6,
+                           1)))
+    return [Table(
+        ["precision", "best true residual", "max Z/tile",
+         "Z at headline footprint", "us/iter"],
+        rows, title="the precision trade: accuracy vs capacity vs speed",
+        floatfmt=".3g",
+    )]
 
 
 #: CLI dispatch table: name -> report function.
@@ -525,4 +628,43 @@ REPORTS = {
     "verify-contracts": verify_contracts_report,
     "trace": observed_trace_report,
     "profile": profile_solve_report,
+    "intro": intro_report,
+    "spmv3d": spmv3d_report,
+    "stream": stream_report,
+    "validation": validation_report,
+    "precision": precision_report,
 }
+
+
+def rendered(names: Iterable[str] | None = None,
+             **options) -> Iterator[tuple[str, str]]:
+    """Build each named report (all by default) and render it; yields
+    ``(name, text)``.
+
+    A report that raises propagates, so no caller reports success over
+    a broken model.
+    """
+    for name in REPORTS if names is None else names:
+        yield name, render(REPORTS[name](**options))
+
+
+_HEADER = """\
+# Regenerated experiment reports
+
+Machine-generated by `python -m repro write-report` from the current
+code; compare against EXPERIMENTS.md for the annotated paper-vs-measured
+discussion.  Sections correspond to the CLI report names.
+"""
+
+
+def write_report(path: str | Path = "experiments_regenerated.md",
+                 names=None) -> Path:
+    """Write the named reports (all by default) as one markdown file."""
+    path = Path(path)
+    parts = [_HEADER]
+    for name, text in rendered(n for n in REPORTS
+                               if names is None or n in names):
+        doc = (REPORTS[name].__doc__ or "").strip().splitlines()[0]
+        parts += [f"\n## {name} — {doc}\n", "```text", text, "```"]
+    path.write_text("\n".join(parts) + "\n", encoding="utf-8")
+    return path

@@ -2,8 +2,9 @@
 
 Regenerates any of the paper's tables/figures from the terminal without
 writing a script.  ``python -m repro list`` shows what is available;
-``python -m repro all`` prints everything (the quick-look version of
-``pytest benchmarks/ --benchmark-only -s``).
+``python -m repro all`` prints everything and ``write-report`` writes it
+as markdown; all three go through :func:`repro.analysis.reports.rendered`,
+whose rows ``tests/test_paper_claims.py`` holds to the paper.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import argparse
 import sys
 from importlib import import_module
 
-from .analysis.reports import REPORTS
+from .analysis.reports import REPORTS, rendered, write_report
 from .api import add_engine_arguments, options_from_args
 
 __all__ = ["main", "build_parser"]
@@ -85,21 +86,18 @@ def main(argv: list[str] | None = None) -> int:
         print(_describe())
         return 0
     if name == "all":
-        for key, fn in REPORTS.items():
+        for key, text in rendered():
             print(f"\n{'=' * 70}\n== {key}\n{'=' * 70}")
-            print(fn())
+            print(text)
         return 0
     if name == "write-report":
-        from .analysis.harness import write_report
-
-        path = write_report(args.output)
-        print(f"wrote {path}")
+        print(f"wrote {write_report(args.output)}")
         return 0
-    fn = REPORTS.get(name)
-    if fn is None:
+    if name not in REPORTS:
         print(f"unknown report {name!r}\n", file=sys.stderr)
         print(_describe(), file=sys.stderr)
         return 2
+    options = {}
     if args.engine is not None or args.workers != 1:
         if name != "des-scale":
             print("--engine/--workers only apply to des-scale",
@@ -107,9 +105,9 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         args.engine = args.engine or "active"
         opts = options_from_args(args)
-        print(fn(engine=opts.engine, workers=opts.workers))
-        return 0
-    print(fn())
+        options = {"engine": opts.engine, "workers": opts.workers}
+    for _, text in rendered([name], **options):
+        print(text)
     return 0
 
 

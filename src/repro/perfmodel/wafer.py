@@ -219,7 +219,8 @@ class WaferPerfModel:
         axpy = 6 * (nz / simd)
         compute = spmv + dots + axpy
         if prec is Precision.SINGLE or prec is Precision.DOUBLE:
-            compute *= 2.0  # 1 fp32 FMAC/cycle vs 2 mixed
+            compute *= (self.config.mixed_fmacs_per_cycle
+                        / self.config.fp32_fmacs_per_cycle)
         if prec is Precision.DOUBLE:
             compute *= 2.0  # emulated fp64: at least another 2x
         cycles = compute * self.compute_overhead + 4 * self.allreduce_cycles(

@@ -18,8 +18,8 @@ the synchronizations.  Batching k scalars through the Fig. 6 reduction
 tree costs one latency plus ~(k-1) extra cycles (the tree is pipelined,
 one word per cycle per link), so three synchronizations instead of five
 cut the per-iteration collective cost by ~40% — which matters exactly
-when Z is small and the solve is latency-bound (see
-``benchmarks/bench_ablation_comm.py``).
+when Z is small and the solve is latency-bound (see ``python -m repro
+ablation``).
 """
 
 from __future__ import annotations
@@ -56,9 +56,8 @@ def bicgstab_grouped(
     grouped_dot:
         Callable receiving a list of ``(u, v)`` pairs and returning
         their inner products; one call = one global synchronization.
-        Tests inject a spy here to observe the grouping; the ablation
-        bench (``benchmarks/bench_ablation_comm.py``) uses the default
-        and reads the counts from ``info``.  Defaults to the precision
+        Tests inject a spy here to observe the grouping; the default
+        leaves the counts in ``info``.  Defaults to the precision
         mode's dot per pair (no real transport, but the call structure
         is preserved).
 

@@ -61,14 +61,6 @@ class MachineConfig:
     #: Concurrent threads of execution per core (section II.A).
     n_threads: int = 9
 
-    #: Words a core can receive from the fabric per cycle (section IV.3:
-    #: "can receive only one from the fabric").
-    fabric_receive_words_per_cycle: int = 1
-
-    #: fp32 additions a core can perform per cycle in the reduction
-    #: (section IV.3: "a core can add two 32-bit quantities per cycle").
-    fp32_adds_per_cycle: int = 2
-
     #: System power, watts ("a total system power of 20 kW").
     system_power_watts: float = 20_000.0
 

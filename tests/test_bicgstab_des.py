@@ -94,6 +94,16 @@ class TestCycleAccounting:
             + rep.dot_local_cycles
         )
 
+    def test_active_set_skips_idle_cycles(self, small_system, des_result):
+        """The persistent SpMV + AllReduce fabrics skip idle time on this
+        sparse workload instead of sweeping every router every cycle."""
+        solver, _ = des_result
+        stats = [e.fabric.stats for e in (solver._spmv_eng, solver._ar_eng)
+                 if e is not None]
+        nx, ny, _ = small_system.operator.shape
+        assert sum(st.skipped_cycles for st in stats) > 0
+        assert max(st.peak_active_routers for st in stats) <= 2 * nx * ny
+
     def test_cycles_per_iteration_reported(self, des_result):
         _, res = des_result
         assert res.info["cycles_per_iteration"] > 0

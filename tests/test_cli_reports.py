@@ -2,37 +2,39 @@
 
 import pytest
 
+from repro.analysis.reporting import render
 from repro.analysis.reports import REPORTS
 from repro.cli import main
 
 
 class TestReports:
     @pytest.mark.parametrize("name", sorted(REPORTS))
-    def test_every_report_renders(self, name):
-        out = REPORTS[name]()
+    def test_every_report_renders(self, name, built_report):
+        out = render(built_report(name))
         assert isinstance(out, str)
         assert len(out.splitlines()) >= 3
 
-    def test_headline_contains_numbers(self):
-        out = REPORTS["headline"]()
+    def test_headline_contains_numbers(self, built_report):
+        out = render(built_report("headline"))
         assert "28.1" in out
         assert "0.86" in out or "0.859" in out
 
-    def test_allreduce_mentions_claim(self):
-        out = REPORTS["allreduce"]()
+    def test_allreduce_mentions_claim(self, built_report):
+        out = render(built_report("allreduce"))
         assert "< 1.5" in out
 
-    def test_cluster_mentions_214(self):
-        out = REPORTS["figs78"]()
+    def test_cluster_mentions_214(self, built_report):
+        out = render(built_report("figs78"))
         assert "214" in out
 
-    def test_capacity_lists_roadmap(self):
-        out = REPORTS["capacity"]()
+    def test_capacity_lists_roadmap(self, built_report):
+        out = render(built_report("capacity"))
         assert "7 nm" in out and "5 nm" in out
         assert "helicopter" in out
 
-    def test_table1_totals(self):
-        assert "44" in REPORTS["table1"]() or "Total" in REPORTS["table1"]()
+    def test_table1_totals(self, built_report):
+        out = render(built_report("table1"))
+        assert "44" in out or "Total" in out
 
 
 class TestCli:

@@ -135,6 +135,15 @@ class TestClusterBiCGStab:
         assert res.converged
         assert sys_.relative_residual(res.x) < 1e-8
 
+    @pytest.mark.parametrize("edge,nranks,maxiter", [(24, 8, 60),
+                                                     (32, 16, 250)])
+    def test_figure_anchor_runs_converge(self, edge, nranks, maxiter):
+        """The live runs that anchor Figs. 7 (24^3) and 8 (32^3)."""
+        sys_ = convection_diffusion_system((edge,) * 3)
+        res = cluster_bicgstab(sys_.operator, sys_.b, nranks=nranks,
+                               rtol=1e-8, maxiter=maxiter)
+        assert res.converged
+
     def test_scatter_gather_roundtrip(self):
         op = Stencil7.from_random((6, 6, 6), rng=RNG)
         solver = ClusterBiCGStab(op, nranks=4)

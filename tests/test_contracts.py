@@ -153,7 +153,7 @@ class TestStaticContractSerialization:
         f.router(0, 0).set_route(7, Port.EAST, (Port.EAST,))
         f.router(1, 0).set_route(7, Port.WEST, (Port.WEST,))
         contract = compute_contract(f)
-        assert len(contract.cdg_cycles) == 1
+        assert contract.cdg_cycles == (((0, 0, 7, 'E'), (1, 0, 7, 'W')),)
         assert contract.total_words == 0  # no sound count on a cyclic channel
         again = StaticContract.from_json(contract.to_json())
         assert again == contract

@@ -28,6 +28,20 @@ class TestNumericalIdentity:
         assert g.iterations == a.iterations
         np.testing.assert_array_equal(g.x, a.x)
 
+    def test_identical_on_the_ablation_momentum_system(self):
+        """The §IV.3 ablation's system: the grouped solve converges and
+        matches the blocking one bit for bit."""
+        from repro.problems import momentum_system
+
+        sys_ = momentum_system((16, 16, 24), reynolds=100.0, dt=0.02)
+        a = bicgstab(sys_.operator, sys_.b, precision="mixed", rtol=2e-3,
+                     maxiter=60)
+        g = bicgstab_grouped(sys_.operator, sys_.b, precision="mixed",
+                             rtol=2e-3, maxiter=60)
+        assert g.converged
+        assert g.iterations == a.iterations
+        np.testing.assert_array_equal(g.x, a.x)
+
 
 class TestSynchronizationAccounting:
     def test_three_syncs_per_iteration(self):

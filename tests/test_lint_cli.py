@@ -36,10 +36,11 @@ class TestLintCli:
             assert report.ok, f"{name}:\n{report.format()}"
 
     def test_report_registry_entry(self):
+        from repro.analysis.reporting import render
         from repro.analysis.reports import REPORTS
 
         assert "lint" in REPORTS
-        assert "LINT OK" in REPORTS["lint"]()
+        assert "LINT OK" in render(REPORTS["lint"]())
 
     def test_listed_in_help(self, capsys):
         main(["list"])

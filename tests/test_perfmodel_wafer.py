@@ -110,6 +110,11 @@ class TestSweeps:
         """Fewer tiles in use => fewer flops in the same time."""
         assert model.pflops((300, 300, 1536)) < model.pflops((600, 595, 1536))
 
+    def test_memory_limit_corner_fits(self, model):
+        """The deepest column the tile holds still fits in the sweep."""
+        (rec,) = model.sweep_mesh_shape([(602, 595, 2457)])
+        assert rec["tile_bytes"] <= 48 * 1024
+
     def test_infeasible_mesh_rejected_in_sweep(self, model):
         with pytest.raises(ValueError):
             model.sweep_mesh_shape([(1000, 1000, 64)])
@@ -142,13 +147,32 @@ class TestPrecisionVariants:
     def test_mixed_matches_baseline(self, model):
         assert model.iteration_time_for_precision(
             HEADLINE_MESH, "mixed"
-        ) == pytest.approx(model.iteration_time(HEADLINE_MESH))
+        ) == model.iteration_time(HEADLINE_MESH)
 
     def test_fp32_slower_per_z(self, model):
         mesh = (600, 595, 1024)
         t16 = model.iteration_time_for_precision(mesh, "mixed")
         t32 = model.iteration_time_for_precision(mesh, "single")
         assert t32 > 1.5 * t16
+
+    def test_fp32_charged_at_the_configured_fmac_rate(self, model):
+        """Section II: 'one FMAC per core per cycle' in fp32 vs two mixed
+        — the model reads both rates from ``MachineConfig``."""
+        mesh = (600, 595, 1024)
+        config = model.config
+        assert (config.simd_width_fp16, config.mixed_fmacs_per_cycle,
+                config.fp32_fmacs_per_cycle) == (4, 2, 1)
+
+        def compute(m, prec):
+            ar = 4 * m.allreduce_cycles(mesh) / m.config.clock_hz
+            return m.iteration_time_for_precision(mesh, prec) - ar
+
+        assert compute(model, "single") == pytest.approx(
+            2 * compute(model, "mixed"), rel=1e-12)
+        as_fast = WaferPerfModel(config=dataclasses.replace(
+            config, fp32_fmacs_per_cycle=config.mixed_fmacs_per_cycle))
+        assert as_fast.iteration_time_for_precision(mesh, "single") == \
+            pytest.approx(model.iteration_time_for_precision(mesh, "mixed"))
 
     def test_oversized_z_rejected_per_precision(self, model):
         with pytest.raises(ValueError, match="exceeds tile memory"):

@@ -86,6 +86,12 @@ class TestMultiWafer:
         curve = m.scaling_curve(4)
         assert all(pt.efficiency > 0.9 for pt in curve)
 
+    def test_eight_wafers_at_default_links(self):
+        """§VIII.B's clustering, eight wafers deep on the default links."""
+        curve = MultiWaferModel().scaling_curve(8)
+        assert all(pt.efficiency > 0.9 for pt in curve)
+        assert curve[-1].total_meshpoints == 8 * curve[0].total_meshpoints
+
     def test_insufficient_bandwidth_hurts(self):
         slow = MultiWaferModel(link_bandwidth=50e9)
         fast = MultiWaferModel(link_bandwidth=500e9)

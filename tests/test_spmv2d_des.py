@@ -37,6 +37,15 @@ class TestCorrectness:
         ref = op.apply(np.asarray(v, np.float16).astype(np.float64))
         assert np.max(np.abs(u - ref)) < _tol(op, v)
 
+    def test_within_1e_2_on_a_2x2_fabric(self):
+        """§IV.2's exchange at word level, 8x8 mesh in 4x4 blocks: fp16
+        noise stays under 1e-2 absolute."""
+        op = _pre((8, 8), seed=9)
+        v = 0.1 * np.random.default_rng(9).standard_normal((8, 8))
+        u, _ = run_spmv2d_des(op, v, (4, 4))
+        ref = op.apply(np.asarray(v, np.float16).astype(np.float64))
+        assert np.max(np.abs(u - ref)) < 1e-2
+
     def test_corner_coupling_crosses_two_rounds(self):
         """A unit ne-coupling across a block corner must arrive via the
         x-round then the y-round — the no-diagonal-sends property."""

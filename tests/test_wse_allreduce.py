@@ -44,7 +44,8 @@ class TestPatternConstruction:
 
 
 class TestSimulation:
-    @pytest.mark.parametrize("w,h", [(2, 2), (4, 4), (8, 8), (3, 5), (7, 4), (12, 6)])
+    @pytest.mark.parametrize("w,h", [(2, 2), (4, 4), (8, 8), (3, 5), (7, 4), (12, 6),
+                                     (16, 16)])
     def test_sum_correct(self, w, h):
         vals = RNG.standard_normal((h, w)).astype(np.float32)
         result, _ = simulate_allreduce(vals)

@@ -34,6 +34,16 @@ class TestTessellation:
     def test_paper_property_on_cs1_sized_patch(self):
         verify_tessellation(channel_map(64, 64))
 
+    def test_full_cs1_fabric(self):
+        """Fig. 5's colouring over the whole 602 x 595 fabric."""
+        from repro.wse import CS1_GEOMETRY
+
+        colors = channel_map(CS1_GEOMETRY.fabric_width,
+                             CS1_GEOMETRY.fabric_height)
+        assert colors.shape == (595, 602)
+        assert set(np.unique(colors)) == set(range(N_SPMV_CHANNELS))
+        verify_tessellation(colors[:50, :50])
+
     def test_tile_channel_matches_map(self):
         cm = channel_map(10, 7)
         for y in range(7):
