@@ -1,6 +1,6 @@
 """Reporting and analysis: tables, ASCII figures, convergence analytics."""
 
-from .reporting import ascii_plot, format_series, format_table, paper_vs_measured
+from .reporting import ascii_plot, format_series, format_table
 from .convergence import (
     convergence_rate,
     detect_plateau,
@@ -12,7 +12,6 @@ __all__ = [
     "ascii_plot",
     "format_series",
     "format_table",
-    "paper_vs_measured",
     "convergence_rate",
     "detect_plateau",
     "estimate_extreme_eigenvalues",

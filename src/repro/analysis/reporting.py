@@ -21,7 +21,6 @@ __all__ = [
     "format_table",
     "format_series",
     "ascii_plot",
-    "paper_vs_measured",
 ]
 
 
@@ -49,11 +48,10 @@ class Table:
 
 @dataclass(frozen=True)
 class Plot:
-    """Series sharing one x axis; :func:`render` draws it."""
+    """Series sharing one x axis; :func:`render` draws it on a log y axis."""
 
     x: Sequence[float]
     series: dict[str, Sequence[float]]
-    logy: bool = False
     title: str | None = None
 
 
@@ -65,7 +63,7 @@ def render(blocks: Iterable[Table | Plot | str]) -> str:
             out.append(format_table(block.headers, block.rows, block.title,
                                     block.floatfmt))
         elif isinstance(block, Plot):
-            out.append(ascii_plot(block.x, block.series, logy=block.logy,
+            out.append(ascii_plot(block.x, block.series, logy=True,
                                   title=block.title))
         else:
             out.append(block)
@@ -165,8 +163,3 @@ def comparison(records: Iterable[dict]) -> Table:
         [(r["quantity"], r["paper"], r["measured"], r.get("note", ""))
          for r in records],
     )
-
-
-def paper_vs_measured(records: Iterable[dict]) -> str:
-    """:func:`comparison` rendered as text."""
-    return render([comparison(records)])

@@ -191,7 +191,7 @@ def cluster_report() -> list:
     ), "", Plot(
         cores,
         {"370^3": [r[1] for r in rows], "600^3": [r[2] for r in rows]},
-        logy=True, title="time per iteration (ms)",
+        title="time per iteration (ms)",
     ), f"\nCS-1 ratio at 16K cores: {cm.cs1_speedup():.0f}x "
        "(paper: about 214x)"]
 
@@ -214,7 +214,7 @@ def fig9_report(shape=(50, 200, 50)) -> list:
           float(histories["mixed"][i - 1])) for i in iters],
         title=f"Fig. 9: relative residual, momentum system {shape}",
         floatfmt=".3e",
-    ), "", Plot(iters, histories, logy=True)]
+    ), "", Plot(iters, histories)]
 
 
 def spmv2d_report() -> list:
@@ -520,12 +520,13 @@ def intro_report() -> list:
     ])]
 
 
-def spmv3d_report(shape=(4, 4, 32)) -> list:
+def spmv3d_report() -> list:
     """Listing 1 / Fig. 4: one SpMV on the tile simulator vs the model."""
     from ..kernels import run_spmv_des
     from ..perfmodel import WaferPerfModel
     from ..problems import Stencil7
 
+    shape = (4, 4, 32)
     pre, _, _ = Stencil7.from_random(
         shape, rng=np.random.default_rng(2)).jacobi_precondition()
     v = 0.1 * np.random.default_rng(21).standard_normal(shape)

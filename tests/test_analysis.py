@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.analysis import ascii_plot, format_series, format_table, paper_vs_measured
+from repro.analysis import ascii_plot, format_series, format_table
+from repro.analysis.reporting import comparison, render
 
 
 class TestFormatTable:
@@ -50,10 +51,10 @@ class TestSeriesAndPlot:
 
 class TestPaperVsMeasured:
     def test_records_rendered(self):
-        out = paper_vs_measured([
+        out = render([comparison([
             {"quantity": "PFLOPS", "paper": 0.86, "measured": 0.859},
             {"quantity": "iter time", "paper": "28.1 us", "measured": "28.1 us",
              "note": "calibrated"},
-        ])
+        ])])
         assert "PFLOPS" in out
         assert "calibrated" in out

@@ -40,6 +40,15 @@ class TestDESSolve:
         scale = np.max(np.abs(fres.x)) + 1e-30
         assert np.max(np.abs(res.x - fres.x)) / scale < 0.02
 
+    def test_deeper_column_converges_to_the_functional_solution(self):
+        """The same agreement on a 12-deep column."""
+        sys_ = momentum_system((4, 4, 12), reynolds=50.0, dt=0.02)
+        res = DESBiCGStab(sys_.operator).solve(sys_.b, rtol=5e-3, maxiter=25)
+        fres = WaferBiCGStab().solve(sys_, rtol=5e-3, maxiter=25)
+        assert res.converged
+        scale = np.max(np.abs(fres.x)) + 1e-30
+        assert np.max(np.abs(res.x - fres.x)) / scale < 0.02
+
     def test_requires_unit_diagonal(self):
         op = Stencil7.from_random((3, 3, 4), rng=RNG)
         with pytest.raises(ValueError, match="preconditioned"):

@@ -113,3 +113,5 @@ class TestHeadlineEndToEnd:
         model = WaferPerfModel()
         assert model.iteration_time((600, 595, 1536)) == pytest.approx(28.1e-6, rel=0.01)
         assert model.pflops((600, 595, 1536)) == pytest.approx(0.86, rel=0.01)
+        # rtol=0 never converges, so the solve runs exactly maxiter
+        assert WaferBiCGStab().solve(sys_, rtol=0.0, maxiter=3).iterations == 3

@@ -82,15 +82,10 @@ class TestMultiWafer:
         assert pt.interwafer_seconds == 0.0
 
     def test_weak_scaling_efficiency_with_good_links(self):
+        """Up to §VIII.B's eight-wafer cluster on the default links."""
         m = MultiWaferModel(link_bandwidth=300e9)
-        curve = m.scaling_curve(4)
-        assert all(pt.efficiency > 0.9 for pt in curve)
-
-    def test_eight_wafers_at_default_links(self):
-        """§VIII.B's clustering, eight wafers deep on the default links."""
-        curve = MultiWaferModel().scaling_curve(8)
-        assert all(pt.efficiency > 0.9 for pt in curve)
-        assert curve[-1].total_meshpoints == 8 * curve[0].total_meshpoints
+        for wafers in (4, 8):
+            assert all(pt.efficiency > 0.9 for pt in m.scaling_curve(wafers))
 
     def test_insufficient_bandwidth_hurts(self):
         slow = MultiWaferModel(link_bandwidth=50e9)
@@ -112,9 +107,9 @@ class TestMultiWafer:
 
     def test_meshpoints_grow_with_wafers(self):
         m = MultiWaferModel()
-        curve = m.scaling_curve(3)
-        pts = [c.total_meshpoints for c in curve]
-        assert pts[1] == 2 * pts[0] and pts[2] == 3 * pts[0]
+        for wafers in (3, 8):
+            pts = [c.total_meshpoints for c in m.scaling_curve(wafers)]
+            assert pts == [n * pts[0] for n in range(1, wafers + 1)]
 
     def test_slab_too_tall_rejected(self):
         with pytest.raises(ValueError):

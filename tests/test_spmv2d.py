@@ -26,6 +26,7 @@ class TestBlockSpmv:
         ((6, 9), (3, 3)),
         ((8, 8), (8, 8)),   # single block
         ((10, 10), (2, 5)),  # non-square blocks
+        ((64, 64), (8, 8)),  # interior blocks with all eight neighbours
     ])
     def test_matches_rowwise_apply(self, shape, block):
         op = Stencil9.from_random(shape, rng=RNG)
